@@ -32,6 +32,7 @@ from .camera import (
     analyzer_row,
     default_qwp_angles,
     demosaic,
+    demosaic_footprint,
     lctf_responses,
     measure_intensity,
     mosaic_merge,

@@ -33,6 +33,7 @@ __all__ = [
     "analyzer_row",
     "default_qwp_angles",
     "demosaic",
+    "demosaic_footprint",
     "lctf_responses",
     "measure_intensity",
     "mosaic_merge",
@@ -189,6 +190,17 @@ class CaptureConfig:
             return cal
         return cal[channel]
 
+    def rows(self, channel: int) -> np.ndarray:
+        """The channel's (m, 4) measurement rows, exposure included.
+
+        Row i is the analyzer row of configuration i, so a channel Stokes
+        vector s records the intensities ``rows(channel) @ s``; simulation
+        applies these rows and reconstruction inverts them.
+        """
+        cal = self.calibration_for(channel)
+        rows = np.array([analyzer_row(cfg, cal) for cfg in self.configs_for(channel)])
+        return rows * self.exposure
+
     @classmethod
     def hyperspectral(cls, qwp_angles, lp_angle=0.0, calibration=None, exposure=1.0):
         qwp_angles = np.atleast_1d(np.asarray(qwp_angles, dtype=float))
@@ -234,12 +246,12 @@ class MosaicLayout:
             raise ConfigurationError(
                 f"superpixel must hold 4 R, 8 G, 4 B cells, got {tuple(counts)}"
             )
+        config = self.capture_config()
         for color in (RED, GREEN, BLUE):
-            rows = np.array([analyzer_row(cfg) for _, cfg in self.cells_for_color(color)])
-            if np.linalg.matrix_rank(rows) < 4:
+            rank = np.linalg.matrix_rank(config.rows(color))
+            if rank < 4:
                 raise ConfigurationError(
-                    f"color {color} configuration set is rank-deficient (rank "
-                    f"{np.linalg.matrix_rank(rows)} < 4)"
+                    f"color {color} configuration set is rank-deficient (rank {rank} < 4)"
                 )
 
     @staticmethod
@@ -418,19 +430,13 @@ def simulate_hyperspectral(
     weights = _band_matrix(scene, responses)
     n_channels = weights.shape[0]
 
-    rows = np.empty((n_channels, len(config.configs_for(0)), 4))
-    for c in range(n_channels):
-        cal = config.calibration_for(c)
-        for i, cfg in enumerate(config.configs_for(c)):
-            rows[c, i] = analyzer_row(cfg, cal)
-        if np.linalg.matrix_rank(rows[c]) < 4:
-            raise ConfigurationError("QWP/LP angle set yields a rank-deficient system")
-    rows = rows * exposure
+    rows = np.stack([config.rows(c) for c in range(n_channels)])  # (C, m, 4)
+    if np.any(np.linalg.matrix_rank(rows) < 4):
+        raise ConfigurationError("QWP/LP angle set yields a rank-deficient system")
 
-    band = np.einsum("cl,hwle->hwce", weights, scene.data)
-    frames = np.einsum("cie,hwce->cihw", rows, band).reshape(
-        -1, scene.height, scene.width
-    )
+    band = np.matmul(weights, scene.data)  # (H, W, C, 4)
+    band = band.reshape(-1, n_channels, 4).transpose(1, 2, 0)  # (C, 4, H*W)
+    frames = np.matmul(rows, band).reshape(-1, scene.height, scene.width)
     tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
 
     sat, black = np.inf, -np.inf
@@ -461,13 +467,10 @@ def simulate_trichromatic(
     config = layout.capture_config(calibration, exposure)
 
     frame = np.empty((scene.height, scene.width))
-    for i in range(4):
-        for j in range(4):
-            color = int(layout.colors[i, j])
-            row = analyzer_row(layout.cell(i, j), config.calibration_for(color)) * exposure
-            frame[i::4, j::4] = np.einsum(
-                "e,hwe->hw", row, scene.data[i::4, j::4, color, :]
-            )
+    for color in (RED, GREEN, BLUE):
+        for (k, _), row in zip(layout.cells_for_color(color), config.rows(color)):
+            i, j = divmod(k, 4)
+            frame[i::4, j::4] = scene.data[i::4, j::4, color, :] @ row
 
     sat, black = np.inf, -np.inf
     if noise is not None:
@@ -539,3 +542,18 @@ def demosaic(segments: np.ndarray) -> np.ndarray:
         up = _linear_resample(up_cols.T, rows, 4 * h).T
         full[:, :, k] = up
     return full
+
+
+def demosaic_footprint(flags: np.ndarray) -> np.ndarray:
+    """Where ``demosaic`` gives flagged samples of a mosaic frame nonzero weight.
+
+    Plane K of the (H, W, 16) result marks the pixels whose plane-K value
+    uses a flagged sample of segment K.  Border extrapolation makes some
+    weights negative, so 0/1 flags could cancel; instead the four samples
+    behind a pixel, which differ in superpixel row and column parity, are
+    flagged 1, 100, 100**2 or 100**3.  As every weight is a multiple of
+    1/16 no larger than 49/16, their terms cannot cancel.
+    """
+    n, m = np.indices(np.shape(flags)) // 4
+    weighted = np.where(flags, 100.0 ** (2 * (n % 2) + m % 2), 0.0)
+    return demosaic(mosaic_split(weighted)) != 0

@@ -2,8 +2,8 @@
 
 Each spectral channel contributes an m x 4 system whose row i is the
 analyzer (intensity) row of configuration i.  The per-pixel estimate is
-the least-squares minimizer of ``sum_i (I_i - a_i . s)^2``, solved with
-an orthogonal (QR) factorization computed once per channel and reused
+the least-squares minimizer of ``sum_i (I_i - a_i . s)^2``, applied as
+the channel's 4 x m pseudo-inverse, computed once per channel and reused
 across all pixels.
 """
 
@@ -12,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.ndimage
 
-from .camera import CaptureConfig, RawCapture, analyzer_row, demosaic, mosaic_split
+from .camera import CaptureConfig, RawCapture, demosaic, demosaic_footprint, mosaic_split
 from .errors import ConfigurationError, DimensionError, EmptySelectionError
 from .image import StokesImage
 from .stokes import DEFAULT_DOP_TOL, is_valid
@@ -42,16 +41,15 @@ UNDEREXPOSURE_MULTIPLIER = 2.0
 class SystemMatrix:
     """An m x 4 measurement system with conditioning metadata.
 
-    ``rank`` and ``condition_number`` come from the singular values; the
-    QR factors are cached so thousands of per-pixel solves share one
-    factorization.
+    ``rank`` and ``condition_number`` come from the singular values, and
+    the 4 x m pseudo-inverse ``pinv`` from the same decomposition, so
+    thousands of per-pixel solves share one matrix product.
     """
 
     matrix: np.ndarray
     rank: int
     condition_number: float
-    q: np.ndarray
-    r: np.ndarray
+    pinv: np.ndarray
 
     @classmethod
     def from_rows(cls, rows: np.ndarray) -> "SystemMatrix":
@@ -60,12 +58,12 @@ class SystemMatrix:
             raise DimensionError(f"system matrix must be (m, 4), got {rows.shape}")
         if rows.shape[0] < 4:
             raise ConfigurationError("at least 4 measurement configurations required")
-        sv = np.linalg.svd(rows, compute_uv=False)
+        u, sv, vt = np.linalg.svd(rows, full_matrices=False)
         tol = sv[0] * max(rows.shape) * np.finfo(float).eps
         rank = int(np.count_nonzero(sv > tol))
         cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        q, r = np.linalg.qr(rows)
-        return cls(rows, rank, cond, q, r)
+        inverse_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > tol)
+        return cls(rows, rank, cond, (vt.T * inverse_sv) @ u.T)
 
     @property
     def m(self) -> int:
@@ -81,12 +79,9 @@ def system_matrix(config: CaptureConfig, channel: int = 0) -> SystemMatrix:
         If fewer than 4 configurations are given or the system has rank
         below 4 (the diagnosis names the deficient rank).
     """
-    configs = config.configs_for(channel)
-    if len(configs) < 4:
+    if len(config.configs_for(channel)) < 4:
         raise ConfigurationError("at least 4 measurement configurations required")
-    cal = config.calibration_for(channel)
-    rows = np.array([analyzer_row(c, cal) for c in configs]) * config.exposure
-    system = SystemMatrix.from_rows(rows)
+    system = SystemMatrix.from_rows(config.rows(channel))
     if system.rank < 4:
         raise ConfigurationError(
             f"degenerate configuration: system rank {system.rank} < 4 "
@@ -110,13 +105,8 @@ def solve_stokes(system: SystemMatrix, intensities: np.ndarray):
         )
     if not np.all(np.isfinite(intensities)):
         raise ValueError("intensities must be finite")
-    rhs = intensities @ system.q  # (..., 4)
-    lead = rhs.shape[:-1]
-    sol = scipy.linalg.solve_triangular(system.r, rhs.reshape(-1, 4).T, lower=False)
-    stokes = sol.T.reshape(*lead, 4)
-    residual = np.linalg.norm(
-        stokes @ system.matrix.T - intensities, axis=-1
-    )
+    stokes = intensities @ system.pinv.T
+    residual = np.linalg.norm(stokes @ system.matrix.T - intensities, axis=-1)
     return stokes, residual
 
 
@@ -124,18 +114,14 @@ def solve_stokes_per_pixel(matrices: np.ndarray, intensities: np.ndarray):
     """Batched solve for spatially varying systems (calibrated real data).
 
     ``matrices`` is (..., m, 4) and ``intensities`` (..., m); each pixel
-    gets its own QR factorization.
+    gets its own pseudo-inverse.
     """
     matrices = np.asarray(matrices, dtype=float)
     intensities = np.asarray(intensities, dtype=float)
     if matrices.shape[:-2] != intensities.shape[:-1] or matrices.shape[-1] != 4:
         raise DimensionError("matrices (..., m, 4) and intensities (..., m) must align")
-    q, r = np.linalg.qr(matrices)
-    rhs = np.einsum("...mi,...m->...i", q, intensities)
-    stokes = np.linalg.solve(r, rhs[..., None])[..., 0]
-    residual = np.linalg.norm(
-        np.einsum("...me,...e->...m", matrices, stokes) - intensities, axis=-1
-    )
+    stokes = (np.linalg.pinv(matrices) @ intensities[..., None])[..., 0]
+    residual = np.linalg.norm((matrices @ stokes[..., None])[..., 0] - intensities, axis=-1)
     return stokes, residual
 
 
@@ -143,6 +129,22 @@ def _bad_pixel_mask(frames, saturation_level, black_level):
     saturated = frames >= SATURATION_FRACTION * saturation_level
     underexposed = frames <= UNDEREXPOSURE_MULTIPLIER * black_level
     return saturated | underexposed
+
+
+def _frame_indices(raw: RawCapture, config: CaptureConfig) -> list[list[int]]:
+    """Per channel, the frame index of each configuration, from the tags."""
+    if raw.tags is None:
+        raise DimensionError("sequential capture requires (channel, config) tags")
+    channels = sorted({c for c, _ in raw.tags})
+    if channels != list(range(len(channels))):
+        raise ConfigurationError("frame tags must cover channels 0..C-1")
+    frame_of = {(c, i): k for k, (c, i) in enumerate(raw.tags)}
+    indices = [[frame_of.get((c, i)) for i in range(len(config.configs_for(c)))]
+               for c in channels]
+    for c, frames in enumerate(indices):
+        if None in frames:
+            raise DimensionError(f"channel {c} is missing frames")
+    return indices
 
 
 def reconstruct_image(
@@ -154,56 +156,32 @@ def reconstruct_image(
 
     A pixel/channel is valid when its estimate passes the degree of
     polarization bound and no contributing intensity sample was
-    saturated or underexposed.
+    saturated or underexposed.  Sequential captures take each channel's
+    samples from the tagged frames; mosaic captures from the demosaiced
+    segment planes, where a bad raw sample taints every pixel its
+    interpolation reaches.
     """
     config = config or raw.config
-    if raw.layout is not None:
-        return _reconstruct_mosaic(raw, config, dop_tol)
-    return _reconstruct_sequential(raw, config, dop_tol)
-
-
-def _reconstruct_sequential(raw, config, dop_tol):
-    if raw.tags is None:
-        raise DimensionError("sequential capture requires (channel, config) tags")
-    channels = sorted({c for c, _ in raw.tags})
-    if channels != list(range(len(channels))):
-        raise ConfigurationError("frame tags must cover channels 0..C-1")
-    by_channel = {c: {} for c in channels}
-    for k, (c, i) in enumerate(raw.tags):
-        by_channel[c][i] = k
+    bad = _bad_pixel_mask(raw.frames, raw.saturation_level, raw.black_level)
+    if raw.layout is None:
+        indices = _frame_indices(raw, config)
+        samples = raw.frames
+    else:
+        indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
+        bad = np.moveaxis(demosaic_footprint(bad[0]), -1, 0)
+        samples = np.moveaxis(demosaic(mosaic_split(raw.frames[0])), -1, 0)
 
     h, w = raw.height, raw.width
-    data = np.empty((h, w, len(channels), 4))
-    mask = np.empty((h, w, len(channels)), dtype=bool)
-    for c in channels:
+    data = np.empty((h, w, len(indices), 4))
+    mask = np.empty((h, w, len(indices)), dtype=bool)
+    for c, idx in enumerate(indices):
         system = system_matrix(config, c)
-        indices = [by_channel[c].get(i) for i in range(system.m)]
-        if any(i is None for i in indices):
-            raise DimensionError(f"channel {c} is missing frames")
-        stack = raw.frames[indices]  # (m, H, W)
-        stokes, _ = solve_stokes(system, np.moveaxis(stack, 0, -1))
+        if len(idx) != system.m:
+            raise DimensionError(f"channel {c} has {len(idx)} samples for {system.m} rows")
+        stokes = (system.pinv @ samples[idx].reshape(system.m, -1)).T.reshape(h, w, 4)
         data[:, :, c, :] = stokes
-        bad = _bad_pixel_mask(stack, raw.saturation_level, raw.black_level).any(axis=0)
-        mask[:, :, c] = is_valid(stokes, dop_tol) & ~bad
+        mask[:, :, c] = is_valid(stokes, dop_tol) & ~bad[idx].any(axis=0)
     return StokesImage(data, raw.wavelengths, mask)
-
-
-def _reconstruct_mosaic(raw, config, dop_tol):
-    planes = demosaic(mosaic_split(raw.frames[0]))  # (H, W, 16)
-    h, w = raw.height, raw.width
-    data = np.empty((h, w, 3, 4))
-    mask = np.empty((h, w, 3), dtype=bool)
-    for color in range(3):
-        system = system_matrix(config, color)
-        segs = [k for k, _ in raw.layout.cells_for_color(color)]
-        if len(segs) != system.m:
-            raise DimensionError("layout and configuration disagree on row count")
-        stack = planes[:, :, segs]  # (H, W, m)
-        stokes, _ = solve_stokes(system, stack)
-        data[:, :, color, :] = stokes
-        bad = _bad_pixel_mask(stack, raw.saturation_level, raw.black_level).any(axis=-1)
-        mask[:, :, color] = is_valid(stokes, dop_tol) & ~bad
-    return StokesImage(data, None, mask)
 
 
 def burst_average(frames) -> np.ndarray:

@@ -10,9 +10,12 @@ from polarcube import (
     NoiseModel,
     SamplingGridError,
     SpectralResponse,
+    StokesImage,
     add_noise,
+    analyzer_row,
     default_qwp_angles,
     demosaic,
+    demosaic_footprint,
     measure_intensity,
     mosaic_merge,
     mosaic_split,
@@ -23,7 +26,7 @@ from polarcube import (
     smooth_scene,
     uniform_scene,
 )
-from polarcube.camera import lctf_responses
+from polarcube.camera import RED, GREEN, BLUE, lctf_responses
 
 RNG = np.random.default_rng(77)
 
@@ -204,6 +207,15 @@ class TestDemosaic:
             i, j = k // 4, k % 4
             assert np.array_equal(full[i::4, j::4, k], segments[k])
 
+    def test_footprint_matches_impulse_responses(self):
+        flags = np.random.default_rng(0).uniform(size=(16, 16)) < 0.3
+        expected = np.zeros((16, 16, 16), dtype=bool)
+        for n, m in zip(*np.nonzero(flags)):
+            impulse = np.zeros((16, 16))
+            impulse[n, m] = 1.0
+            expected |= demosaic(mosaic_split(impulse)) != 0
+        assert np.array_equal(demosaic_footprint(flags), expected)
+
     def test_inconsistent_segments_rejected(self):
         with pytest.raises(DimensionError):
             demosaic(np.zeros((15, 4, 4)))
@@ -249,6 +261,25 @@ class TestSaturationPropagation:
         assert not cube.mask[2, 3, 0]
         assert cube.mask[0, 0, 0]
 
+    @pytest.mark.parametrize("bright", [
+        [((slice(14, 18), slice(14, 18)), 3.0)],
+        # two samples of one segment whose border-extrapolation weights cancel
+        [((24, 24), 3.0), ((28, 28), 2.5)],
+    ], ids=["centre spot", "border pair"])
+    def test_mosaic_pixels_using_clipped_samples_masked(self, bright):
+        data = np.zeros((32, 32, 3, 4))
+        data[..., 0] = 0.3
+        data[..., 1] = 0.05
+        for site, s0 in bright:
+            data[site + (slice(None), 0)] = s0
+        scene = StokesImage(data)
+        clean = reconstruct_image(simulate_trichromatic(scene))
+        clipped = reconstruct_image(simulate_trichromatic(
+            scene, noise=NoiseModel(saturation_level=1.0, black_level=-1.0)))
+        assert 0 < clipped.mask.sum() < clean.mask.sum()
+        biased = np.abs(clipped.data - clean.data).max(axis=-1) > 1e-12
+        assert not (biased & clipped.mask).any()
+
 
 class TestCaptureConfig:
     def test_empty_configuration_rejected(self):
@@ -276,3 +307,55 @@ class TestCaptureConfig:
         grid = np.arange(5, dtype=float)
         for resp in lctf_responses(grid):
             assert resp.band_weights().sum() == pytest.approx(1.0)
+
+
+def affine_scene():
+    """3-channel scene affine in (row, column), which demosaicing reproduces exactly."""
+    n, m = np.indices((16, 16), dtype=float)
+    data = np.empty((16, 16, 3, 4))
+    for c in range(3):
+        data[:, :, c, 0] = 1.0 + 0.02 * n + 0.01 * m + 0.1 * c
+        data[:, :, c, 1] = 0.2 - 0.005 * n + 0.1 * c
+        data[:, :, c, 2] = -0.1 + 0.004 * m
+        data[:, :, c, 3] = 0.05 + 0.003 * (n - m) - 0.05 * c
+    return StokesImage(data, [450.0, 550.0, 650.0])
+
+
+CALIBRATIONS = {
+    "ideal": None,
+    "shared": np.eye(4) + 0.05 * np.random.default_rng(21).normal(size=(4, 4)),
+    "per-channel": np.eye(4) + 0.05 * np.random.default_rng(22).normal(size=(3, 4, 4)),
+}
+
+
+class TestMeasurementOperator:
+    @pytest.mark.parametrize("camera", ["hyperspectral", "trichromatic"])
+    @pytest.mark.parametrize("calibration", list(CALIBRATIONS))
+    @pytest.mark.parametrize("exposure", [1.0, 2.5])
+    def test_simulation_and_reconstruction_share_the_rows(self, camera, calibration, exposure):
+        scene = affine_scene()
+        cal = CALIBRATIONS[calibration]
+        if camera == "hyperspectral":
+            raw = simulate_hyperspectral(scene, default_qwp_angles(), calibration=cal,
+                                         exposure=exposure)
+        else:
+            raw = simulate_trichromatic(scene, calibration=cal, exposure=exposure)
+        config = raw.config
+
+        for c in range(3):
+            channel_cal = None if cal is None else (cal if cal.ndim == 2 else cal[c])
+            oracle = [exposure * analyzer_row(cfg, channel_cal) for cfg in config.configs_for(c)]
+            assert np.allclose(config.rows(c), oracle, rtol=0, atol=1e-15)
+        if camera == "hyperspectral":
+            got = raw.frames
+            expected = [scene.data[:, :, c, :] @ config.rows(c)[i] for c, i in raw.tags]
+        else:  # segment k samples every 4th row and column
+            got, expected = [], []
+            for c in (RED, GREEN, BLUE):
+                for (k, _), row in zip(raw.layout.cells_for_color(c), config.rows(c)):
+                    got.append(mosaic_split(raw.frames[0])[k])
+                    expected.append(mosaic_split(scene.data[:, :, c, :] @ row)[k])
+        assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
+
+        cube = reconstruct_image(raw)
+        assert np.max(np.abs(cube.data - scene.data)) < 1e-10

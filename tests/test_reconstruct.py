@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarcube import (
     CaptureConfig,
@@ -21,6 +24,7 @@ from polarcube import (
     solve_stokes_per_pixel,
     system_matrix,
 )
+from polarcube.reconstruct import SystemMatrix
 
 RNG = np.random.default_rng(2024)
 
@@ -77,21 +81,33 @@ class TestSystemMatrix:
         assert system_matrix(config, 2).m == 4
 
 
+unit_floats = st.floats(-1.0, 1.0, width=32, allow_subnormal=False)  # no underflow in norms
+
+
+@st.composite
+def full_rank_rows(draw):
+    """Well-conditioned (m, 4) systems with 4 <= m <= 12."""
+    m = draw(st.integers(4, 12))
+    rows = draw(arrays(float, (m, 4), elements=unit_floats))
+    assume(np.linalg.cond(rows) < 100.0)
+    return rows
+
+
 class TestSolveStokes:
-    def test_consistent_system_recovered_exactly(self):
-        system = system_matrix(qwp_config())
-        for _ in range(50):
-            s_true = RNG.normal(size=4)
-            intensities = system.matrix @ s_true
-            s_hat, residual = solve_stokes(system, intensities)
-            assert np.max(np.abs(s_hat - s_true)) < 1e-10 * max(1.0, np.abs(s_true).max())
-            assert residual < 1e-12
+    @given(rows=st.one_of(st.just(system_matrix(qwp_config()).matrix), full_rank_rows()),
+           s_true=arrays(float, 4, elements=st.floats(-3.0, 3.0)))
+    def test_consistent_system_recovered_exactly(self, rows, s_true):
+        system = SystemMatrix.from_rows(rows)
+        assert system.rank == 4
+        assert np.allclose(system.pinv @ system.matrix, np.eye(4), rtol=0, atol=1e-12)
+        intensities = system.matrix @ s_true
+        s_hat, residual = solve_stokes(system, intensities)
+        assert np.max(np.abs(s_hat - s_true)) < 1e-10 * max(1.0, np.abs(s_true).max())
+        assert residual < 1e-12
 
     def test_symmetric_perturbation_on_duplicated_rows_averages_out(self):
         base = system_matrix(qwp_config()).matrix
         doubled = np.vstack([base, base])
-        from polarcube.reconstruct import SystemMatrix
-
         system = SystemMatrix.from_rows(doubled)
         s_true = np.array([1.0, 0.3, -0.2, 0.1])
         clean = doubled @ s_true
@@ -101,8 +117,6 @@ class TestSolveStokes:
         assert np.max(np.abs(s_hat - s_true)) < 1e-12
 
     def test_matches_grid_refinement_oracle_on_random_6x4(self):
-        from polarcube.reconstruct import SystemMatrix
-
         rows = RNG.normal(size=(6, 4))
         system = SystemMatrix.from_rows(rows)
         s_true = RNG.uniform(-1, 1, size=4)
@@ -111,16 +125,13 @@ class TestSolveStokes:
         oracle = grid_refine_lstsq(rows, intensities)
         assert np.max(np.abs(s_hat - oracle)) < 1e-6
 
-    def test_residual_orthogonality(self):
-        from polarcube.reconstruct import SystemMatrix
-
-        for _ in range(30):
-            rows = RNG.normal(size=(7, 4))
-            system = SystemMatrix.from_rows(rows)
-            intensities = RNG.normal(size=7)
-            s_hat, _ = solve_stokes(system, intensities)
-            grad = rows.T @ (rows @ s_hat - intensities)
-            assert np.max(np.abs(grad)) < 1e-8 * np.linalg.norm(intensities)
+    @given(rows=full_rank_rows(), data=st.data())
+    def test_residual_orthogonality(self, rows, data):
+        system = SystemMatrix.from_rows(rows)
+        intensities = data.draw(arrays(float, system.m, elements=unit_floats))
+        s_hat, _ = solve_stokes(system, intensities)
+        grad = rows.T @ (rows @ s_hat - intensities)
+        assert np.max(np.abs(grad)) <= 1e-8 * np.linalg.norm(intensities)
 
     def test_batched_and_per_pixel_paths_agree(self):
         system = system_matrix(qwp_config())
