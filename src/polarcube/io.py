@@ -393,10 +393,18 @@ _READERS = {KIND_CUBE: _read_cube, KIND_RAW: _read_raw, KIND_PCA: _read_pca,
 
 
 def write_spsi(path, obj):
-    """Serialize a supported object to an SPSI container (atomic)."""
+    """Serialize a supported object to an SPSI container (atomic).
+
+    Raises ContainerError, before any file is created, when a size does
+    not fit its header field (for example more than 65,535 channels).
+    """
     for types, writer in _WRITERS:
         if isinstance(obj, types):
-            _atomic_write(path, writer(obj))
+            try:
+                blob = writer(obj)
+            except struct.error as exc:  # a header field outside its fixed width
+                raise ContainerError(f"cannot encode {type(obj).__name__}: {exc}") from exc
+            _atomic_write(path, blob)
             return
     raise TypeError(f"cannot serialize {type(obj).__name__} to SPSI")
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.ndimage
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .camera import CaptureConfig, RawCapture, demosaic, demosaic_footprint, mosaic_split
 from .errors import ConfigurationError, DimensionError, EmptySelectionError
@@ -196,13 +196,22 @@ def burst_average(frames) -> np.ndarray:
 
 
 def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
-    """k x k median with edge replication; k must be odd."""
+    """k x k median of one 2-D frame with edge replication; k must be odd.
+
+    Each output pixel is the middle element of its sorted, edge-padded
+    k x k window, selected with a partial sort; the dtype is kept.
+    """
     if k < 1 or k % 2 == 0:
         raise ValueError("median window size must be odd and >= 1")
     frame = np.asarray(frame)
-    if k == 1:
+    if frame.ndim != 2:
+        raise DimensionError(f"median filter takes one 2-D frame, got shape {frame.shape}")
+    if k == 1 or frame.size == 0:
         return frame.copy()
-    return scipy.ndimage.median_filter(frame, size=k, mode="nearest")
+    padded = np.pad(frame, k // 2, mode="edge")
+    windows = sliding_window_view(padded, (k, k)).reshape(frame.shape + (k * k,))
+    middle = k * k // 2
+    return np.partition(windows, middle, axis=-1)[..., middle]
 
 
 @dataclass

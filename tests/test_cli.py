@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+import textwrap
 
 import numpy as np
 import pytest
 
+import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
 from polarcube.cli import main
 
@@ -184,13 +187,21 @@ class TestDenoise:
         assert code == 0
         assert read_spsi(out_path).frames.shape == read_spsi(raw_path).frames.shape
 
-    def test_even_median_window_is_numerical_error(self, capsys, tmp_path):
+    @pytest.mark.parametrize("window", ["4", "2", "0"])
+    def test_bad_median_window_is_config_error(self, capsys, tmp_path, window):
         raw_path = str(tmp_path / "raw.spsi")
         run_cli(capsys, "simulate", "--camera", "hyperspectral", "--seed", "9",
                 "--height", "8", "--width", "8", "--channels", "2", "--out", raw_path)
-        code, *_ = run_cli(capsys, "denoise", raw_path, "--median", "4",
-                           "--out", str(tmp_path / "x.spsi"))
-        assert code == 4
+        code, _, _, err = run_cli(capsys, "denoise", raw_path, "--median", window,
+                                  "--out", str(tmp_path / "x.spsi"))
+        assert code == 2
+        assert json.loads(err)["class"] == "config"
+        assert not (tmp_path / "x.spsi").exists()
+
+    def test_median_window_checked_before_input_is_read(self, capsys, tmp_path):
+        code, *_ = run_cli(capsys, "denoise", str(tmp_path / "missing.spsi"),
+                           "--median", "2", "--out", str(tmp_path / "x.spsi"))
+        assert code == 2
 
 
 class TestSfpStats:
@@ -248,3 +259,36 @@ class TestExitCodes:
         assert result.returncode == 0
         last = json.loads(result.stdout.strip().split("\n")[-1])
         assert last["summary"]["max_rel_error"] < 1e-5
+
+
+class TestNumpyOnly:
+    def test_cli_runs_with_scipy_unimportable(self, tmp_path):
+        # ``sys.modules["scipy"] = None`` makes every ``import scipy...`` fail.
+        script = textwrap.dedent("""
+            import json, os, sys
+            sys.modules["scipy"] = None
+            import polarcube.cli
+            loaded = sorted(name for name, module in sys.modules.items()
+                            if name.split(".")[0] == "scipy" and module is not None)
+            work = sys.argv[1]
+            raw = os.path.join(work, "raw.spsi")
+            codes = [
+                polarcube.cli.main(["roundtrip", "--seed", "1", "--size", "16",
+                                    "--channels", "3"]),
+                polarcube.cli.main(["simulate", "--seed", "1", "--height", "16",
+                                    "--width", "16", "--channels", "3", "--noise", "0.01",
+                                    "--out", raw]),
+                polarcube.cli.main(["denoise", raw, "--median", "3",
+                                    "--out", os.path.join(work, "denoised.spsi")]),
+            ]
+            print(json.dumps({"scipy_modules": loaded, "exit_codes": codes}))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarcube.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        report = json.loads(result.stdout.strip().split("\n")[-1])
+        assert report["scipy_modules"] == []
+        assert report["exit_codes"] == [0, 0, 0]

@@ -118,6 +118,16 @@ class TestContainerErrors:
         with pytest.raises(ContainerError, match="mismatch"):
             read_spsi(path)
 
+    def test_header_field_overflow_leaves_no_file(self, tmp_path):
+        path = tmp_path / "cube.spsi"
+        write_spsi(path, random_cube())
+        before = path.read_bytes()
+        too_many_channels = StokesImage(np.tile([1.0, 0.0, 0.0, 0.0], (1, 1, 65536, 1)))
+        with pytest.raises(ContainerError, match="65535"):
+            write_spsi(path, too_many_channels)
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.spsi"]
+        assert path.read_bytes() == before
+
     def test_header_payload_arithmetic(self):
         data_bytes, mask_bytes = cube_payload_bytes(612, 512, 21, 4, dtype_code=0)
         assert data_bytes == 612 * 512 * 21 * 4 * 4

@@ -205,6 +205,28 @@ class TestBurstAverage:
             burst_average([np.zeros((4, 4)), np.zeros((4, 5))])
 
 
+def sort_median_oracle(frame, k):
+    """Middle element of each sorted, edge-padded k x k window."""
+    padded = np.pad(frame, k // 2, mode="edge")
+    expected = np.empty_like(frame)
+    for i, j in np.ndindex(frame.shape):
+        expected[i, j] = np.sort(padded[i : i + k, j : j + k].ravel())[k * k // 2]
+    return expected
+
+
+@st.composite
+def median_cases(draw):
+    """Frames from 1x1 to 12x12 (so some are smaller than the window), odd k <= 7."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = draw(st.tuples(st.integers(1, 12), st.integers(1, 12)))
+    # ``+ 0.0`` folds -0.0 into 0.0, whose tie order sort and partition may
+    # break differently; every other value is compared bit for bit.
+    elements = st.floats(-1e3, 1e3, width=32).map(lambda x: x + 0.0)
+    frame = draw(arrays(dtype, shape, elements=elements))
+    k = draw(st.sampled_from([1, 3, 5, 7]))
+    return frame, k
+
+
 class TestMedianFilter:
     def test_window_one_is_identity(self):
         frame = RNG.normal(size=(9, 9))
@@ -217,17 +239,24 @@ class TestMedianFilter:
 
     def test_matches_sort_oracle_bit_exactly(self):
         frame = RNG.normal(size=(16, 16))
-        got = median_filter(frame, 3)
-        padded = np.pad(frame, 1, mode="edge")
-        expected = np.empty_like(frame)
-        for i in range(16):
-            for j in range(16):
-                expected[i, j] = np.sort(padded[i : i + 3, j : j + 3].ravel())[4]
-        assert np.array_equal(got, expected)
+        assert np.array_equal(median_filter(frame, 3), sort_median_oracle(frame, 3))
+
+    @given(case=median_cases())
+    def test_matches_sort_oracle_on_any_frame(self, case):
+        frame, k = case
+        got = median_filter(frame, k)
+        assert got.dtype == frame.dtype
+        assert got.shape == frame.shape
+        assert got.tobytes() == sort_median_oracle(frame, k).tobytes()
 
     def test_even_window_rejected(self):
         with pytest.raises(ValueError):
             median_filter(np.zeros((4, 4)), 2)
+
+    @pytest.mark.parametrize("shape", [(5,), (2, 4, 4)])
+    def test_non_2d_input_rejected(self, shape):
+        with pytest.raises(DimensionError, match="2-D"):
+            median_filter(np.zeros(shape), 3)
 
 
 class TestQuality:
