@@ -284,7 +284,7 @@ def cmd_validate(cfg, args):
 def cmd_denoise(cfg, args):
     import numpy as np
 
-    if args.median < 1 or args.median % 2 == 0:
+    if not args.burst and (args.median < 1 or args.median % 2 == 0):
         raise _ConfigError(f"--median must be odd and >= 1, got {args.median}")
     pc = _api()
     out = _require_out(args)

@@ -36,6 +36,10 @@ __all__ = [
 SATURATION_FRACTION = 0.998
 UNDEREXPOSURE_MULTIPLIER = 2.0
 
+#: ``median_filter`` copies at most this many window values at a time
+#: (2 MiB of float64), so its scratch memory does not grow with the frame.
+MEDIAN_BLOCK_VALUES = 1 << 18
+
 
 @dataclass
 class SystemMatrix:
@@ -199,7 +203,8 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
     """k x k median of one 2-D frame with edge replication; k must be odd.
 
     Each output pixel is the middle element of its sorted, edge-padded
-    k x k window, selected with a partial sort; the dtype is kept.
+    k x k window, selected with a partial sort over blocks of rows; the
+    dtype is kept and the result owns its data.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("median window size must be odd and >= 1")
@@ -209,9 +214,17 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
     if k == 1 or frame.size == 0:
         return frame.copy()
     padded = np.pad(frame, k // 2, mode="edge")
-    windows = sliding_window_view(padded, (k, k)).reshape(frame.shape + (k * k,))
+    windows = sliding_window_view(padded, (k, k))  # (H, W, k, k) view, no copy
+    height, width = frame.shape
     middle = k * k // 2
-    return np.partition(windows, middle, axis=-1)[..., middle]
+    out = np.empty_like(frame)
+    rows = max(1, MEDIAN_BLOCK_VALUES // (width * k * k))
+    for top in range(0, height, rows):
+        # The only copy of window values: a block of rows, partitioned in place.
+        block = np.array(windows[top : top + rows], order="C").reshape(-1, width, k * k)
+        block.partition(middle, axis=-1)
+        out[top : top + rows] = block[..., middle]
+    return out
 
 
 @dataclass

@@ -198,6 +198,17 @@ class TestDenoise:
         assert json.loads(err)["class"] == "config"
         assert not (tmp_path / "x.spsi").exists()
 
+    def test_burst_average_ignores_median_window(self, capsys, tmp_path):
+        paths = [str(tmp_path / f"raw{seed}.spsi") for seed in (9, 10)]
+        for seed, path in zip((9, 10), paths):
+            run_cli(capsys, "simulate", "--camera", "hyperspectral", "--seed", str(seed),
+                    "--height", "8", "--width", "8", "--channels", "2",
+                    "--noise", "0.05", "--out", path)
+        code, _, summary, _ = run_cli(capsys, "denoise", paths[0], "--burst", paths[1],
+                                      "--median", "4", "--out", str(tmp_path / "x.spsi"))
+        assert code == 0
+        assert summary["averaged"] == 2
+
     def test_median_window_checked_before_input_is_read(self, capsys, tmp_path):
         code, *_ = run_cli(capsys, "denoise", str(tmp_path / "missing.spsi"),
                            "--median", "2", "--out", str(tmp_path / "x.spsi"))

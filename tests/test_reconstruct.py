@@ -24,6 +24,7 @@ from polarcube import (
     solve_stokes_per_pixel,
     system_matrix,
 )
+from polarcube import reconstruct
 from polarcube.reconstruct import SystemMatrix
 
 RNG = np.random.default_rng(2024)
@@ -247,6 +248,16 @@ class TestMedianFilter:
         got = median_filter(frame, k)
         assert got.dtype == frame.dtype
         assert got.shape == frame.shape
+        assert got.tobytes() == sort_median_oracle(frame, k).tobytes()
+        assert got.base is None  # no view that keeps the window copies alive
+
+    @pytest.mark.parametrize("block_values", [1, 40, 9 * 11 * 3, 9 * 11 * 13])
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_blocks_of_rows_match_oracle(self, monkeypatch, block_values, k):
+        # Blocks of one row, of a few rows with a ragged last block, and whole.
+        monkeypatch.setattr(reconstruct, "MEDIAN_BLOCK_VALUES", block_values)
+        frame = RNG.normal(size=(13, 11)).astype(np.float32)
+        got = median_filter(frame, k)
         assert got.tobytes() == sort_median_oracle(frame, k).tobytes()
 
     def test_even_window_rejected(self):
