@@ -43,7 +43,9 @@ print("wrote /tmp/demo_burst_curve.csv")
 # and trims Gaussian noise at some cost in edges.
 noisy = pc.RawCapture(shots[0], clean.config, tags=clean.tags,
                       wavelengths=clean.wavelengths)
-filtered_frames = np.stack([pc.median_filter(f, 3) for f in noisy.frames])
+filtered_frames = np.empty_like(noisy.frames)
+for out, frame in zip(filtered_frames, noisy.frames):
+    out[...] = pc.median_filter(frame, 3)
 filtered = pc.RawCapture(filtered_frames, clean.config, tags=clean.tags,
                          wavelengths=clean.wavelengths)
 for name, raw in (("single shot", noisy), ("3x3 median", filtered)):

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import DimensionError, EmptySelectionError
 from .image import NormalMapStack, StokesImage
 from .labels import LabelFilter
+from .stokes import _kernel
 
 __all__ = [
     "DensityGrid",
@@ -111,36 +112,29 @@ def feature_plane(img: StokesImage, feature: str):
     """Per-pixel feature values and their validity, preserving geometry.
 
     Returns ``(values, valid)`` with shapes (H, W, C); entries outside
-    ``valid`` are zero-filled and must be ignored.  AoLP additionally
-    marks degenerate pixels (vanishing linear part) invalid.
+    ``valid`` are zero-filled and must be ignored.  Stokes elements are
+    valid under the mask; every other feature comes from the ``stokes``
+    kernel behind ``features`` and ``normalize``, bit for bit, and is
+    valid where the mask holds and s0 > 0.  AoLP additionally marks
+    degenerate pixels (vanishing linear part) invalid.
     """
     if feature not in FEATURES:
         raise ValueError(f"unknown feature {feature!r}; expected one of {FEATURES}")
-    d = img.data
-    valid = img.mask.copy()
     if feature in STOKES_ELEMENTS:
-        return d[..., STOKES_ELEMENTS.index(feature)].copy(), valid
-    s0 = d[..., 0]
-    valid &= s0 > 0
-    safe_s0 = np.where(valid, s0, 1.0)
-    if feature in NORMALIZED_ELEMENTS:
-        idx = NORMALIZED_ELEMENTS.index(feature) + 1
-        return np.where(valid, d[..., idx] / safe_s0, 0.0), valid
-    lin = np.hypot(d[..., 1], d[..., 2])
-    if feature == "dolp":
-        return np.where(valid, lin / safe_s0, 0.0), valid
-    if feature == "docp":
-        return np.where(valid, np.abs(d[..., 3]) / safe_s0, 0.0), valid
-    if feature == "rho":
-        pol = np.sqrt(lin * lin + d[..., 3] ** 2)
-        return np.where(valid, pol / safe_s0, 0.0), valid
-    if feature == "cop":
-        return np.where(valid, np.sign(d[..., 3]), 0.0), valid
-    # aolp: exclude degenerate pixels, keep psi in (-pi/2, pi/2]
-    valid &= lin > 0
-    psi = 0.5 * np.arctan2(d[..., 2], d[..., 1])
-    psi = np.where(psi <= -np.pi / 2, psi + np.pi, psi)
-    return np.where(valid, psi, 0.0), valid
+        return img.data[..., STOKES_ELEMENTS.index(feature)].copy(), img.mask.copy()
+    return _kernel(img.data, "psi" if feature == "aolp" else feature, img.mask)
+
+
+def _pooled(images, feature, labels=None, label_filter=None):
+    """Valid ``feature_plane`` values pooled over the selected images."""
+    samples = []
+    for img in _select(images, labels, label_filter):
+        values, valid = feature_plane(img, feature)
+        samples.append(values[valid])
+    pooled = np.concatenate(samples)
+    if pooled.size == 0:
+        raise EmptySelectionError("no valid pixels after filtering")
+    return pooled
 
 
 def gradient_field(plane: np.ndarray):
@@ -188,13 +182,7 @@ def stokes_histograms(images, element, bins=DEFAULT_BINS, value_range=None,
     """Histogram of one Stokes element pooled over images and channels."""
     if element not in STOKES_ELEMENTS + NORMALIZED_ELEMENTS:
         raise ValueError(f"element must be one of {STOKES_ELEMENTS + NORMALIZED_ELEMENTS}")
-    samples = []
-    for img in _select(images, labels, label_filter):
-        values, valid = feature_plane(img, element)
-        samples.append(values[valid])
-    pooled = np.concatenate(samples)
-    if pooled.size == 0:
-        raise EmptySelectionError("no valid pixels after filtering")
+    pooled = _pooled(images, element, labels, label_filter)
     if value_range is None:
         value_range = _default_range(element, pooled)
     return Histogram.from_samples(pooled, bins, value_range, label=element,
@@ -204,12 +192,6 @@ def stokes_histograms(images, element, bins=DEFAULT_BINS, value_range=None,
 def _default_range(feature, samples):
     if feature in NORMALIZED_ELEMENTS:
         return (-1.0, 1.0)
-    if feature in ("dolp", "docp", "rho"):
-        return (0.0, 1.0)
-    if feature == "aolp":
-        return (-np.pi / 2, np.pi / 2)
-    if feature == "cop":
-        return (-1.5, 1.5)
     if feature == "s0":
         return (float(samples.min()), float(samples.max()))
     peak = float(np.max(np.abs(samples)))
@@ -252,10 +234,9 @@ def pol_unpol_histograms(images, bins=DEFAULT_BINS, value_range=None,
     """Histograms of the polarized (P) and unpolarized (U = s0 - P) parts."""
     pol_samples, unpol_samples = [], []
     for img in _select(images, labels, label_filter):
-        d, valid = img.data, img.mask & (img.data[..., 0] > 0)
-        pol = np.linalg.norm(d[..., 1:], axis=-1)
+        pol, valid = _kernel(img.data, "pol", img.mask)
         pol_samples.append(pol[valid])
-        unpol_samples.append((d[..., 0] - pol)[valid])
+        unpol_samples.append((img.data[..., 0] - pol)[valid])
     pol_all = np.concatenate(pol_samples)
     unpol_all = np.concatenate(unpol_samples)
     if pol_all.size == 0:
@@ -275,15 +256,8 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
     """Normalized 2-D density of Poincare-ball projections on [-1, 1]^2."""
     if plane not in ("s1-s2", "s1-s3"):
         raise ValueError("plane must be 's1-s2' or 's1-s3'")
-    other = 2 if plane == "s1-s2" else 3
-    xs, ys = [], []
-    for img in _select(images, labels, label_filter):
-        d, valid = img.data, img.mask & (img.data[..., 0] > 0)
-        s0 = np.where(valid, d[..., 0], 1.0)
-        xs.append((d[..., 1] / s0)[valid])
-        ys.append((d[..., other] / s0)[valid])
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
+    x = _pooled(images, "s1n", labels, label_filter)
+    y = _pooled(images, "s2n" if plane == "s1-s2" else "s3n", labels, label_filter)
     inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
     if not inside.any():
         raise EmptySelectionError("no valid points inside the projected ball")
@@ -296,13 +270,7 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
 
 def docp_distribution(images, bins=DEFAULT_BINS, labels=None, label_filter=None) -> Histogram:
     """Histogram of the degree of circular polarization over [0, 1]."""
-    samples = []
-    for img in _select(images, labels, label_filter):
-        values, valid = feature_plane(img, "docp")
-        samples.append(values[valid])
-    pooled = np.concatenate(samples)
-    if pooled.size == 0:
-        raise EmptySelectionError("no valid pixels after filtering")
+    pooled = _pooled(images, "docp", labels, label_filter)
     return Histogram.from_samples(pooled, bins, (0.0, 1.0), label="docp")
 
 

@@ -54,9 +54,6 @@ DEFAULTS = {
     "stats": {"bins": 201},
 }
 
-STAT_FEATURES = ("s0", "s1", "s2", "s3", "s1n", "s2n", "s3n", "dolp", "docp",
-                 "aolp", "cop", "rho")
-
 
 class _ConfigError(Exception):
     pass
@@ -258,12 +255,14 @@ def cmd_decompose(cfg, args):
     pc = _api()
     out = _require_out(args)
     cube = _load_cube(pc, args.input)
-    valid = cube.mask & pc.is_valid(cube.data, cfg["solver"]["dop_tol"])
-    pol = np.linalg.norm(cube.data[..., 1:], axis=-1)
-    unpol = cube.data[..., 0] - pol
+    tol = cfg["solver"]["dop_tol"]
+    valid = cube.mask & pc.is_valid(cube.data, tol)
+    pol, unpol = np.zeros(valid.shape), np.zeros(valid.shape)
+    pol[valid], unpol[valid] = pc.decompose(cube.data[valid], tol)
+    hist_p, hist_u = pc.pol_unpol_histograms([pc.StokesImage(cube.data, cube.wavelengths, valid)],
+                                             bins=cfg["stats"]["bins"])
     pc.write_spsi(f"{out}polarized.spsi", pc.ScalarCube(pol, cube.wavelengths, valid))
     pc.write_spsi(f"{out}unpolarized.spsi", pc.ScalarCube(unpol, cube.wavelengths, valid))
-    hist_p, hist_u = pc.pol_unpol_histograms([cube], bins=cfg["stats"]["bins"])
     pc.export_csv(hist_p, f"{out}polarized_hist.csv")
     pc.export_csv(hist_u, f"{out}unpolarized_hist.csv")
     return {
@@ -304,7 +303,9 @@ def cmd_denoise(cfg, args):
     if not isinstance(raw, pc.RawCapture):
         raise _ConfigError(f"{args.input} does not hold a raw capture")
     k = args.median
-    frames = np.stack([pc.median_filter(f, k) for f in raw.frames])
+    frames = np.empty_like(raw.frames)
+    for out_frame, frame in zip(frames, raw.frames):
+        out_frame[...] = pc.median_filter(frame, k)
     result = pc.RawCapture(frames, raw.config, tags=raw.tags, layout=raw.layout,
                            wavelengths=raw.wavelengths,
                            saturation_level=raw.saturation_level,
@@ -407,21 +408,16 @@ def cmd_stats(cfg, args):
         return {"out": out, "occupied_cells": int((grid.counts > 0).sum())}
     if feature.endswith("-gradient"):
         base = feature[: -len("-gradient")]
-        if base not in STAT_FEATURES:
+        if base not in pc.analysis.FEATURES:
             raise _ConfigError(f"unknown gradient feature {base!r}")
         hist = pc.feature_gradient_histograms(cubes, base, bins=bins)
     elif feature in ("s0", "s1", "s2", "s3", "s1n", "s2n", "s3n"):
         hist = pc.stokes_histograms(cubes, feature, bins=bins)
     elif feature == "docp":
         hist = pc.docp_distribution(cubes, bins=bins)
-    elif feature in STAT_FEATURES:
-        import numpy as np
-
-        samples = []
-        for cube in cubes:
-            values, valid = pc.feature_plane(cube, feature)
-            samples.append(values[valid])
-        hist = pc.Histogram.from_samples(np.concatenate(samples), bins=bins, label=feature)
+    elif feature in pc.analysis.FEATURES:
+        hist = pc.Histogram.from_samples(pc.analysis._pooled(cubes, feature), bins=bins,
+                                         label=feature)
     else:
         raise _ConfigError(f"unknown stats feature {feature!r}")
     pc.export_csv(hist, out)

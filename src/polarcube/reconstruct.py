@@ -258,9 +258,10 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
         raise EmptySelectionError("no jointly valid pixels to compare")
     diff = test.data - reference.data
     sq = diff * diff
-    peak = float(reference.data[joint][:, 0].max())
-    mse = float(np.mean(sq[joint]))
-    element_mse = np.mean(sq[joint], axis=0)
+    peak = float(reference.data[..., 0][joint].max())
+    joint_sq = sq[joint]
+    mse = float(np.mean(joint_sq))
+    element_mse = np.mean(joint_sq, axis=0)
     element_psnr = np.array([_psnr(peak, m) for m in element_mse])
     channel_psnr = np.empty(reference.channels)
     for c in range(reference.channels):

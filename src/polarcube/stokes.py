@@ -156,7 +156,47 @@ def _split(s):
     s = np.asarray(s, dtype=float)
     if s.shape[-1] != 4:
         raise ValueError(f"Stokes data must have trailing axis 4, got {s.shape}")
-    return s, s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+    return s, s[..., 0]
+
+
+def _kernel(s, name, valid=True):
+    """Feature ``name`` of Stokes vectors ``s`` where defined, zero elsewhere.
+
+    The one home of the per-vector formulas.  ``name`` is a field of
+    :class:`PolarimetricFeatures` other than ``degenerate``, ``"pol"``
+    (P = sqrt(s1^2 + s2^2 + s3^2)) or ``"s1n"``/``"s2n"``/``"s3n"``
+    (s_i / s0).  Entries are computed where ``valid`` (any boolean
+    broadcasting against s0) and s0 > 0 hold, and for ``"psi"`` also
+    L > 0.  Returns ``(values, defined)`` with that narrowed mask.
+    """
+    s0, s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
+    valid = valid & (s0 > 0.0)
+    out = np.zeros(s0.shape)
+    if name in ("s1n", "s2n", "s3n"):
+        np.divide(s[..., int(name[1])], s0, out=out, where=valid)
+    elif name == "docp":
+        np.divide(np.abs(s3), s0, out=out, where=valid)
+    elif name == "cop":
+        np.sign(s3, out=out, where=valid)
+    elif name in ("pol", "rho"):
+        np.sqrt(s1 * s1 + s2 * s2 + s3 * s3, out=out, where=valid)
+        if name == "rho":
+            np.divide(out, s0, out=out, where=valid)
+    elif name == "dolp":
+        np.sqrt(s1 * s1 + s2 * s2, out=out, where=valid)
+        np.divide(out, s0, out=out, where=valid)
+    elif name == "chi":
+        np.arctan2(s3, np.sqrt(s1 * s1 + s2 * s2), out=out, where=valid)
+        out *= 0.5
+    elif name == "psi":
+        valid &= s1 * s1 + s2 * s2 > 0.0
+        np.arctan2(s2, s1, out=out, where=valid)
+        out *= 0.5
+        # map the branch cut -pi/2 onto +pi/2 so psi lies in (-pi/2, pi/2]
+        out[out <= -np.pi / 2] += np.pi
+    else:
+        raise ValueError(f"unknown polarimetric quantity {name!r}")
+    return out[()], valid
 
 
 def features(s) -> PolarimetricFeatures:
@@ -167,22 +207,12 @@ def features(s) -> PolarimetricFeatures:
     UndefinedFeatureError
         If any s0 <= 0 (such pixels must be masked out by the caller).
     """
-    _, s0, s1, s2, s3 = _split(s)
+    s, s0 = _split(s)
     if np.any(s0 <= 0.0):
         raise UndefinedFeatureError("features undefined for s0 <= 0")
-    lin2 = s1 * s1 + s2 * s2
-    lin = np.sqrt(lin2)
-    pol = np.sqrt(lin2 + s3 * s3)
-    rho = pol / s0
-    dolp = lin / s0
-    docp = np.abs(s3) / s0
-    degenerate = lin == 0.0
-    psi = np.where(degenerate, 0.0, 0.5 * np.arctan2(s2, s1))
-    # map the branch cut -pi/2 onto +pi/2 so psi lies in (-pi/2, pi/2]
-    psi = np.where(psi <= -np.pi / 2, psi + np.pi, psi)
-    chi = 0.5 * np.arctan2(s3, lin)
-    cop = np.sign(s3)
-    return PolarimetricFeatures(rho, dolp, docp, psi, chi, cop, degenerate)
+    psi, defined = _kernel(s, "psi")
+    rho, dolp, docp, chi, cop = (_kernel(s, n)[0] for n in ("rho", "dolp", "docp", "chi", "cop"))
+    return PolarimetricFeatures(rho, dolp, docp, psi, chi, cop, ~defined)
 
 
 def decompose(s, tol: float = DEFAULT_DOP_TOL):
@@ -195,18 +225,18 @@ def decompose(s, tol: float = DEFAULT_DOP_TOL):
     DecompositionError
         If any vector is invalid (s0 <= 0 or rho > 1 + tol).
     """
-    _, s0, s1, s2, s3 = _split(s)
+    s, s0 = _split(s)
     if not np.all(is_valid(s, tol)):
         raise DecompositionError("decomposition requires physically valid vectors")
-    pol = np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
+    pol = _kernel(s, "pol")[0]
     return pol, s0 - pol
 
 
 def is_valid(s, tol: float = DEFAULT_DOP_TOL):
     """True where s0 > 0 and the degree of polarization is <= 1 + tol."""
-    _, s0, s1, s2, s3 = _split(s)
-    pol = np.sqrt(s1 * s1 + s2 * s2 + s3 * s3)
-    return (s0 > 0.0) & (pol <= (1.0 + tol) * s0)
+    s, s0 = _split(s)
+    pol, positive = _kernel(s, "pol")
+    return positive & (pol <= (1.0 + tol) * s0)
 
 
 def normalize(s) -> np.ndarray:
@@ -217,7 +247,7 @@ def normalize(s) -> np.ndarray:
     UndefinedFeatureError
         If any s0 <= 0.
     """
-    full, s0, _, _, _ = _split(s)
+    s, s0 = _split(s)
     if np.any(s0 <= 0.0):
         raise UndefinedFeatureError("normalization undefined for s0 <= 0")
-    return full[..., 1:] / s0[..., None]
+    return np.stack([_kernel(s, n)[0] for n in ("s1n", "s2n", "s3n")], axis=-1)

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarcube import (
     EmptySelectionError,
@@ -8,18 +11,22 @@ from polarcube import (
     NormalMapStack,
     StokesImage,
     aolp_gradient,
+    decompose,
     docp_distribution,
     feature_gradient_histograms,
     feature_plane,
+    features,
     gradient_field,
     normal_spectral_stddev,
+    normalize,
     poincare_density,
     pol_unpol_histograms,
     random_scene,
     stokes_histograms,
     uniform_scene,
 )
-from polarcube.analysis import Histogram, wrap_aolp_gradient
+from polarcube import analysis
+from polarcube.analysis import FEATURES, Histogram, wrap_aolp_gradient
 
 RNG = np.random.default_rng(55)
 
@@ -165,6 +172,88 @@ class TestAolpWrapping:
         want_gx, want_gy = gradient_field(psi)
         assert np.max(np.abs(gx - want_gx)) < 1e-3
         assert np.max(np.abs(gy - want_gy)) < 1e-3
+
+
+# Stokes components mixing ordinary values with zeros, s0 <= 0 and components
+# so small that their squares underflow.
+stokes_elements = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e-170, -1e-170, 3e-170, -1.0]),
+    st.floats(-2.0, 2.0, allow_subnormal=False),
+)
+
+
+@st.composite
+def masked_cubes(draw):
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    data = draw(arrays(float, shape + (4,), elements=stokes_elements))
+    mask = draw(arrays(bool, shape))
+    return StokesImage(data, mask=mask)
+
+
+def stokes_reference(img, feature):
+    """The value ``stokes.features``/``normalize`` give ``feature`` where s0 > 0."""
+    pos = img.data[..., 0] > 0
+    full = np.zeros(pos.shape)
+    if feature in ("s1n", "s2n", "s3n"):
+        full[pos] = normalize(img.data[pos])[:, int(feature[1]) - 1]
+        return full, pos
+    f = features(img.data[pos])
+    full[pos] = getattr(f, "psi" if feature == "aolp" else feature)
+    if feature == "aolp":
+        pos[pos] = ~f.degenerate
+    return full, pos
+
+
+class TestFeatureKernelContract:
+    @given(img=masked_cubes())
+    def test_feature_plane_matches_stokes_features(self, img):
+        for feature in FEATURES:
+            values, valid = feature_plane(img, feature)
+            if feature in ("s0", "s1", "s2", "s3"):
+                assert np.array_equal(values, img.data[..., int(feature[1])])
+                assert np.array_equal(valid, img.mask)
+                continue
+            want, defined = stokes_reference(img, feature)
+            assert np.array_equal(valid, img.mask & defined), feature
+            assert values[valid].tobytes() == want[valid].tobytes(), feature
+            assert not np.any(values[~valid]), feature
+
+    @given(img=masked_cubes())
+    def test_pol_unpol_pools_the_decompose_split(self, img):
+        pooled = []
+
+        def capture(samples, *args, **kwargs):
+            pooled.append(np.asarray(samples))
+            return Histogram(np.array([0.0, 1.0]), np.array([samples.size]))
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(analysis.Histogram, "from_samples", capture)
+            try:
+                pol_unpol_histograms([img])
+            except EmptySelectionError:
+                pass
+        chosen = img.data[img.mask & (img.data[..., 0] > 0)]
+        if chosen.size == 0:
+            assert not pooled
+            return
+        pol, unpol = decompose(chosen, tol=np.inf)
+        assert pooled[0].tobytes() == pol.tobytes()
+        assert pooled[1].tobytes() == unpol.tobytes()
+
+    def test_underflowing_linear_part_is_degenerate(self):
+        img = StokesImage(np.array([1.0, 1e-170, 1e-170, 0.0]).reshape(1, 1, 1, 4))
+        values, valid = feature_plane(img, "aolp")
+        assert features(img.data).degenerate.all()
+        assert not valid.any() and values[0, 0, 0] == 0.0
+
+    def test_scene_values_identical_to_stokes_features(self):
+        img = random_scene(64, 64, 3, np.random.default_rng(8))
+        f = features(img.data)
+        for feature, field in (("dolp", f.dolp), ("rho", f.rho), ("docp", f.docp),
+                               ("aolp", f.psi), ("cop", f.cop)):
+            values, valid = feature_plane(img, feature)
+            assert valid.all()
+            assert values.tobytes() == field.tobytes(), feature
 
 
 class TestFeatureGradientHistograms:

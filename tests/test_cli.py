@@ -133,6 +133,23 @@ class TestValidateAndStats:
         assert pol.data.shape == unpol.data.shape
 
 
+    def test_decompose_histograms_pool_the_valid_pixels(self, capsys, tmp_path):
+        cube_path = str(tmp_path / "cube.spsi")
+        img = random_scene(8, 8, 2, np.random.default_rng(9))
+        img.data[3, 4, 1] = [1.0, 0.9, 0.9, 0.0]  # rho = 1.27 > 1 + dop_tol
+        write_spsi(cube_path, img)
+        code, *_ = run_cli(capsys, "decompose", cube_path, "--out", str(tmp_path / "dec_"))
+        assert code == 0
+        pol = read_spsi(str(tmp_path / "dec_polarized.spsi"))
+        n_valid = int(pol.mask.sum())
+        assert n_valid == img.mask.size - 1 and not pol.mask[3, 4, 1]
+        for part in ("polarized", "unpolarized"):
+            with open(tmp_path / f"dec_{part}_hist.csv") as fh:
+                total = sum(int(row["count"]) for row in csv.DictReader(fh))
+            assert total == n_valid, part
+        assert pol.data[3, 4, 1] == 0.0  # planes are zero outside their mask
+
+
 class TestCodecCommands:
     def test_pca_fit_and_code(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
