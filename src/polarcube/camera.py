@@ -436,12 +436,16 @@ def simulate_hyperspectral(
 
     band = np.matmul(weights, scene.data)  # (H, W, C, 4)
     band = band.reshape(-1, n_channels, 4).transpose(1, 2, 0)  # (C, 4, H*W)
-    frames = np.matmul(rows, band).reshape(-1, scene.height, scene.width)
+    frames = np.empty((n_channels, rows.shape[1], band.shape[2]), np.result_type(rows, band))
+    for c in range(n_channels):
+        np.matmul(rows[c], band[c], out=frames[c])
+    frames = frames.reshape(-1, scene.height, scene.width)
     tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
 
     sat, black = np.inf, -np.inf
     if noise is not None:
-        frames = np.stack([add_noise(frames[k], noise, stream=k) for k in range(len(frames))])
+        for k in range(len(frames)):
+            frames[k] = add_noise(frames[k], noise, stream=k)
         sat, black = noise.saturation_level, noise.black_level
     wl = None
     if scene.wavelengths is not None and responses is None:

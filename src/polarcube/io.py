@@ -14,6 +14,13 @@ laid out channel-major, then component-major, then row-major, followed
 by a bit-packed validity plane.  Writes go to a temp file and are
 renamed into place, so readers never observe partial files; identical
 objects serialize to identical bytes.
+
+Payloads stream straight between arrays and the file: the writer hands
+each contiguous array to the file as a buffer, and the reader fills a
+fresh array with ``readinto`` after checking the size its header claims
+against the bytes left in the file.  So each payload is copied once per
+direction (a cube once more, for its channel-major layout), and a header
+cannot make the reader allocate more than the file holds.
 """
 
 from __future__ import annotations
@@ -68,6 +75,8 @@ def cube_payload_bytes(width, height, channels, components, dtype_code=0) -> tup
 
 
 class _Writer:
+    """A container as chunks: packed fields and contiguous arrays."""
+
     def __init__(self):
         self.chunks = []
 
@@ -75,49 +84,49 @@ class _Writer:
         self.chunks.append(struct.pack("<" + fmt, *values))
 
     def array(self, arr, dtype):
-        self.chunks.append(np.ascontiguousarray(arr, dtype=dtype).tobytes())
-
-    def getvalue(self) -> bytes:
-        return b"".join(self.chunks)
+        self.chunks.append(np.ascontiguousarray(arr, dtype=dtype))
 
 
 class _Reader:
-    def __init__(self, data: bytes):
-        self.data = data
+    """Reads a container from an open file, checking each size it is asked for."""
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.size = os.fstat(fh.fileno()).st_size
         self.offset = 0
 
-    def take(self, n: int) -> bytes:
-        if self.offset + n > len(self.data):
+    def array(self, count, dtype):
+        dtype = np.dtype(dtype)
+        n = count * dtype.itemsize
+        if n > self.size - self.offset:
             raise ContainerError(
                 f"truncated container: needed {n} bytes at offset {self.offset}, "
-                f"file has {len(self.data)}"
+                f"file has {self.size}"
             )
-        out = self.data[self.offset : self.offset + n]
+        out = np.empty(count, dtype)
+        if self.fh.readinto(out) != n:  # the file shrank while it was read
+            raise ContainerError(f"truncated container: short read at offset {self.offset}")
         self.offset += n
         return out
 
     def unpack(self, fmt):
         s = struct.Struct("<" + fmt)
-        return s.unpack(self.take(s.size))
-
-    def array(self, count, dtype):
-        dtype = np.dtype(dtype)
-        raw = self.take(count * dtype.itemsize)
-        return np.frombuffer(raw, dtype=dtype).copy()
+        return s.unpack(self.array(s.size, np.uint8))
 
     def done(self):
-        if self.offset != len(self.data):
+        if self.offset != self.size:
             raise ContainerError(
-                f"payload size mismatch: {len(self.data) - self.offset} trailing bytes"
+                f"payload size mismatch: {self.size - self.offset} trailing bytes"
             )
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, *chunks):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(data)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -135,21 +144,11 @@ def _header(kind, width, height, channels, components, dtype_code, wavelengths):
     return w
 
 
-def _pack_mask(mask_hwc) -> bytes:
-    bits = np.ascontiguousarray(mask_hwc.transpose(2, 0, 1)).reshape(-1)
-    return np.packbits(bits).tobytes()
-
-
-def _unpack_mask(raw, height, width, channels):
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=channels * height * width)
-    return bits.reshape(channels, height, width).transpose(1, 2, 0).astype(bool)
-
-
 # ---------------------------------------------------------------------------
 # cubes (kind 0)
 
 
-def _write_cube(obj) -> bytes:
+def _write_cube(obj) -> list:
     if isinstance(obj, StokesImage):
         data, mask, components = obj.data, obj.mask, 4
     elif isinstance(obj, NormalMapStack):
@@ -163,8 +162,8 @@ def _write_cube(obj) -> bytes:
     wavelengths = getattr(obj, "wavelengths", None)
     w = _header(KIND_CUBE, wd, h, c, components, code, wavelengths)
     w.array(data.transpose(2, 3, 0, 1), _DTYPES[code])
-    w.chunks.append(_pack_mask(mask))
-    return w.getvalue()
+    w.array(np.packbits(mask.transpose(2, 0, 1).ravel()), "<u1")
+    return w.chunks
 
 
 def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wavelengths):
@@ -173,7 +172,9 @@ def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wave
     dtype = _DTYPES[dtype_code]
     flat = r.array(channels * components * height * width, dtype)
     data = flat.reshape(channels, components, height, width).transpose(2, 3, 0, 1)
-    mask = _unpack_mask(r.take((channels * height * width + 7) // 8), height, width, channels)
+    bits = np.unpackbits(r.array((channels * height * width + 7) // 8, "<u1"),
+                         count=channels * height * width)
+    mask = bits.reshape(channels, height, width).transpose(1, 2, 0).astype(bool)
     r.done()
     if components == 4:
         return StokesImage(np.ascontiguousarray(data), wavelengths, mask)
@@ -228,7 +229,7 @@ def _read_configs(r: _Reader) -> CaptureConfig:
     return CaptureConfig(configs, calibration, exposure)
 
 
-def _write_raw(raw: RawCapture) -> bytes:
+def _write_raw(raw: RawCapture) -> list:
     code = _dtype_code(raw.frames.dtype)
     channels = 0 if raw.wavelengths is None else len(raw.wavelengths)
     w = _header(KIND_RAW, raw.width, raw.height, channels, 1, code, raw.wavelengths)
@@ -246,7 +247,7 @@ def _write_raw(raw: RawCapture) -> bytes:
     w.pack("dd", raw.saturation_level, raw.black_level)
     _write_configs(w, raw.config)
     w.array(raw.frames, _DTYPES[code])
-    return w.getvalue()
+    return w.chunks
 
 
 def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavelengths):
@@ -306,7 +307,7 @@ def _read_codebook_fields(r, code):
                        components, element)
 
 
-def _write_pca(obj) -> bytes:
+def _write_pca(obj) -> list:
     enc = obj if isinstance(obj, PcaEncoding) else None
     cb = enc.codebook if enc is not None else obj
     code = _dtype_code(cb.basis.dtype)
@@ -322,7 +323,7 @@ def _write_pca(obj) -> bytes:
                -1 if enc.element is None else enc.element)
         w.pack("I", enc.coefficients.shape[0])
         w.array(enc.coefficients, _DTYPES[code])
-    return w.getvalue()
+    return w.chunks
 
 
 def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
@@ -341,7 +342,7 @@ def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
                        None if element < 0 else element, wavelengths)
 
 
-def _write_inr(model: InrModel) -> bytes:
+def _write_inr(model: InrModel) -> list:
     code = _dtype_code(model.dtype)
     grid = model.grid_shape or (0, 0, 0)
     w = _header(KIND_INR, grid[1], grid[0], grid[2], 4, code, None)
@@ -354,7 +355,7 @@ def _write_inr(model: InrModel) -> bytes:
         w.array(weight, _DTYPES[code])
     for bias in model.biases:
         w.array(bias, _DTYPES[code])
-    return w.getvalue()
+    return w.chunks
 
 
 def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
@@ -401,10 +402,10 @@ def write_spsi(path, obj):
     for types, writer in _WRITERS:
         if isinstance(obj, types):
             try:
-                blob = writer(obj)
+                chunks = writer(obj)
             except struct.error as exc:  # a header field outside its fixed width
                 raise ContainerError(f"cannot encode {type(obj).__name__}: {exc}") from exc
-            _atomic_write(path, blob)
+            _atomic_write(path, *chunks)
             return
     raise TypeError(f"cannot serialize {type(obj).__name__} to SPSI")
 
@@ -416,27 +417,27 @@ def read_spsi(path):
     any invariant violation; never returns a partially built object.
     """
     with open(path, "rb") as fh:
-        blob = fh.read()
-    r = _Reader(blob)
-    magic, version, kind, width, height, channels, components, dtype_code = r.unpack(
-        "4sHHIIHHB"
-    )
-    if magic != MAGIC:
-        raise ContainerError(f"bad magic {magic!r}")
-    if version != VERSION:
-        raise ContainerError(f"unsupported container version {version}")
-    if dtype_code not in _DTYPES:
-        raise ContainerError(f"unknown dtype code {dtype_code}")
-    if kind not in _READERS:
-        raise ContainerError(f"unknown container kind {kind}")
-    table = r.array(channels, "<f4")
-    wavelengths = None if channels == 0 or not table.any() else table.astype(float)
-    try:
-        return _READERS[kind](r, width, height, channels, components, dtype_code, wavelengths)
-    except ContainerError:
-        raise
-    except Exception as exc:  # invariant violations from constructors
-        raise ContainerError(f"container violates object invariants: {exc}") from exc
+        r = _Reader(fh)
+        magic, version, kind, width, height, channels, components, dtype_code = r.unpack(
+            "4sHHIIHHB"
+        )
+        if magic != MAGIC:
+            raise ContainerError(f"bad magic {magic!r}")
+        if version != VERSION:
+            raise ContainerError(f"unsupported container version {version}")
+        if dtype_code not in _DTYPES:
+            raise ContainerError(f"unknown dtype code {dtype_code}")
+        if kind not in _READERS:
+            raise ContainerError(f"unknown container kind {kind}")
+        table = r.array(channels, "<f4")
+        wavelengths = None if channels == 0 or not table.any() else table.astype(float)
+        try:
+            return _READERS[kind](r, width, height, channels, components, dtype_code,
+                                  wavelengths)
+        except ContainerError:
+            raise
+        except Exception as exc:  # invariant violations from constructors
+            raise ContainerError(f"container violates object invariants: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

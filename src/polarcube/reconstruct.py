@@ -256,8 +256,8 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
     joint = reference.mask & test.mask
     if not joint.any():
         raise EmptySelectionError("no jointly valid pixels to compare")
-    diff = test.data - reference.data
-    sq = diff * diff
+    sq = test.data - reference.data
+    sq *= sq
     peak = float(reference.data[..., 0][joint].max())
     joint_sq = sq[joint]
     mse = float(np.mean(joint_sq))
