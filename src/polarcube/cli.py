@@ -326,7 +326,7 @@ def cmd_pca_fit(cfg, args):
 
 
 def cmd_pca_code(cfg, args):
-    import numpy as np
+    from polarcube.pca import _patch_mse
 
     pc = _api()
     out = _require_out(args)
@@ -335,17 +335,19 @@ def cmd_pca_code(cfg, args):
     codebook = artifact.codebook if isinstance(artifact, pc.PcaEncoding) else artifact
     if not isinstance(codebook, pc.PcaCodebook):
         raise _ConfigError(f"{args.codebook} does not hold a codec basis")
-    if args.bases:
+    if codebook.element is not None:
+        raise _ConfigError(f"{args.codebook} codes Stokes element {codebook.element} alone; "
+                           "pca-code needs a joint codebook")
+    if args.bases is not None:
+        if not 1 <= args.bases <= codebook.n_bases:
+            raise _ConfigError(f"--bases must be in 1..{codebook.n_bases}, got {args.bases}")
         codebook = pc.truncate_codebook(codebook, args.bases)
     enc = pc.pca_encode(cube, codebook)
     decoded = pc.pca_decode(enc)
-    covered = decoded.mask
-    err = decoded.data[covered] - cube.data[covered]
-    mse = float(np.mean(err * err))
     pc.write_spsi(out, decoded)
     return {
         "out": out,
-        "mse": mse,
+        "mse": _patch_mse(pc.extract_patches(cube, enc.patch_size), enc),
         "bpp_coefficients": pc.bpp(enc.stored_bits(False), cube.width, cube.height),
         "bpp_with_codebook": pc.bpp(enc.stored_bits(True), cube.width, cube.height),
     }

@@ -278,68 +278,67 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
 # codec artifacts (kinds 2 and 3)
 
 
-def _write_codebook_fields(w, cb: PcaCodebook, code):
-    w.pack("II", cb.dimension, cb.n_bases)
-    w.pack("B", 0 if cb.patch_size is None else 1)
+def _pca_layout(obj):
+    """The fields of a codec container that its object implies.
+
+    Returns the header's (width, height, channels, components), the
+    codebook geometry block (None without geometry) and the encoding's
+    (patch_size, grid_h, grid_w, element, patch count) (None for a bare
+    codebook).  The writer writes these; the reader checks them.
+    """
+    enc = obj if isinstance(obj, PcaEncoding) else None
+    cb = obj if enc is None else enc.codebook
+    element = -1 if cb.element is None else cb.element
+    geometry = None
     if cb.patch_size is not None:
-        w.pack("IIIi", cb.patch_size, cb.channels or 0, cb.components,
-               -1 if cb.element is None else cb.element)
-    w.pack("d", cb.total_variance)
-    w.array(cb.mean, _DTYPES[code])
-    w.array(cb.basis, _DTYPES[code])
-    w.array(cb.sigma, _DTYPES[code])
-
-
-def _read_codebook_fields(r, code):
-    d, k = r.unpack("II")
-    (has_geom,) = r.unpack("B")
-    patch_size = channels = element = None
-    components = 4
-    if has_geom:
-        patch_size, channels, components, element = r.unpack("IIIi")
-        channels = channels or None
-        element = None if element < 0 else element
-    (total_variance,) = r.unpack("d")
-    mean = r.array(d, _DTYPES[code])
-    basis = r.array(d * k, _DTYPES[code]).reshape(d, k)
-    sigma = r.array(k, _DTYPES[code])
-    return PcaCodebook(mean, basis, sigma, total_variance, patch_size, channels,
-                       components, element)
+        geometry = (cb.patch_size, cb.channels, cb.components, element)
+    if enc is None:
+        return (0, 0, 0, cb.components), geometry, None
+    grid = (enc.patch_size, enc.grid_h, enc.grid_w, element, enc.grid_h * enc.grid_w)
+    return (enc.width, enc.height, enc.channels, cb.components), geometry, grid
 
 
 def _write_pca(obj) -> list:
-    enc = obj if isinstance(obj, PcaEncoding) else None
-    cb = enc.codebook if enc is not None else obj
+    header, geometry, grid = _pca_layout(obj)
+    cb = obj if grid is None else obj.codebook
     code = _dtype_code(cb.basis.dtype)
-    if enc is None:
-        w = _header(KIND_PCA, 0, 0, 0, cb.components, code, None)
-    else:
-        w = _header(KIND_PCA, enc.width, enc.height, enc.channels, cb.components, code,
-                    enc.wavelengths)
-    _write_codebook_fields(w, cb, code)
-    w.pack("B", 0 if enc is None else 1)
-    if enc is not None:
-        w.pack("IIIi", enc.patch_size, enc.grid_h, enc.grid_w,
-               -1 if enc.element is None else enc.element)
-        w.pack("I", enc.coefficients.shape[0])
-        w.array(enc.coefficients, _DTYPES[code])
+    w = _header(KIND_PCA, *header, code, None if grid is None else obj.wavelengths)
+    w.pack("IIB", cb.dimension, cb.n_bases, geometry is not None)
+    if geometry is not None:
+        w.pack("IIIi", *geometry)
+    w.pack("d", cb.total_variance)
+    for arr in (cb.mean, cb.basis, cb.sigma):
+        w.array(arr, _DTYPES[code])
+    w.pack("B", grid is not None)
+    if grid is not None:
+        w.pack("IIIiI", *grid)
+        w.array(obj.coefficients, _DTYPES[code])
     return w.chunks
 
 
 def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
-    cb = _read_codebook_fields(r, dtype_code)
+    dtype = _DTYPES[dtype_code]
+    d, k, has_geometry = r.unpack("IIB")
+    geometry = r.unpack("IIIi") if has_geometry else None
+    (total_variance,) = r.unpack("d")
+    mean = r.array(d, dtype)
+    basis = r.array(d * k, dtype).reshape(d, k)
+    sigma = r.array(k, dtype)
     (has_enc,) = r.unpack("B")
-    if not has_enc:
-        r.done()
-        return cb
-    patch_size, grid_h, grid_w, element = r.unpack("IIIi")
-    (n_patches,) = r.unpack("I")
-    coeffs = r.array(n_patches * cb.n_bases, _DTYPES[dtype_code]).reshape(
-        n_patches, cb.n_bases
-    )
+    grid = r.unpack("IIIiI") if has_enc else None
+    coeffs = r.array(grid[-1] * k, dtype).reshape(grid[-1], k) if has_enc else None
     r.done()
-    return PcaEncoding(cb, coeffs, height, width, channels, patch_size, grid_h, grid_w,
-                       None if element < 0 else element, wavelengths)
+    patch_size, cb_channels, _, element = geometry or (None, None, 4, -1)
+    obj = PcaCodebook(mean, basis, sigma, total_variance, patch_size, cb_channels,
+                      None if element < 0 else element)
+    if has_enc:
+        obj = PcaEncoding(obj, coeffs, height, width, wavelengths)
+    names = ("header", "codebook geometry", "encoding grid")
+    found = ((width, height, channels, components), geometry, grid)
+    for name, got, want in zip(names, found, _pca_layout(obj)):
+        if got != want:
+            raise ContainerError(f"codec {name} {got} contradicts its derived value {want}")
+    return obj
 
 
 def _write_inr(model: InrModel) -> list:

@@ -9,7 +9,7 @@ reconstruction error against stored bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -62,7 +62,9 @@ class PcaCodebook:
     ``sigma`` is sorted non-increasing (singular values / sqrt(N - 1));
     ``total_variance`` sums sigma^2 over the full spectrum of the fit, so
     variance proportions are meaningful even for truncated codebooks.
-    Geometry fields are set when the codebook was fit from image patches.
+    The patch geometry (``patch_size``, ``channels``, ``element``) is set
+    when the codebook was fit from image patches; it is the one home of
+    that geometry, and it must agree with the dimension it implies.
     """
 
     mean: np.ndarray
@@ -71,8 +73,25 @@ class PcaCodebook:
     total_variance: float
     patch_size: int | None = None
     channels: int | None = None
-    components: int = 4
     element: int | None = None
+
+    def __post_init__(self):
+        if self.element is not None and self.element not in range(4):
+            raise DimensionError(f"Stokes element must be 0..3 or None, got {self.element}")
+        if self.patch_size is None:
+            if self.channels is not None or self.element is not None:
+                raise DimensionError("channels and element need a patch size")
+        elif self.channels is None or (
+            self.patch_size**2 * self.channels * self.components != self.dimension
+        ):
+            raise DimensionError(
+                f"codebook dimension {self.dimension} does not match a {self.patch_size}^2 "
+                f"patch of {self.channels} channels x {self.components} components"
+            )
+
+    @property
+    def components(self) -> int:
+        return 1 if self.element is not None else 4
 
     @property
     def dimension(self) -> int:
@@ -84,7 +103,7 @@ class PcaCodebook:
 
 
 def pca_fit(patches: np.ndarray, k: int, *, patch_size=None, channels=None,
-            components=4, element=None) -> PcaCodebook:
+            element=None) -> PcaCodebook:
     """Fit a K-basis codebook to an (N, D) patch matrix.
 
     The basis holds the top-K right singular directions of the centered
@@ -108,103 +127,79 @@ def pca_fit(patches: np.ndarray, k: int, *, patch_size=None, channels=None,
     denom = max(n - 1, 1)
     sigma = sv[:k] / np.sqrt(denom)
     total = float(np.sum(sv**2) / denom)
-    return PcaCodebook(mean, basis, sigma, total, patch_size, channels, components, element)
+    return PcaCodebook(mean, basis, sigma, total, patch_size, channels, element)
 
 
 def pca_fit_image(img: StokesImage, patch_size: int, k: int,
                   element: int | None = None) -> PcaCodebook:
     """Extract patches from an image and fit a codebook carrying geometry."""
     patches = extract_patches(img, patch_size, element)
-    return pca_fit(
-        patches,
-        k,
-        patch_size=patch_size,
-        channels=img.channels,
-        components=4 if element is None else 1,
-        element=element,
-    )
+    return pca_fit(patches, k, patch_size=patch_size, channels=img.channels, element=element)
 
 
 def truncate_codebook(codebook: PcaCodebook, k: int) -> PcaCodebook:
     """Keep only the first k basis vectors (variance bookkeeping intact)."""
     if not 1 <= k <= codebook.n_bases:
         raise DimensionError(f"need 1 <= k <= {codebook.n_bases}, got {k}")
-    return PcaCodebook(
-        codebook.mean,
-        codebook.basis[:, :k],
-        codebook.sigma[:k],
-        codebook.total_variance,
-        codebook.patch_size,
-        codebook.channels,
-        codebook.components,
-        codebook.element,
-    )
+    return replace(codebook, basis=codebook.basis[:, :k], sigma=codebook.sigma[:k])
 
 
 @dataclass
 class PcaEncoding:
-    """Per-patch coefficients plus the geometry to rebuild the image."""
+    """Per-patch coefficients of an image; its geometry comes from the codebook."""
 
     codebook: PcaCodebook
-    coefficients: np.ndarray  # (N, K)
+    coefficients: np.ndarray  # (grid_h * grid_w, K), row-major grid order
     height: int
     width: int
-    channels: int
-    patch_size: int
-    grid_h: int
-    grid_w: int
-    element: int | None = None
     wavelengths: np.ndarray | None = None
 
-    def coefficient_bits(self, bits_per_value: int = 32) -> int:
-        return int(self.coefficients.size) * bits_per_value
+    def __post_init__(self):
+        if self.codebook.patch_size is None:
+            raise DimensionError("an encoding needs a codebook with patch geometry")
+        want = (self.grid_h * self.grid_w, self.codebook.n_bases)
+        if self.coefficients.shape != want:
+            raise DimensionError(
+                f"coefficients have shape {self.coefficients.shape}, the geometry implies {want}"
+            )
 
-    def codebook_bits(self, bits_per_value: int = 32) -> int:
-        cb = self.codebook
-        return (cb.basis.size + cb.mean.size) * bits_per_value
+    patch_size = property(lambda self: self.codebook.patch_size)
+    channels = property(lambda self: self.codebook.channels)
+    element = property(lambda self: self.codebook.element)
+    grid_h = property(lambda self: self.height // self.patch_size)
+    grid_w = property(lambda self: self.width // self.patch_size)
 
     def stored_bits(self, include_codebook: bool = False, bits_per_value: int = 32) -> int:
-        bits = self.coefficient_bits(bits_per_value)
+        values = self.coefficients.size
         if include_codebook:
-            bits += self.codebook_bits(bits_per_value)
-        return bits
+            values += self.codebook.basis.size + self.codebook.mean.size
+        return int(values) * bits_per_value
 
 
-def _infer_patch_size(codebook, img, element):
-    comp = 4 if element is None else 1
-    if codebook.patch_size is not None:
-        p = codebook.patch_size
-    else:
-        sq = codebook.dimension / (img.channels * comp)
-        p = int(round(np.sqrt(sq)))
-    if p * p * img.channels * comp != codebook.dimension:
+def _project(img: StokesImage, codebook: PcaCodebook):
+    """The image's (N, D) patch matrix and its (N, K) coefficients."""
+    if img.channels != codebook.channels:  # None when the codebook has no geometry
         raise DimensionError(
-            f"codebook dimension {codebook.dimension} does not match a square patch of "
-            f"{img.channels} channels x {comp} components"
+            f"a codebook with channels={codebook.channels} cannot encode {img.channels} channels"
         )
-    return p
+    patches = extract_patches(img, codebook.patch_size, codebook.element)
+    return patches, (patches - codebook.mean) @ codebook.basis
 
 
-def pca_encode(img: StokesImage, codebook: PcaCodebook,
-               element: int | None = None) -> PcaEncoding:
+def _patch_mse(patches: np.ndarray, enc: PcaEncoding) -> float:
+    """Decode MSE over the pixels the patches cover, taken in patch space."""
+    cb = enc.codebook
+    err = enc.coefficients @ cb.basis.T
+    err += cb.mean
+    err -= patches
+    return float(np.vdot(err, err)) / err.size
+
+
+def pca_encode(img: StokesImage, codebook: PcaCodebook) -> PcaEncoding:
     """Project an image's patches onto the codebook: c = (p - mu) . b."""
-    if codebook.element is not None and element is None:
-        element = codebook.element
-    p = _infer_patch_size(codebook, img, element)
-    patches = extract_patches(img, p, element)
-    coeffs = (patches - codebook.mean) @ codebook.basis
-    return PcaEncoding(
-        codebook,
-        coeffs,
-        img.height,
-        img.width,
-        img.channels,
-        p,
-        img.height // p,
-        img.width // p,
-        element,
-        None if img.wavelengths is None else img.wavelengths.copy(),
-    )
+    _, coeffs = _project(img, codebook)
+    wavelengths = None if img.wavelengths is None else img.wavelengths.copy()
+    return PcaEncoding(codebook, coeffs, img.height, img.width, wavelengths)
 
 
 def pca_decode(enc: PcaEncoding):
@@ -215,21 +210,18 @@ def pca_decode(enc: PcaEncoding):
     reconstructed (H, W, C) component plane.
     """
     cb = enc.codebook
-    comp = 4 if enc.element is None else 1
+    p, gh, gw = enc.patch_size, enc.grid_h, enc.grid_w
     patches = enc.coefficients @ cb.basis.T + cb.mean
-    p = enc.patch_size
-    block = patches.reshape(enc.grid_h, enc.grid_w, p, p, enc.channels, comp).transpose(
+    block = patches.reshape(gh, gw, p, p, cb.channels, cb.components).transpose(
         0, 2, 1, 3, 4, 5
     )
-    covered = block.reshape(enc.grid_h * p, enc.grid_w * p, enc.channels, comp)
-    if enc.element is not None:
-        plane = np.zeros((enc.height, enc.width, enc.channels))
-        plane[: enc.grid_h * p, : enc.grid_w * p] = covered[..., 0]
-        return plane
-    data = np.zeros((enc.height, enc.width, enc.channels, 4))
-    data[: enc.grid_h * p, : enc.grid_w * p] = covered
-    mask = np.zeros((enc.height, enc.width, enc.channels), dtype=bool)
-    mask[: enc.grid_h * p, : enc.grid_w * p] = True
+    region = np.s_[: gh * p, : gw * p]  # the pixels the patches cover
+    data = np.zeros((enc.height, enc.width, cb.channels, cb.components))
+    data[region] = block.reshape(gh * p, gw * p, cb.channels, cb.components)
+    if cb.element is not None:
+        return data[..., 0]
+    mask = np.zeros(data.shape[:3], dtype=bool)
+    mask[region] = True
     return StokesImage(data, enc.wavelengths, mask)
 
 
@@ -252,23 +244,24 @@ def pca_rate_curve(img: StokesImage, codebook: PcaCodebook, ks,
     """Rate-distortion sweep over basis counts.
 
     Returns a Curve with columns (k, bpp of coefficients alone, bpp
-    including basis + mean, decode mse over covered pixels).
+    including basis + mean, decode mse over covered pixels).  The image
+    is encoded once, at the largest k; each row decodes the first k
+    coefficient columns in patch space.
     """
     from .io import Curve
 
+    ks = sorted(int(k) for k in ks)
+    top = truncate_codebook(codebook, max(ks, default=codebook.n_bases))
+    patches, coeffs = _project(img, top)
     rows = []
-    for k in sorted(int(k) for k in ks):
-        enc = pca_encode(img, truncate_codebook(codebook, k))
-        decoded = pca_decode(enc)
-        covered = decoded.mask
-        err = decoded.data[covered] - img.data[covered]
-        mse = float(np.mean(err * err))
+    for k in ks:
+        enc = PcaEncoding(truncate_codebook(codebook, k), coeffs[:, :k], img.height, img.width)
         rows.append(
             (
                 k,
                 bpp(enc.stored_bits(False, bits_per_value), img.width, img.height),
                 bpp(enc.stored_bits(True, bits_per_value), img.width, img.height),
-                mse,
+                _patch_mse(patches, enc),
             )
         )
     return Curve(columns=["k", "bpp_coefficients", "bpp_with_codebook", "mse"], rows=rows)

@@ -168,6 +168,36 @@ class TestCodecCommands:
         assert summary["mse"] >= 0
         assert summary["bpp_with_codebook"] > summary["bpp_coefficients"]
 
+    @pytest.mark.parametrize("element", [0, 3])
+    def test_single_element_codebook_is_config_error(self, capsys, tmp_path, element):
+        cube_path = str(tmp_path / "cube.spsi")
+        img = write_cube(cube_path, h=8, w=8)
+        cb_path = str(tmp_path / "codebook.spsi")
+        write_spsi(cb_path, polarcube.pca_fit_image(img, 2, 4, element=element))
+        out = tmp_path / "decoded.spsi"
+        code, _, _, err = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                  "--out", str(out))
+        assert code == 2
+        error = json.loads(err)
+        assert error["class"] == "config"
+        assert f"element {element}" in error["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bases", [0, 17])
+    def test_bases_outside_the_basis_is_config_error(self, capsys, tmp_path, bases):
+        cube_path = str(tmp_path / "cube.spsi")
+        write_cube(cube_path, h=8, w=8)
+        cb_path = str(tmp_path / "codebook.spsi")
+        code, *_ = run_cli(capsys, "pca-fit", cube_path, "--patch", "2", "--bases", "16",
+                           "--out", cb_path)
+        assert code == 0
+        out = tmp_path / "decoded.spsi"
+        code, _, _, err = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                  "--bases", str(bases), "--out", str(out))
+        assert code == 2
+        assert json.loads(err)["class"] == "config"
+        assert not out.exists()
+
     def test_inr_fit_and_code(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
         write_cube(cube_path, h=8, w=8, c=2)

@@ -376,6 +376,61 @@ class TestHostileHeaders:
         assert peak < 1 << 20
 
 
+def codec_offsets(obj):
+    """Byte offsets of the codebook geometry block and the encoding grid block."""
+    enc = obj if isinstance(obj, PcaEncoding) else None
+    cb = obj if enc is None else enc.codebook
+    # header, wavelength table, dimension and basis count (II), geometry flag (B)
+    geometry = HEADER.size + 4 * (0 if enc is None else enc.channels) + 9
+    arrays = (cb.mean.size + cb.basis.size + cb.sigma.size) * cb.basis.itemsize
+    # geometry (IIIi), total variance (d), mean, basis, sigma, encoding flag (B)
+    return {"header": 0, "geometry": geometry, "grid": geometry + 16 + 8 + arrays + 1}
+
+
+class TestCodecGeometryChecks:
+    # (kind, block, offset in block, struct format, contradicting value, message):
+    # each patches one field that the rest of the container already implies.
+    # Fields whose value also sets how many bytes follow (the header channel
+    # count sizes the wavelength table, the patch count sizes the
+    # coefficients) fail the size checks instead.
+    CASES = [
+        ("codebook", "header", 8, "<I", 4, "contradicts"),  # width of a bare codebook
+        ("codebook", "header", 12, "<I", 4, "contradicts"),  # height of a bare codebook
+        ("codebook", "header", 16, "<H", 1, None),  # channels of a bare codebook
+        ("codebook", "header", 18, "<H", 1, "contradicts"),  # components
+        ("codebook", "geometry", 0, "<I", 3, "invariants"),  # patch size: 9 x 1 x 4 != 16
+        ("codebook", "geometry", 4, "<I", 2, "invariants"),  # channels: 4 x 2 x 4 != 16
+        ("codebook", "geometry", 8, "<I", 1, "contradicts"),  # components
+        ("codebook", "geometry", 12, "<i", 7, "invariants"),  # element
+        ("encoding", "header", 16, "<H", 2, None),  # channels
+        ("encoding", "header", 18, "<H", 1, "contradicts"),  # components
+        ("encoding", "geometry", 0, "<I", 1, "invariants"),  # codebook patch size
+        ("encoding", "geometry", 4, "<I", 0, "invariants"),  # codebook channels
+        ("encoding", "geometry", 8, "<I", 3, "contradicts"),  # codebook components
+        ("encoding", "geometry", 12, "<i", 0, "invariants"),  # codebook element
+        ("encoding", "grid", 0, "<I", 1, "contradicts"),  # patch size
+        ("encoding", "grid", 4, "<I", 1, "contradicts"),  # grid rows
+        ("encoding", "grid", 8, "<I", 3, "contradicts"),  # grid columns
+        ("encoding", "grid", 12, "<i", 2, "contradicts"),  # element
+        ("encoding", "grid", 12, "<i", -2, "contradicts"),  # element
+        ("encoding", "grid", 16, "<I", 3, None),  # patch count
+    ]
+
+    @pytest.mark.parametrize("kind,block,offset,fmt,value,message", CASES)
+    def test_contradicting_field_is_rejected(self, tmp_path, kind, block, offset, fmt, value,
+                                             message):
+        obj = small_container(kind)
+        path = tmp_path / f"{kind}.spsi"
+        write_spsi(path, obj)
+        blob = bytearray(path.read_bytes())
+        at = codec_offsets(obj)[block] + offset
+        assert struct.unpack_from(fmt, blob, at)[0] != value
+        struct.pack_into(fmt, blob, at, value)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match=message):
+            read_spsi(path)
+
+
 KINDS = ["cube", "raw", "mosaic", "codebook", "encoding", "network"]
 
 

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarcube import (
     DimensionError,
+    PcaCodebook,
+    PcaEncoding,
     StokesImage,
     bpp,
     extract_patches,
@@ -214,3 +218,103 @@ class TestRateCurve:
         assert all(b1 < b2 for b1, b2 in zip(bpps, bpps[1:]))
         assert all(m1 >= m2 for m1, m2 in zip(mses, mses[1:]))
         assert curve.columns == ["k", "bpp_coefficients", "bpp_with_codebook", "mse"]
+
+
+def covered_mse(img, codebook, k):
+    """Decode MSE over the covered pixels, by the per-K encode/decode path."""
+    enc = pca_encode(img, truncate_codebook(codebook, k))
+    decoded = pca_decode(enc)
+    rows, cols = enc.grid_h * enc.patch_size, enc.grid_w * enc.patch_size
+    if codebook.element is None:
+        got, want = decoded.data[:rows, :cols], img.data[:rows, :cols]
+    else:
+        got, want = decoded[:rows, :cols], img.data[:rows, :cols, :, codebook.element]
+    return enc, float(np.mean((got - want) ** 2)), float(np.mean(want**2))
+
+
+class TestRateCurveMatchesPerKDecode:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), h=st.integers(1, 9), w=st.integers(1, 9), c=st.integers(1, 3),
+           element=st.sampled_from([None, 0, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_rows_equal_the_per_k_reference(self, data, h, w, c, element, seed):
+        p = data.draw(st.integers(1, min(h, w, 3)), label="patch size")
+        img = small_cube(h, w, c, seed)
+        n = (h // p) * (w // p)
+        d = p * p * c * (4 if element is None else 1)
+        codebook = pca_fit_image(img, p, data.draw(st.integers(1, min(n, d)), label="bases"),
+                                 element=element)
+        ks = data.draw(st.lists(st.integers(1, codebook.n_bases), min_size=1, max_size=4),
+                       label="ks")
+        curve = pca_rate_curve(img, codebook, ks)
+        assert [row[0] for row in curve.rows] == sorted(ks)
+        for k, bpp_coeffs, bpp_all, mse in curve.rows:
+            enc, want, power = covered_mse(img, codebook, k)
+            assert bpp_coeffs == bpp(enc.stored_bits(False), w, h)
+            assert bpp_all == bpp(enc.stored_bits(True), w, h)
+            # relative 1e-12; the floor only matters where the error is rounding noise
+            assert abs(mse - want) <= 1e-12 * want + 1e-24 * power
+
+    @pytest.mark.parametrize("ks", [[0], [5, 0], [17], [1, 17]])
+    def test_k_outside_range_rejected(self, ks):
+        img = small_cube(8, 8, 1)
+        codebook = pca_fit_image(img, 2, 16)
+        with pytest.raises(DimensionError):
+            pca_rate_curve(img, codebook, ks)
+
+    @pytest.mark.parametrize("element", [0, 1, 2, 3])
+    def test_single_element_codebook(self, element):
+        img = small_cube(13, 11, 2, seed=4)
+        codebook = pca_fit_image(img, 3, 12, element=element)
+        curve = pca_rate_curve(img, codebook, [2, 6, 12])
+        for k, row in zip([2, 6, 12], curve.rows):
+            _, want, _ = covered_mse(img, codebook, k)
+            assert row[0] == k
+            assert row[3] == pytest.approx(want, rel=1e-12)
+
+
+class TestPatchGeometry:
+    def test_codebook_owns_the_geometry(self):
+        img = small_cube(11, 13, 2)
+        joint = pca_fit_image(img, 3, 5)
+        single = pca_fit_image(img, 3, 5, element=2)
+        assert (joint.components, single.components) == (4, 1)
+        enc = pca_encode(img, single)
+        assert (enc.patch_size, enc.channels, enc.element) == (3, 2, 2)
+        assert (enc.grid_h, enc.grid_w) == (3, 4)
+        assert enc.coefficients.shape == (12, 5)
+
+    @pytest.mark.parametrize("geometry", [
+        {"patch_size": 3, "channels": 1},  # 9 x 1 x 4 != 16
+        {"patch_size": 2, "channels": 2},
+        {"patch_size": 2, "channels": None},
+        {"patch_size": 2, "channels": 1, "element": 0},  # 4 x 1 x 1 != 16
+        {"patch_size": 2, "channels": 4, "element": 7},
+        {"patch_size": None, "channels": 1},
+        {"patch_size": None, "element": 0},
+    ])
+    def test_contradictory_codebook_rejected(self, geometry):
+        cb = pca_fit(RNG.normal(size=(20, 16)), 3)
+        with pytest.raises(DimensionError):
+            PcaCodebook(cb.mean, cb.basis, cb.sigma, cb.total_variance, **geometry)
+
+    def test_coefficients_must_fill_the_grid(self):
+        img = small_cube(8, 6, 1)
+        enc = pca_encode(img, pca_fit_image(img, 2, 4))
+        for coefficients in (enc.coefficients[:-1], enc.coefficients[:, :3]):
+            with pytest.raises(DimensionError):
+                PcaEncoding(enc.codebook, coefficients, 8, 6)
+        with pytest.raises(DimensionError):
+            PcaEncoding(enc.codebook, enc.coefficients, 10, 6)
+
+    def test_encoding_needs_geometry(self):
+        img = small_cube(8, 8, 1)
+        bare = pca_fit(extract_patches(img, 2), 4)
+        with pytest.raises(DimensionError):
+            pca_encode(img, bare)
+        with pytest.raises(DimensionError):
+            PcaEncoding(bare, np.zeros((16, 4)), 8, 8)
+
+    def test_channel_count_must_match(self):
+        codebook = pca_fit_image(small_cube(8, 8, 2), 2, 4)
+        with pytest.raises(DimensionError):
+            pca_encode(small_cube(8, 8, 1), codebook)
