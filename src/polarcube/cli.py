@@ -544,7 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--net-width", dest="net_width", type=int)
     p.add_argument("--steps", type=int)
     p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int)
+    p.add_argument("--batch", type=int,
+                   help="coordinates per step, rounded down to whole pixels (default: all)")
     p.add_argument("--loss-csv", dest="loss_csv", help="write the loss curve here")
     p.set_defaults(func=cmd_inr_fit)
 

@@ -1,15 +1,15 @@
 """Coordinate-network representation of a Stokes cube.
 
 A small two-stage MLP maps (pixel x, pixel y, channel index) to the
-4-vector at that coordinate.  The spatial stage consumes positionally
-encoded (x, y) and produces a per-pixel feature vector; the spectral
-stage consumes that feature together with the encoded channel index and
-emits the Stokes vector.  Coordinates are normalized to [-1, 1] before
-encoding.
+4-vector at that coordinate, normalized to [-1, 1] and positionally
+encoded.  It runs on grids of P pixels x C channels: the spatial stage
+turns each pixel's encoded (x, y) into a feature vector once, and the
+spectral stage combines that feature with each encoded channel index.
 
 Training minimizes mean squared error over valid coordinates with an
-in-module Adam optimizer; gradients come from hand-rolled reverse-mode
-backpropagation through the layer stack (no autograd framework).
+in-module Adam optimizer and hand-rolled backpropagation (no autograd
+framework).  A batch is a set of whole pixels with all their channels;
+masked channels weigh 0 in the loss.
 """
 
 from __future__ import annotations
@@ -93,112 +93,152 @@ def parameter_count(model: InrModel) -> int:
     return sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
 
 
+def _weight_shapes(model: InrModel) -> list:
+    """(fan_in, fan_out) of every weight: spatial blocks, spectral blocks, head."""
+    w, s = model.hidden_width, model.spatial_blocks
+    return ([(model.spatial_input_dim, w)] + [(w, w)] * (s - 1)
+            + [(w + model.channel_encoding_dim, w)] + [(w, w)] * (model.layers - s - 1)
+            + [(w, 4)])
+
+
 def inr_init(layers: int = 8, hidden_width: int = 256, seed: int = 0, k_spatial: int = 10,
              k_channel: int = 1, grid_shape=None, dtype=np.float64) -> InrModel:
     """Fresh model with symmetric uniform init scaled by 1/sqrt(fan_in)."""
     if layers < 2:
         raise ValueError("need at least 2 hidden blocks (one per stage)")
-    model = InrModel(
-        layers=layers,
-        hidden_width=hidden_width,
-        k_spatial=k_spatial,
-        k_channel=k_channel,
-        grid_shape=tuple(grid_shape) if grid_shape is not None else None,
-        dtype=np.dtype(dtype),
-    )
-    w = hidden_width
-    dims = [(model.spatial_input_dim, w)]
-    dims += [(w, w)] * (model.spatial_blocks - 1)
-    dims += [(w + model.channel_encoding_dim, w)]
-    dims += [(w, w)] * (layers - model.spatial_blocks - 1)
-    dims += [(w, 4)]
+    model = InrModel(layers=layers, hidden_width=hidden_width, k_spatial=k_spatial,
+                     k_channel=k_channel, dtype=np.dtype(dtype),
+                     grid_shape=tuple(grid_shape) if grid_shape is not None else None)
     rng = np.random.default_rng(seed)
-    for fan_in, fan_out in dims:
+    for fan_in, fan_out in _weight_shapes(model):
         bound = np.sqrt(6.0 / fan_in)
         model.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(model.dtype))
         model.biases.append(np.zeros(fan_out, dtype=model.dtype))
     return model
 
 
-def _normalize(value, extent):
-    if extent <= 1:
-        return np.zeros_like(np.asarray(value, dtype=float))
-    return 2.0 * np.asarray(value, dtype=float) / (extent - 1) - 1.0
+def _tables(model: InrModel, xs, ys, cs):
+    """x, y and channel encodings in the model dtype, normalized by any ``grid_shape``."""
+    def encode(values, axis, k):
+        values = np.asarray(values, dtype=float)
+        if model.grid_shape is not None:
+            n = model.grid_shape[axis]
+            values = 2.0 * values / (n - 1) - 1.0 if n > 1 else np.zeros_like(values)
+        return positional_encode(values, k).astype(model.dtype)
+
+    return (encode(xs, 1, model.k_spatial), encode(ys, 0, model.k_spatial),
+            encode(cs, 2, model.k_channel))
 
 
-def _encode_inputs(model: InrModel, px, py, c):
-    px, py, c = np.broadcast_arrays(
-        np.asarray(px, dtype=float), np.asarray(py, dtype=float), np.asarray(c, dtype=float)
-    )
-    if model.grid_shape is not None:
-        h, w, nch = model.grid_shape
-        px, py, c = _normalize(px, w), _normalize(py, h), _normalize(c, nch)
-    enc_sp = np.concatenate(
-        [positional_encode(px, model.k_spatial), positional_encode(py, model.k_spatial)], axis=-1
-    )
-    enc_ch = positional_encode(c, model.k_channel)
-    return enc_sp.astype(model.dtype), enc_ch.astype(model.dtype)
+def _pixels(tables, xs, ys):
+    """Spatial-stage inputs (P, spatial_input_dim) of pixels at columns xs, rows ys."""
+    return np.concatenate([tables[0][xs], tables[1][ys]], axis=1)
+
+
+def _grid(model: InrModel, px, py, c):
+    """Unique pixels x unique channels covering broadcast coordinate arrays.
+
+    Returns their encodings and, per coordinate, its pixel and channel index.
+    """
+    px, py, c = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (px, py, c)))
+    (xs, x_at), (ys, y_at), (cs, c_at) = (
+        np.unique(v.ravel(), return_inverse=True) for v in (px, py, c))
+    pixels, pix_at = np.unique(y_at * xs.size + x_at, return_inverse=True)
+    tables = _tables(model, xs, ys, cs)
+    enc_sp = _pixels(tables, pixels % xs.size, pixels // xs.size)
+    return enc_sp, tables[2], pix_at.reshape(px.shape), c_at.reshape(px.shape)
 
 
 def _forward(model: InrModel, enc_sp, enc_ch, want_cache=False):
-    inputs, gates = [], []
-    x = enc_sp
-    n_hidden = model.layers
-    for i in range(n_hidden):
+    """Outputs (P, C, 4) on the grid of P encoded pixels x C encoded channels.
+
+    The first spectral weight splits into feature rows and channel rows,
+    so the channel term is one (C, width) bias broadcast over the pixels.
+    The cache holds each block's input; a ReLU output is also its gate.
+    """
+    n_pix, n_ch, w = enc_sp.shape[0], enc_ch.shape[0], model.hidden_width
+    x, acts = enc_sp, [enc_sp]
+    for i, (weight, bias) in enumerate(zip(model.weights[:-1], model.biases)):
         if i == model.spatial_blocks:
-            x = np.concatenate([x, enc_ch], axis=-1)
-        pre = x @ model.weights[i] + model.biases[i]
-        gate = pre > 0
+            pre = (x @ weight[:w])[:, None] + (enc_ch @ weight[w:] + bias)
+            pre = pre.reshape(n_pix * n_ch, w)
+        else:
+            pre = x @ weight
+            pre += bias
+        x = np.maximum(pre, 0, out=pre)
         if want_cache:
-            inputs.append(x)
-            gates.append(gate)
-        x = pre * gate  # ReLU without leaving the model dtype
-    if want_cache:
-        inputs.append(x)
-    out = x @ model.weights[-1] + model.biases[-1]
-    return (out, inputs, gates) if want_cache else out
+            acts.append(x)
+    out = (x @ model.weights[-1] + model.biases[-1]).reshape(n_pix, n_ch, 4)
+    return (out, acts) if want_cache else out
+
+
+def _backward(model: InrModel, enc_ch, acts, g):
+    """Parameter gradients from dL/d(out) on the (P, C, 4) grid.
+
+    The gradient is summed over channels before it enters the spatial
+    stage, and over pixels for the channel rows of the first spectral weight.
+    """
+    g = g.reshape(-1, 4)
+    w_grads, b_grads = [None] * (model.layers + 1), [None] * (model.layers + 1)
+    for i in range(model.layers, -1, -1):
+        x = acts[i]
+        if i == model.spatial_blocks:
+            per_pixel = g.reshape(x.shape[0], -1, g.shape[1])
+            g, per_channel = per_pixel.sum(axis=1), per_pixel.sum(axis=0)
+            w_grads[i] = np.concatenate([x.T @ g, enc_ch.T @ per_channel])
+            b_grads[i] = per_channel.sum(axis=0)
+        else:
+            w_grads[i] = x.T @ g
+            b_grads[i] = np.ones(len(g), g.dtype) @ g  # a column sum, through BLAS
+        if i:
+            g = g @ model.weights[i][: x.shape[1]].T
+            g *= x > 0
+    return w_grads, b_grads
 
 
 def inr_forward(model: InrModel, px, py, c) -> np.ndarray:
     """Evaluate the network; broadcasts over coordinate arrays."""
-    enc_sp, enc_ch = _encode_inputs(model, px, py, c)
-    lead = enc_sp.shape[:-1]
-    out = _forward(model, enc_sp.reshape(-1, enc_sp.shape[-1]),
-                   enc_ch.reshape(-1, enc_ch.shape[-1]))
-    return out.reshape(*lead, 4)
+    enc_sp, enc_ch, pix, ch = _grid(model, px, py, c)
+    return _forward(model, enc_sp, enc_ch)[pix, ch]
 
 
 def inr_loss_and_grads(model: InrModel, coords, targets):
     """Mean-squared-error loss and its gradient w.r.t. every parameter.
 
     ``coords`` is (B, 3) as (px, py, c); ``targets`` is (B, 4).  Returns
-    ``(loss, weight_grads, bias_grads)`` with gradients computed by
-    reverse-mode backpropagation through the cached activations.
+    ``(loss, weight_grads, bias_grads)``.  The network runs on the unique
+    pixels x unique channels of ``coords``, and each coordinate's error
+    gradient is scattered onto that grid (repeats add up).
     """
     coords = np.asarray(coords, dtype=float)
     targets = np.asarray(targets, dtype=model.dtype)
     if coords.ndim != 2 or coords.shape[1] != 3 or targets.shape != (coords.shape[0], 4):
         raise DimensionError("coords must be (B, 3) and targets (B, 4)")
-    enc_sp, enc_ch = _encode_inputs(model, coords[:, 0], coords[:, 1], coords[:, 2])
-    out, inputs, gates = _forward(model, enc_sp, enc_ch, want_cache=True)
+    enc_sp, enc_ch, pix, ch = _grid(model, coords[:, 0], coords[:, 1], coords[:, 2])
+    out, acts = _forward(model, enc_sp, enc_ch, want_cache=True)
+    diff = out[pix, ch] - targets
+    g = np.zeros_like(out)
+    np.add.at(g, (pix, ch), (2.0 / diff.size) * diff)
+    w_grads, b_grads = _backward(model, enc_ch, acts, g)
+    return float(np.mean(diff * diff)), w_grads, b_grads
 
+
+def _grid_forward(model, tables, xs, ys, out, chunk):
+    """Fill ``out`` (P, C, 4) with the outputs at pixels (xs, ys), ``chunk`` at a time."""
+    for lo in range(0, xs.size, chunk):
+        sel = slice(lo, lo + chunk)
+        out[sel] = _forward(model, _pixels(tables, xs[sel], ys[sel]), tables[2])
+    return out
+
+
+def _masked_loss(out, targets, weights):
+    """Loss sum(m (out - t)^2) / (4 sum(m)) over a (P, C, 4) grid, and dL/d(out)."""
     diff = out - targets
-    loss = float(np.mean(diff * diff))
-    g = (2.0 / diff.size) * diff
-
-    w_grads = [None] * len(model.weights)
-    b_grads = [None] * len(model.biases)
-    w_grads[-1] = inputs[-1].T @ g
-    b_grads[-1] = g.sum(axis=0)
-    g = g @ model.weights[-1].T
-    for i in range(model.layers - 1, -1, -1):
-        g = g * gates[i]
-        w_grads[i] = inputs[i].T @ g
-        b_grads[i] = g.sum(axis=0)
-        g = g @ model.weights[i].T
-        if i == model.spatial_blocks:
-            g = g[:, : model.hidden_width]  # drop the encoded-channel slice
-    return loss, w_grads, b_grads
+    diff *= weights[..., None]
+    scale = 1.0 / (4.0 * float(weights.sum()))
+    loss = float(np.sum(diff * diff)) * scale
+    diff *= 2.0 * scale
+    return loss, diff
 
 
 class _Adam:
@@ -206,14 +246,12 @@ class _Adam:
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m, self.v = ([np.zeros_like(p) for p in params] for _ in range(2))
         self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
-        c1 = 1.0 - self.beta1**self.t
-        c2 = 1.0 - self.beta2**self.t
+        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
             m += (1.0 - self.beta1) * g
@@ -240,35 +278,34 @@ def _cosine_lr(base_lr, step, total):
     return base_lr * 0.5 * (1.0 + np.cos(np.pi * step / max(total, 1)))
 
 
-def inr_train(
-    model: InrModel,
-    img: StokesImage,
-    steps: int,
-    lr: float = 1e-3,
-    batch_size: int | None = None,
-    seed: int = 0,
-    record_every: int = 100,
-    schedule: str = "cosine",
-):
+def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
+              batch_size: int | None = None, seed: int = 0, record_every: int = 100,
+              schedule: str = "cosine"):
     """Fit the model to the valid pixels of a Stokes cube.
 
-    Coordinates are (column, row, channel) of every valid mask entry;
-    ``batch_size=None`` uses full-batch steps (fully deterministic),
-    otherwise batches are sampled with a seeded generator.  Raises
-    TrainingDivergedError (carrying the last recorded parameter state)
-    if the loss turns non-finite.
+    A batch is a set of whole pixels, each with all C channels:
+    ``batch_size`` coordinates per step become ``max(1, batch_size // C)``
+    pixels, drawn with replacement by a seeded generator from the pixels
+    with at least one valid channel.  ``batch_size=None`` (or a batch that
+    covers every such pixel) uses full-batch steps, fully deterministic.
+    The loss is the mean squared error over valid mask entries; masked
+    channels weigh 0.  Raises TrainingDivergedError (carrying the last
+    recorded parameter state) if the loss turns non-finite.
 
     Returns ``(model, TrainReport)``; the model is updated in place.
     """
     if schedule not in ("cosine", "constant"):
         raise ValueError("schedule must be 'cosine' or 'constant'")
-    ys, xs, cs = np.nonzero(img.mask)
+    ys, xs = np.nonzero(img.mask.any(axis=2))
     if ys.size == 0:
         raise EmptySelectionError("image has no valid pixels to fit")
     if model.grid_shape is None:
         model.grid_shape = (img.height, img.width, img.channels)
-    coords = np.stack([xs, ys, cs], axis=1).astype(float)
-    targets = img.data[ys, xs, cs].astype(model.dtype)
+    tables = _tables(model, range(img.width), range(img.height), range(img.channels))
+    mask = img.mask[ys, xs]
+    targets = np.where(mask[..., None], img.data[ys, xs], 0.0).astype(model.dtype)
+    weights = mask.astype(model.dtype)
+    per_step = xs.size if batch_size is None else max(1, batch_size // img.channels)
 
     rng = np.random.default_rng(seed)
     optimizer = _Adam(model.weights + model.biases)
@@ -276,19 +313,15 @@ def inr_train(
     checkpoint, checkpoint_step = model.copy_params(), -1
     start = time.perf_counter()
     for step in range(steps):
-        if batch_size is None or batch_size >= coords.shape[0]:
-            batch_coords, batch_targets = coords, targets
-        else:
-            sel = rng.integers(0, coords.shape[0], size=batch_size)
-            batch_coords, batch_targets = coords[sel], targets[sel]
-        loss, w_grads, b_grads = inr_loss_and_grads(model, batch_coords, batch_targets)
+        sel = slice(None) if per_step >= xs.size else rng.integers(0, xs.size, size=per_step)
+        out, acts = _forward(model, _pixels(tables, xs[sel], ys[sel]), tables[2],
+                             want_cache=True)
+        loss, g = _masked_loss(out, targets[sel], weights[sel])
         if not np.isfinite(loss):
             model.weights, model.biases = checkpoint
-            raise TrainingDivergedError(
-                f"loss became non-finite at step {step}",
-                checkpoint=checkpoint,
-                step=checkpoint_step,
-            )
+            raise TrainingDivergedError(f"loss became non-finite at step {step}",
+                                        checkpoint=checkpoint, step=checkpoint_step)
+        w_grads, b_grads = _backward(model, tables[2], acts, g)
         step_lr = _cosine_lr(lr, step, steps) if schedule == "cosine" else lr
         if step % record_every == 0 or step == steps - 1:
             loss_curve.append((step, loss))
@@ -297,31 +330,13 @@ def inr_train(
         optimizer.step(model.weights + model.biases, w_grads + b_grads, step_lr)
     elapsed = time.perf_counter() - start
 
-    final_mse = _full_mse(model, coords, targets)
-    peak = float(targets[:, 0].max())
+    out = _grid_forward(model, tables, xs, ys, np.empty_like(targets),
+                        max(1, 65536 // img.channels))
+    final_mse, _ = _masked_loss(out, targets, weights)
+    peak = float(targets[..., 0][mask].max())
     final_psnr = np.inf if final_mse == 0 else float(10.0 * np.log10(peak**2 / final_mse))
-    report = TrainReport(
-        loss_curve=loss_curve,
-        lr_curve=lr_curve,
-        final_mse=final_mse,
-        final_psnr=final_psnr,
-        steps=steps,
-        wall_clock_seconds=elapsed,
-        base_lr=lr,
-        schedule=schedule,
-    )
-    return model, report
-
-
-def _full_mse(model, coords, targets, chunk=65536):
-    total, count = 0.0, 0
-    for lo in range(0, coords.shape[0], chunk):
-        sel = slice(lo, lo + chunk)
-        out = inr_forward(model, coords[sel, 0], coords[sel, 1], coords[sel, 2])
-        diff = out - targets[sel]
-        total += float(np.sum(diff * diff))
-        count += diff.size
-    return total / count
+    return model, TrainReport(loss_curve, lr_curve, final_mse, final_psnr, steps, elapsed,
+                              lr, schedule)
 
 
 def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
@@ -333,34 +348,19 @@ def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
     from .io import Curve
     from .pca import bpp
 
-    rows = [
-        (m.layers, parameter_count(m),
-         bpp(parameter_count(m) * bits_per_value, width, height), mse)
-        for m, mse in fitted
-    ]
+    rows = [(m.layers, parameter_count(m),
+             bpp(parameter_count(m) * bits_per_value, width, height), mse) for m, mse in fitted]
     return Curve(columns=["layers", "parameters", "bpp", "mse"], rows=rows)
 
 
 def inr_decode(model: InrModel, dims=None, wavelengths=None, chunk_rows: int = 64) -> StokesImage:
-    """Evaluate the network on a full (H, W, C) coordinate grid."""
-    if dims is None:
-        dims = model.grid_shape
+    """Evaluate the network on a full (H, W, C) coordinate grid, ``chunk_rows`` rows at a time."""
+    dims = model.grid_shape if dims is None else dims
     if dims is None:
         raise DimensionError("decode dims are required for an untrained model")
     h, w, c = dims
-    data = np.empty((h, w, c, 4))
-    cols = np.arange(w, dtype=float)
-    chans = np.arange(c, dtype=float)
-    px = np.broadcast_to(cols[:, None], (w, c))
-    ch = np.broadcast_to(chans[None, :], (w, c))
-    for y0 in range(0, h, chunk_rows):
-        y1 = min(y0 + chunk_rows, h)
-        rows = np.arange(y0, y1, dtype=float)
-        py = np.broadcast_to(rows[:, None, None], (y1 - y0, w, c))
-        data[y0:y1] = inr_forward(
-            model,
-            np.broadcast_to(px, (y1 - y0, w, c)),
-            py,
-            np.broadcast_to(ch, (y1 - y0, w, c)),
-        )
-    return StokesImage(data, wavelengths)
+    ys, xs = np.divmod(np.arange(h * w), w)
+    data = np.empty((h * w, c, 4))
+    _grid_forward(model, _tables(model, range(w), range(h), range(c)), xs, ys, data,
+                  max(1, chunk_rows * w))
+    return StokesImage(data.reshape(h, w, c, 4), wavelengths)

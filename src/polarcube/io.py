@@ -36,7 +36,7 @@ import numpy as np
 from .camera import CaptureConfig, MeasurementConfig, MosaicLayout, RawCapture
 from .errors import ContainerError, LabelSchemaError
 from .image import NormalMapStack, ScalarCube, StokesImage
-from .inr import InrModel
+from .inr import InrModel, _weight_shapes
 from .labels import LabelSet
 from .pca import PcaCodebook, PcaEncoding
 
@@ -112,6 +112,13 @@ class _Reader:
     def unpack(self, fmt):
         s = struct.Struct("<" + fmt)
         return s.unpack(self.array(s.size, np.uint8))
+
+    def flag(self, top=1):
+        """A presence flag (0 or 1) or kind code (0..top); any other byte is corruption."""
+        (value,) = self.unpack("B")
+        if value > top:
+            raise ContainerError(f"flag byte {value} at offset {self.offset - 1} is above {top}")
+        return value
 
     def done(self):
         if self.offset != self.size:
@@ -207,7 +214,7 @@ def _write_configs(w, config: CaptureConfig):
 
 def _read_configs(r: _Reader) -> CaptureConfig:
     (exposure,) = r.unpack("d")
-    (shared,) = r.unpack("B")
+    shared = r.flag()
     (n_groups,) = r.unpack("I")
     groups = []
     for _ in range(n_groups):
@@ -217,7 +224,7 @@ def _read_configs(r: _Reader) -> CaptureConfig:
             a, d, p = r.unpack("ddd")
             group.append(MeasurementConfig(a, d, p))
         groups.append(group)
-    (cal_kind,) = r.unpack("B")
+    cal_kind = r.flag(2)  # 0 none, 1 one matrix, 2 one per channel
     calibration = None
     if cal_kind:
         (n_cal,) = r.unpack("I")
@@ -252,18 +259,10 @@ def _write_raw(raw: RawCapture) -> list:
 
 def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavelengths):
     (n_frames,) = r.unpack("I")
-    (has_tags,) = r.unpack("B")
-    tags = None
-    if has_tags:
-        tags = [tuple(r.unpack("II")) for _ in range(n_frames)]
-    (has_layout,) = r.unpack("B")
+    tags = [tuple(r.unpack("II")) for _ in range(n_frames)] if r.flag() else None
     layout = None
-    if has_layout:
-        colors = r.array(16, "<u1").reshape(4, 4)
-        pol = r.array(16, "<f8").reshape(4, 4)
-        ret = r.array(16, "<f8").reshape(4, 4)
-        delta = r.array(16, "<f8").reshape(4, 4)
-        layout = MosaicLayout(colors, pol, ret, delta)
+    if r.flag():  # colors, then polarizer angles, retarder angles and retardances
+        layout = MosaicLayout(*(r.array(16, t).reshape(4, 4) for t in ("u1", "<f8", "<f8", "<f8")))
     sat, black = r.unpack("dd")
     config = _read_configs(r)
     frames = r.array(n_frames * height * width, _DTYPES[dtype_code]).reshape(
@@ -318,13 +317,13 @@ def _write_pca(obj) -> list:
 
 def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
     dtype = _DTYPES[dtype_code]
-    d, k, has_geometry = r.unpack("IIB")
-    geometry = r.unpack("IIIi") if has_geometry else None
+    d, k = r.unpack("II")
+    geometry = r.unpack("IIIi") if r.flag() else None
     (total_variance,) = r.unpack("d")
     mean = r.array(d, dtype)
     basis = r.array(d * k, dtype).reshape(d, k)
     sigma = r.array(k, dtype)
-    (has_enc,) = r.unpack("B")
+    has_enc = r.flag()
     grid = r.unpack("IIIiI") if has_enc else None
     coeffs = r.array(grid[-1] * k, dtype).reshape(grid[-1], k) if has_enc else None
     r.done()
@@ -359,23 +358,23 @@ def _write_inr(model: InrModel) -> list:
 
 def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
     layers, hidden_width, k_spatial, k_channel = r.unpack("IIII")
-    (has_grid,) = r.unpack("B")
+    has_grid = r.flag()
     (n_tensors,) = r.unpack("I")
     shapes = [r.unpack("II") for _ in range(n_tensors)]
     dtype = _DTYPES[dtype_code]
     weights = [r.array(fi * fo, dtype).reshape(fi, fo) for fi, fo in shapes]
     biases = [r.array(fo, dtype) for _, fo in shapes]
     r.done()
-    return InrModel(
-        weights=weights,
-        biases=biases,
-        layers=layers,
-        hidden_width=hidden_width,
-        k_spatial=k_spatial,
-        k_channel=k_channel,
-        grid_shape=(height, width, channels) if has_grid else None,
-        dtype=dtype,
-    )
+    grid = (height, width, channels)
+    model = InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
+                     grid if has_grid else None, dtype)
+    if n_tensors != layers + 1:
+        raise ContainerError(f"network tensor count {n_tensors} contradicts {layers} layers")
+    if shapes != _weight_shapes(model):
+        raise ContainerError(f"network weight shapes {shapes} contradict its hyper-parameters")
+    if (0 in grid) if has_grid else any(grid):
+        raise ContainerError(f"network grid {grid} contradicts its grid flag {has_grid}")
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarcube import (
     TrainingDivergedError,
@@ -174,3 +176,76 @@ class TestDecode:
         peak = img.data[..., 0].max()
         psnr = 10 * np.log10(peak**2 / mse)
         assert psnr == pytest.approx(report.final_psnr, abs=0.1)
+
+
+def worst_gradient_error(model, coords, targets, eps=1e-6):
+    """Largest relative gap between backprop and central differences."""
+    _, w_grads, b_grads = inr_loss_and_grads(model, coords, targets)
+    worst = 0.0
+    for p, g in zip(model.weights + model.biases, w_grads + b_grads):
+        flat_p, flat_g = p.reshape(-1), g.reshape(-1)
+        for idx in range(flat_p.size):
+            old = flat_p[idx]
+            flat_p[idx] = old + eps
+            lo_plus, _, _ = inr_loss_and_grads(model, coords, targets)
+            flat_p[idx] = old - eps
+            lo_minus, _, _ = inr_loss_and_grads(model, coords, targets)
+            flat_p[idx] = old
+            fd = (lo_plus - lo_minus) / (2 * eps)
+            worst = max(worst, abs(fd - flat_g[idx]) / max(abs(fd), abs(flat_g[idx]), 1e-8))
+    return worst
+
+
+def valid_coordinates(img):
+    ys, xs, cs = np.nonzero(img.mask)
+    return np.stack([xs, ys, cs], axis=1).astype(float), img.data[ys, xs, cs]
+
+
+class TestPixelGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(layers=st.integers(2, 4), width=st.integers(4, 8), h=st.integers(1, 5),
+           w=st.integers(1, 5), c=st.integers(1, 3), k_spatial=st.integers(0, 3),
+           seed=st.integers(0, 1000))
+    def test_decode_matches_pointwise_forward(self, layers, width, h, w, c, k_spatial, seed):
+        model = inr_init(layers, width, seed=seed, k_spatial=k_spatial, grid_shape=(h, w, c))
+        decoded = inr_decode(model).data
+        pointwise = np.array([[[inr_forward(model, x, y, ch) for ch in range(c)]
+                               for x in range(w)] for y in range(h)])
+        assert decoded.shape == pointwise.shape == (h, w, c, 4)
+        scale = np.abs(pointwise).max()
+        np.testing.assert_allclose(decoded, pointwise, rtol=1e-12, atol=1e-12 * scale)
+
+    def test_gradients_with_repeats_and_partial_pixels(self):
+        # (1, 2) has channels 0 (twice, with different targets) and 2 but not 1;
+        # (3, 0) has channel 1 only; (0, 3) has all three
+        model = inr_init(3, 6, seed=8, k_spatial=2, grid_shape=(4, 4, 3))
+        coords = np.array([[1, 2, 0], [1, 2, 0], [1, 2, 2], [3, 0, 1],
+                           [0, 3, 0], [0, 3, 1], [0, 3, 2]], dtype=float)
+        targets = np.random.default_rng(9).normal(size=(7, 4))
+        assert worst_gradient_error(model, coords, targets) < 1e-4
+
+    def test_full_batch_loss_is_the_mse_over_valid_coordinates(self):
+        img = smooth_scene(6, 5, 3, np.random.default_rng(4))
+        img.mask = np.random.default_rng(5).uniform(size=img.mask.shape) > 0.4
+        img.mask[0, 0] = False  # a pixel with no valid channel
+        img.data[~img.mask] = np.nan  # masked channels weigh 0, whatever they hold
+        coords, targets = valid_coordinates(img)
+        reference = inr_init(3, 8, seed=6, grid_shape=(6, 5, 3))
+        want, _, _ = inr_loss_and_grads(reference, coords, targets)
+        model = inr_init(3, 8, seed=6)
+        _, report = inr_train(model, img, steps=3, lr=1e-3)
+        assert report.loss_curve[0][1] == pytest.approx(want, rel=1e-12)
+        assert np.isfinite(report.final_mse)
+
+    def test_batch_smaller_than_channels_trains_one_pixel_per_step(self):
+        img = smooth_scene(4, 4, 3, np.random.default_rng(6))
+        coords, targets = valid_coordinates(img)
+        start = inr_init(2, 8, seed=1, grid_shape=(4, 4, 3))
+        initial_mse, _, _ = inr_loss_and_grads(start, coords, targets)
+        per_pixel = [inr_loss_and_grads(start, coords[i:i + 3], targets[i:i + 3])[0]
+                     for i in range(0, len(coords), 3)]
+        model = inr_init(2, 8, seed=1)
+        model, report = inr_train(model, img, steps=300, lr=1e-2, batch_size=2, seed=0)
+        first = report.loss_curve[0][1]
+        assert min(abs(first - loss) for loss in per_pixel) < 1e-12 * first
+        assert report.final_mse < initial_mse

@@ -431,6 +431,92 @@ class TestCodecGeometryChecks:
             read_spsi(path)
 
 
+def patched(tmp_path, obj, at, fmt, value):
+    """Path of the container of ``obj`` with the field at byte ``at`` set to ``value``."""
+    path = tmp_path / "patched.spsi"
+    write_spsi(path, obj)
+    blob = bytearray(path.read_bytes())
+    assert struct.unpack_from(fmt, blob, at)[0] != value
+    struct.pack_into(fmt, blob, at, value)
+    path.write_bytes(bytes(blob))
+    return path
+
+
+class TestNetworkChecks:
+    # (byte offset, struct format, contradicting value, message): the header
+    # fields come first; the hyper-parameters (layers, width, k_spatial,
+    # k_channel IIII), the grid flag (B) and the tensor count (I) follow the
+    # one-entry wavelength table.  Each patch keeps every size consistent.
+    FIELDS = HEADER.size + 4
+    CASES = [
+        (8, "<I", 0, "grid"),  # grid width
+        (12, "<I", 0, "grid"),  # grid height
+        (FIELDS, "<I", 3, "tensor count"),  # layers: 3 tensors for 3 blocks + head
+        (FIELDS + 4, "<I", 5, "shapes"),  # hidden width
+        (FIELDS + 8, "<I", 2, "shapes"),  # k_spatial
+        (FIELDS + 12, "<I", 0, "shapes"),  # k_channel
+        (FIELDS + 16, "<B", 0, "grid"),  # grid flag cleared under a 2 x 2 x 1 grid
+    ]
+
+    @pytest.mark.parametrize("offset,fmt,value,message", CASES)
+    def test_contradicting_field_is_rejected(self, tmp_path, offset, fmt, value, message):
+        path = patched(tmp_path, small_container("network"), offset, fmt, value)
+        with pytest.raises(ContainerError, match=message):
+            read_spsi(path)
+
+    def test_grid_flag_without_a_grid_is_rejected(self, tmp_path):
+        model = inr_init(2, 4, seed=1, k_spatial=1)  # no grid: the header dims are 0
+        path = patched(tmp_path, model, HEADER.size + 16, "<B", 1)
+        with pytest.raises(ContainerError, match="grid"):
+            read_spsi(path)
+
+
+def flag_offsets(obj, blob):
+    """{flag name: (byte offset, value written)} of every presence flag of a container."""
+    table_end = HEADER.size + 4 * struct.unpack_from("<H", blob, 16)[0]
+    if isinstance(obj, RawCapture):
+        # frame count (I), tags (II each), layout (16 u1 + 3 x 16 f8), levels (dd), exposure (d)
+        tags = table_end + 4
+        layout = tags + 1 + (0 if obj.tags is None else 8 * len(obj.tags))
+        shared = layout + 1 + (0 if obj.layout is None else 400) + 16 + 8
+        return {"has_tags": (tags, obj.tags is not None),
+                "has_layout": (layout, obj.layout is not None),
+                "shared": (shared, obj.config.shared)}
+    if isinstance(obj, (PcaCodebook, PcaEncoding)):
+        at = codec_offsets(obj)
+        return {"has_geometry": (at["geometry"] - 1, True),
+                "has_enc": (at["grid"] - 1, isinstance(obj, PcaEncoding))}
+    return {"has_grid": (table_end + 16, obj.grid_shape is not None)}
+
+
+class TestPresenceFlags:
+    CASES = [("raw", "has_tags"), ("raw", "has_layout"), ("raw", "shared"),
+             ("mosaic", "has_tags"), ("mosaic", "has_layout"), ("mosaic", "shared"),
+             ("codebook", "has_geometry"), ("codebook", "has_enc"),
+             ("encoding", "has_geometry"), ("encoding", "has_enc"), ("network", "has_grid")]
+
+    @pytest.mark.parametrize("kind,flag", CASES)
+    def test_flag_other_than_0_or_1_is_rejected(self, tmp_path, kind, flag):
+        obj = small_container(kind)
+        path = tmp_path / "whole.spsi"
+        write_spsi(path, obj)
+        blob = path.read_bytes()
+        at, value = flag_offsets(obj, blob)[flag]
+        assert blob[at] == value
+        with pytest.raises(ContainerError, match="flag byte 2"):
+            read_spsi(patched(tmp_path, obj, at, "<B", 2))
+
+    def test_calibration_kind_above_2_is_rejected(self, tmp_path):
+        scene = random_scene(2, 2, 1, np.random.default_rng(7), wavelengths=[550.0])
+        raw = simulate_hyperspectral(scene, default_qwp_angles(), calibration=np.eye(4))
+        path = tmp_path / "raw.spsi"
+        write_spsi(path, raw)
+        # kind (B), matrix count (I) and one 4 x 4 f8 matrix precede the frames
+        at = len(path.read_bytes()) - raw.frames.nbytes - 128 - 4 - 1
+        with pytest.raises(ContainerError, match="flag byte 3"):
+            read_spsi(patched(tmp_path, raw, at, "<B", 3))
+
+
 KINDS = ["cube", "raw", "mosaic", "codebook", "encoding", "network"]
 
 
