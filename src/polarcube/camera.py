@@ -494,10 +494,7 @@ def mosaic_split(frame: np.ndarray) -> np.ndarray:
     if frame.ndim != 2 or frame.shape[0] % 4 or frame.shape[1] % 4:
         raise DimensionError("mosaic frame dimensions must be 2-D and divisible by 4")
     h, w = frame.shape[0] // 4, frame.shape[1] // 4
-    segments = np.empty((16, h, w), dtype=frame.dtype)
-    for k in range(16):
-        segments[k] = frame[k // 4 :: 4, k % 4 :: 4]
-    return segments
+    return frame.reshape(h, 4, w, 4).transpose(1, 3, 0, 2).copy().reshape(16, h, w)
 
 
 def mosaic_merge(segments: np.ndarray) -> np.ndarray:
@@ -506,58 +503,54 @@ def mosaic_merge(segments: np.ndarray) -> np.ndarray:
     if segments.shape[0] != 16:
         raise DimensionError("expected 16 segments")
     h, w = segments.shape[1], segments.shape[2]
-    frame = np.empty((4 * h, 4 * w), dtype=segments.dtype)
-    for k in range(16):
-        frame[k // 4 :: 4, k % 4 :: 4] = segments[k]
-    return frame
+    return segments.reshape(4, 4, h, w).transpose(2, 0, 3, 1).copy().reshape(4 * h, 4 * w)
 
 
-def _linear_resample(values: np.ndarray, anchors: np.ndarray, length: int) -> np.ndarray:
-    """Linear interpolation along the last axis with edge extrapolation.
+def _weights(offset: int, n: int, absolute: bool):
+    """Indices and weights of the two samples, at ``offset + 4i``, behind positions 0..4n-1."""
+    x = np.arange(4 * n, dtype=float)
+    lo = np.clip((x - offset) // 4, 0, max(n - 2, 0)).astype(int)
+    t = (x - offset - 4 * lo) / 4 if n > 1 else np.zeros_like(x)
+    a, b = (np.abs(1 - t), np.abs(t)) if absolute else (1 - t, t)
+    return lo, np.minimum(lo + 1, n - 1), a, b
 
-    Exact (bit-for-bit) at the anchor positions and exact on affine
-    signals everywhere, including beyond the outermost anchors.
+
+def _upsample(segments: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """Separable linear upsampling of the 16 segments into (16, H, W) planes.
+
+    Segment K's samples sit at rows ``K // 4 + 4r`` and columns
+    ``K % 4 + 4c`` of plane K.  Columns, then rows, weigh the two nearest
+    samples linearly and extrapolate past the outermost ones, where one
+    weight is negative; ``absolute`` takes the weights' magnitudes.
     """
-    if anchors.size == 1:
-        return np.repeat(values, length, axis=-1)
-    x = np.arange(length, dtype=float)
-    idx = np.clip(np.searchsorted(anchors, x, side="right") - 1, 0, anchors.size - 2)
-    x0, x1 = anchors[idx], anchors[idx + 1]
-    t = (x - x0) / (x1 - x0)
-    return values[..., idx] * (1.0 - t) + values[..., idx + 1] * t
+    h, w = segments.shape[1:]
+    full = np.empty((16, 4 * h, 4 * w))
+    for k, plane in enumerate(full):
+        c0, c1, ca, cb = _weights(k % 4, w, absolute)
+        r0, r1, ra, rb = _weights(k // 4, h, absolute)
+        up = segments[k][:, c0] * ca + segments[k][:, c1] * cb
+        np.multiply(up[r0], ra[:, None], out=plane)
+        plane += up[r1] * rb[:, None]
+    return full
 
 
 def demosaic(segments: np.ndarray) -> np.ndarray:
     """Bilinearly upsample the 16 segments back to full resolution.
 
-    Returns (H, W, 16); plane K holds segment K's intensities at every
-    full-resolution pixel, with original sample sites preserved exactly.
+    Returns (16, H, W) frames; plane K holds segment K's intensities at
+    every pixel, with original sample sites preserved exactly.
     """
     segments = np.asarray(segments, dtype=float)
     if segments.ndim != 3 or segments.shape[0] != 16:
         raise DimensionError("expected (16, H/4, W/4) segments of equal dims")
-    h, w = segments.shape[1], segments.shape[2]
-    full = np.empty((4 * h, 4 * w, 16))
-    for k in range(16):
-        i, j = k // 4, k % 4
-        rows = i + 4.0 * np.arange(h)
-        cols = j + 4.0 * np.arange(w)
-        up_cols = _linear_resample(segments[k], cols, 4 * w)
-        up = _linear_resample(up_cols.T, rows, 4 * h).T
-        full[:, :, k] = up
-    return full
+    return _upsample(segments)
 
 
 def demosaic_footprint(flags: np.ndarray) -> np.ndarray:
     """Where ``demosaic`` gives flagged samples of a mosaic frame nonzero weight.
 
-    Plane K of the (H, W, 16) result marks the pixels whose plane-K value
-    uses a flagged sample of segment K.  Border extrapolation makes some
-    weights negative, so 0/1 flags could cancel; instead the four samples
-    behind a pixel, which differ in superpixel row and column parity, are
-    flagged 1, 100, 100**2 or 100**3.  As every weight is a multiple of
-    1/16 no larger than 49/16, their terms cannot cancel.
+    Plane K of the (16, H, W) result marks the pixels whose plane-K value
+    uses a flagged sample of segment K: the same interpolation on 0/1
+    flags with the weights' magnitudes, whose terms cannot cancel.
     """
-    n, m = np.indices(np.shape(flags)) // 4
-    weighted = np.where(flags, 100.0 ** (2 * (n % 2) + m % 2), 0.0)
-    return demosaic(mosaic_split(weighted)) != 0
+    return _upsample(mosaic_split(np.asarray(flags, dtype=float)), absolute=True) != 0

@@ -214,6 +214,8 @@ def inr_loss_and_grads(model: InrModel, coords, targets):
     targets = np.asarray(targets, dtype=model.dtype)
     if coords.ndim != 2 or coords.shape[1] != 3 or targets.shape != (coords.shape[0], 4):
         raise DimensionError("coords must be (B, 3) and targets (B, 4)")
+    if coords.shape[0] == 0:
+        raise EmptySelectionError("no coordinates to fit")
     enc_sp, enc_ch, pix, ch = _grid(model, coords[:, 0], coords[:, 1], coords[:, 2])
     out, acts = _forward(model, enc_sp, enc_ch, want_cache=True)
     diff = out[pix, ch] - targets

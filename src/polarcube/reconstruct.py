@@ -160,20 +160,21 @@ def reconstruct_image(
 
     A pixel/channel is valid when its estimate passes the degree of
     polarization bound and no contributing intensity sample was
-    saturated or underexposed.  Sequential captures take each channel's
-    samples from the tagged frames; mosaic captures from the demosaiced
-    segment planes, where a bad raw sample taints every pixel its
-    interpolation reaches.
+    saturated or underexposed.  Both cameras solve from a stack of
+    (N, H, W) sample frames: a sequential capture's own frames, picked
+    per channel by its tags, or a mosaic frame demosaiced into its 16
+    segment planes, picked per color by the layout's cells.  A bad raw
+    mosaic sample taints every pixel its interpolation reaches.
     """
     config = config or raw.config
-    bad = _bad_pixel_mask(raw.frames, raw.saturation_level, raw.black_level)
+    samples = raw.frames
+    bad = _bad_pixel_mask(samples, raw.saturation_level, raw.black_level)
     if raw.layout is None:
         indices = _frame_indices(raw, config)
-        samples = raw.frames
     else:
         indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
-        bad = np.moveaxis(demosaic_footprint(bad[0]), -1, 0)
-        samples = np.moveaxis(demosaic(mosaic_split(raw.frames[0])), -1, 0)
+        bad = demosaic_footprint(bad[0])
+        samples = demosaic(mosaic_split(samples[0]))
 
     h, w = raw.height, raw.width
     data = np.empty((h, w, len(indices), 4))
@@ -256,22 +257,22 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
     joint = reference.mask & test.mask
     if not joint.any():
         raise EmptySelectionError("no jointly valid pixels to compare")
+    peak = float(reference.data[..., 0].max(where=joint, initial=-np.inf))
     sq = test.data - reference.data
     sq *= sq
-    peak = float(reference.data[..., 0][joint].max())
-    joint_sq = sq[joint]
-    mse = float(np.mean(joint_sq))
-    element_mse = np.mean(joint_sq, axis=0)
-    element_psnr = np.array([_psnr(peak, m) for m in element_mse])
-    channel_psnr = np.empty(reference.channels)
-    for c in range(reference.channels):
-        sel = joint[:, :, c]
-        channel_psnr[c] = _psnr(peak, float(np.mean(sq[:, :, c][sel]))) if sel.any() else np.nan
+    np.copyto(sq, 0.0, where=~joint[..., None])
+    sums = sq.sum(axis=(0, 1))  # (C, 4) squared errors over jointly valid pixels
+    counts = np.count_nonzero(joint, axis=(0, 1))
+    n = int(counts.sum())
+    mse = float(sums.sum()) / (4 * n)
+    element_psnr = np.array([_psnr(peak, float(e) / n) for e in sums.sum(axis=0)])
+    channel_psnr = np.array([_psnr(peak, float(s) / (4 * k)) if k else np.nan
+                             for s, k in zip(sums.sum(axis=1), counts)])
     return QualityReport(
         mse=mse,
         psnr=_psnr(peak, mse),
         element_psnr=element_psnr,
         channel_psnr=channel_psnr,
-        valid_fraction=float(np.count_nonzero(joint)) / joint.size,
+        valid_fraction=n / joint.size,
         peak=peak,
     )

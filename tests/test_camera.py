@@ -186,8 +186,9 @@ class TestDemosaic:
     def test_constant_segments_stay_constant(self):
         segments = np.ones((16, 4, 4)) * np.arange(16)[:, None, None]
         full = demosaic(segments)
+        assert full.shape == (16, 16, 16)
         for k in range(16):
-            assert np.allclose(full[:, :, k], k, atol=1e-12)
+            assert np.allclose(full[k], k, atol=1e-12)
 
     def test_affine_ramp_reproduced_exactly(self):
         h, w = 6, 5
@@ -197,7 +198,7 @@ class TestDemosaic:
         segments = mosaic_split(ramp)
         full = demosaic(segments)
         for k in range(16):
-            assert np.max(np.abs(full[:, :, k] - ramp)) < 1e-12
+            assert np.max(np.abs(full[k] - ramp)) < 1e-12
 
     def test_sample_sites_preserved_bit_exactly(self):
         frame = RNG.normal(size=(16, 16))
@@ -205,13 +206,16 @@ class TestDemosaic:
         full = demosaic(segments)
         for k in range(16):
             i, j = k // 4, k % 4
-            assert np.array_equal(full[i::4, j::4, k], segments[k])
+            assert np.array_equal(full[k, i::4, j::4], segments[k])
 
-    def test_footprint_matches_impulse_responses(self):
-        flags = np.random.default_rng(0).uniform(size=(16, 16)) < 0.3
-        expected = np.zeros((16, 16, 16), dtype=bool)
+    @pytest.mark.parametrize("shape", [(4, 4), (4, 16), (12, 8), (16, 16)],
+                             ids=lambda shape: "x".join(map(str, shape)))
+    def test_footprint_matches_impulse_responses(self, shape):
+        # (4, 4) and (4, 16) have one-sample segments; every shape extrapolates at its borders
+        flags = np.random.default_rng(0).uniform(size=shape) < 0.3
+        expected = np.zeros((16,) + shape, dtype=bool)
         for n, m in zip(*np.nonzero(flags)):
-            impulse = np.zeros((16, 16))
+            impulse = np.zeros(shape)
             impulse[n, m] = 1.0
             expected |= demosaic(mosaic_split(impulse)) != 0
         assert np.array_equal(demosaic_footprint(flags), expected)

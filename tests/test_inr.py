@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcube import (
+    EmptySelectionError,
     TrainingDivergedError,
     inr_decode,
     inr_forward,
@@ -100,6 +103,13 @@ class TestGradients:
                     denom = max(abs(fd), abs(flat_g[idx]), 1e-8)
                     worst = max(worst, abs(fd - flat_g[idx]) / denom)
         assert worst < 1e-4
+
+    def test_empty_coordinates_rejected_without_warnings(self):
+        model = inr_init(2, 4, seed=0, grid_shape=(2, 2, 1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EmptySelectionError):
+                inr_loss_and_grads(model, np.zeros((0, 3)), np.zeros((0, 4)))
 
     def test_last_layer_descent_is_monotone(self):
         # training only the linear output head is a convex problem, so

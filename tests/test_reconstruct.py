@@ -12,14 +12,19 @@ from polarcube import (
     MeasurementConfig,
     MosaicLayout,
     NoiseModel,
+    RawCapture,
     StokesImage,
     burst_average,
     default_qwp_angles,
+    demosaic,
     median_filter,
+    mosaic_split,
     quality,
     random_scene,
     reconstruct_image,
     simulate_hyperspectral,
+    simulate_trichromatic,
+    smooth_scene,
     solve_stokes,
     solve_stokes_per_pixel,
     system_matrix,
@@ -151,6 +156,22 @@ class TestReconstructImage:
         raw = simulate_hyperspectral(scene, default_qwp_angles(), noise=noise)
         cube = reconstruct_image(raw)
         assert cube.valid_fraction() >= 0.99
+
+    def test_mosaic_reconstructs_as_its_demosaiced_sequential_capture(self):
+        # plane K of the demosaiced mosaic is the frame of cell K's (color, config index)
+        scene = smooth_scene(16, 12, 3, np.random.default_rng(10))
+        mosaic = simulate_trichromatic(scene)
+        layout = mosaic.layout
+        tags = [None] * 16
+        for color in range(3):
+            for i, (k, _) in enumerate(layout.cells_for_color(color)):
+                tags[k] = (color, i)
+        sequential = RawCapture(demosaic(mosaic_split(mosaic.frames[0])),
+                                layout.capture_config(), tags=tags)
+        want, got = reconstruct_image(mosaic), reconstruct_image(sequential)
+        assert np.array_equal(got.data, want.data)
+        assert np.array_equal(got.mask, want.mask)
+        assert 0 < want.mask.sum()
 
     def test_missing_frames_rejected(self):
         scene = random_scene(4, 4, 2, RNG, wavelengths=[500.0, 600.0])
@@ -302,6 +323,23 @@ class TestQuality:
         for e in range(4):
             mse_e = np.mean((test[..., e][joint] - ref[..., e][joint]) ** 2)
             assert report.element_psnr[e] == pytest.approx(10 * np.log10(peak**2 / mse_e))
+
+    def test_channel_psnr_matches_recomputation_and_empty_channel_is_nan(self):
+        rng = np.random.default_rng(12)
+        ref = rng.uniform(0.1, 1.0, size=(5, 7, 3, 4))
+        test = ref + rng.normal(scale=0.01, size=ref.shape)
+        mask = rng.uniform(size=(5, 7, 3)) > 0.2
+        mask[:, :, 1] = False
+        ref[~mask] = np.nan  # values outside the joint mask do not count
+        report = quality(StokesImage(ref, None, mask), StokesImage(test))
+        peak = ref[mask][:, 0].max()
+        assert report.peak == peak
+        assert report.mse == pytest.approx(np.mean((test[mask] - ref[mask]) ** 2), rel=1e-12)
+        for c in (0, 2):
+            sel = mask[:, :, c]
+            mse_c = np.mean((test[:, :, c][sel] - ref[:, :, c][sel]) ** 2)
+            assert report.channel_psnr[c] == pytest.approx(10 * np.log10(peak**2 / mse_c))
+        assert np.isnan(report.channel_psnr[1])
 
     def test_no_jointly_valid_pixels_rejected(self):
         data = RNG.uniform(0.1, 1.0, size=(4, 4, 1, 4))
