@@ -59,12 +59,11 @@ def extract_patches(img: StokesImage, patch_size: int, element: int | None = Non
 class PcaCodebook:
     """Mean + orthonormal basis + per-basis standard deviations.
 
-    ``sigma`` is sorted non-increasing (singular values / sqrt(N - 1));
-    ``total_variance`` sums sigma^2 over the full spectrum of the fit, so
-    variance proportions are meaningful even for truncated codebooks.
-    The patch geometry (``patch_size``, ``channels``, ``element``) is set
-    when the codebook was fit from image patches; it is the one home of
-    that geometry, and it must agree with the dimension it implies.
+    ``sigma`` is sorted non-increasing; a sigma near 0 is accurate to about
+    sqrt(eps) * sigma[0] only.  ``total_variance`` is the trace of the fit's
+    covariance, so variance proportions hold for truncated codebooks too.
+    The patch geometry (``patch_size``, ``channels``, ``element``) of a codebook
+    fit from image patches lives here alone and must agree with its dimension.
     """
 
     mean: np.ndarray
@@ -106,9 +105,11 @@ def pca_fit(patches: np.ndarray, k: int, *, patch_size=None, channels=None,
             element=None) -> PcaCodebook:
     """Fit a K-basis codebook to an (N, D) patch matrix.
 
-    The basis holds the top-K right singular directions of the centered
-    matrix; each column's sign is fixed so its largest-magnitude entry is
-    positive, making fits reproducible.
+    The basis holds the top-K eigenvectors of C^T C for the centered C or,
+    when N < D, the Q factor of C^T U for the top-K eigenvectors U of C C^T,
+    which also completes it where an eigenvalue is about 0 (the last for
+    K = N: centering removes a rank).  Each column's largest entry in
+    magnitude is positive.  Non-finite patches raise DimensionError.
     """
     patches = np.asarray(patches, dtype=float)
     if patches.ndim != 2:
@@ -116,17 +117,18 @@ def pca_fit(patches: np.ndarray, k: int, *, patch_size=None, channels=None,
     n, d = patches.shape
     if not 1 <= k <= min(n, d):
         raise DimensionError(f"need 1 <= k <= min(N, D) = {min(n, d)}, got {k}")
-    mean = patches.mean(axis=0)
-    centered = patches - mean
-    _, sv, vt = np.linalg.svd(centered, full_matrices=False)
-    basis = vt[:k].T.copy()
-    for j in range(k):
-        lead = np.argmax(np.abs(basis[:, j]))
-        if basis[lead, j] < 0:
-            basis[:, j] = -basis[:, j]
+    with np.errstate(invalid="ignore", over="ignore"):  # non-finite input is raised below
+        mean = patches.mean(axis=0)
+        centered = patches - mean
+        gram = centered @ centered.T if n < d else centered.T @ centered
     denom = max(n - 1, 1)
-    sigma = sv[:k] / np.sqrt(denom)
-    total = float(np.sum(sv**2) / denom)
+    total = float(np.trace(gram)) / denom
+    if not np.isfinite(total):
+        raise DimensionError(f"patch matrix holds non-finite values (variance {total})")
+    eigenvalues, vectors = (a[..., : -k - 1 : -1] for a in np.linalg.eigh(gram))  # top K
+    basis = np.linalg.qr(centered.T @ vectors)[0] if n < d else vectors.copy()
+    basis *= np.sign(basis[np.argmax(np.abs(basis), axis=0), np.arange(k)])
+    sigma = np.sqrt(np.maximum(eigenvalues, 0.0)) / np.sqrt(denom)
     return PcaCodebook(mean, basis, sigma, total, patch_size, channels, element)
 
 

@@ -168,6 +168,21 @@ class TestCodecCommands:
         assert summary["mse"] >= 0
         assert summary["bpp_with_codebook"] > summary["bpp_coefficients"]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_cube_is_numerical_error(self, capsys, tmp_path, bad):
+        cube_path = str(tmp_path / "cube.spsi")
+        img = random_scene(8, 8, 2, np.random.default_rng(3))
+        img.data[5, 2, 1, 0] = bad
+        write_spsi(cube_path, img)
+        out = tmp_path / "codebook.spsi"
+        code, _, _, err = run_cli(capsys, "pca-fit", cube_path, "--patch", "2", "--bases", "4",
+                                  "--out", str(out))
+        assert code == 4
+        error = json.loads(err)
+        assert error["class"] == "numerical"
+        assert "non-finite" in error["error"]
+        assert not out.exists()
+
     @pytest.mark.parametrize("element", [0, 3])
     def test_single_element_codebook_is_config_error(self, capsys, tmp_path, element):
         cube_path = str(tmp_path / "cube.spsi")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from polarcube import (
     EmptySelectionError,
     TrainingDivergedError,
+    inr,
     inr_decode,
     inr_forward,
     inr_init,
@@ -160,6 +161,48 @@ class TestTraining:
         model = inr_init(2, 16, seed=2)
         model, report = inr_train(model, img, steps=400, lr=0.1)
         assert report.final_mse < 1e-6
+
+
+class ReferenceAdam:
+    """The optimizer step written as whole-array expressions, temporaries and all."""
+
+    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, params, grads, lr):
+        self.t += 1
+        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+
+
+class TestAdam:
+    # The cosine rate is a numpy float64, so a float32 network's update is
+    # taken in float64; the constant rate is a Python float and keeps float32.
+    @pytest.mark.parametrize("dtype, schedule", [
+        (np.float32, "cosine"), (np.float32, "constant"), (np.float64, "cosine"),
+    ])
+    def test_weights_bit_identical_to_the_reference(self, monkeypatch, dtype, schedule):
+        target = smooth_scene(64, 64, 3, np.random.default_rng(4))
+
+        def train():  # the codec benchmark's network, 20 steps
+            model = inr_init(4, 64, seed=1, dtype=dtype)
+            return inr_train(model, target, 20, lr=1e-2, batch_size=4096, seed=1,
+                             schedule=schedule)[0]
+
+        got = train()
+        monkeypatch.setattr(inr, "_Adam", ReferenceAdam)
+        want = train()
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.dtype == b.dtype == dtype
+            assert np.array_equal(a, b)
 
 
 class TestDecode:

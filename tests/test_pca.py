@@ -16,6 +16,7 @@ from polarcube import (
     pca_fit_image,
     pca_rate_curve,
     random_scene,
+    smooth_scene,
     truncate_codebook,
     variance_spectrum,
 )
@@ -101,6 +102,53 @@ class TestPcaFit:
     def test_k_out_of_range_rejected(self):
         with pytest.raises(DimensionError):
             pca_fit(RNG.normal(size=(10, 5)), 6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(8, 20), (20, 8)], ids=["N<D", "N>D"])
+    def test_non_finite_patches_rejected(self, shape, bad):
+        data = RNG.normal(size=shape)
+        data[3, 5] = bad
+        with pytest.raises(DimensionError, match="non-finite"):
+            pca_fit(data, 4)
+
+
+def codec_patches():
+    """The 144 x 8400 patch matrix of a 128^2 x 21 smooth scene, P = 10."""
+    return extract_patches(smooth_scene(128, 128, 21, np.random.default_rng(1)), 10)
+
+
+class TestSvdOracle:
+    """Both Gram sides against the SVD of the centered matrix."""
+
+    @pytest.mark.parametrize("n, d, k", [
+        (12, 40, 5),  # C C^T
+        (12, 40, 12),  # C C^T with K = N: the last direction has sigma about 0
+        (16, 16, 16),  # C^T C, square, also with a null direction
+        (40, 10, 6),  # C^T C
+        (100, 9, 9),  # C^T C with K = D
+        (144, 8400, 40),  # the codec reference
+    ])
+    def test_matches_the_svd_of_the_centered_matrix(self, n, d, k):
+        if d == 8400:
+            data = codec_patches()
+        else:
+            data = RNG.normal(size=(n, d)) * 0.8 ** np.arange(d) + RNG.normal(size=d)
+        cb = pca_fit(data, k)
+        _, sv, vt = np.linalg.svd(data - data.mean(axis=0), full_matrices=False)
+        full = sv / np.sqrt(n - 1)
+        want = full[:k]
+        assert np.max(np.abs(cb.basis.T @ cb.basis - np.eye(k))) < 1e-12
+        assert np.all(np.isfinite(cb.sigma)) and np.all(np.diff(cb.sigma) <= 0)
+        assert cb.total_variance == pytest.approx(np.sum(sv**2) / (n - 1), rel=1e-12)
+        # A Gram eigenvalue is off by about eps * sigma_1^2, so a small sigma
+        # is accurate to about sqrt(eps) * sigma_1 only.
+        sep = want >= 0.03 * want[0]
+        assert np.all(np.abs(cb.sigma[sep] - want[sep]) <= 1e-12 * want[sep])
+        # The span of the top j is pinned down where a 5 % gap in sigma follows it.
+        j = max(j for j in range(1, k + 1)
+                if sep[j - 1] and (j == full.size or full[j] <= 0.95 * full[j - 1]))
+        got_proj = cb.basis[:, :j] @ cb.basis[:, :j].T
+        assert np.linalg.norm(got_proj - vt[:j].T @ vt[:j]) < 1e-11
 
 
 class TestEncodeDecode:
