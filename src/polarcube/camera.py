@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .errors import ConfigurationError, DimensionError, SamplingGridError
 from .image import StokesImage
 from .stokes import lp_mueller, retarder_mueller
@@ -327,13 +328,21 @@ class NoiseModel:
 
 def add_noise(frame: np.ndarray, model: NoiseModel, stream: int = 0) -> np.ndarray:
     """Apply the noise model to one frame (deterministic per stream)."""
-    frame = np.asarray(frame, dtype=float)
-    variance = model.gaussian_sigma**2 + model.shot_gain * np.maximum(frame, 0.0)
+    return _add_noise(np.asarray(frame, dtype=float), model, stream)
+
+
+def _add_noise(frame, model, stream, out=None):
+    """``add_noise`` of a float frame, into ``out`` if given; a block may call it."""
     if model.gaussian_sigma == 0.0 and model.shot_gain == 0.0:
-        noisy = frame
-    else:
-        noisy = frame + np.sqrt(variance) * model.stream(stream).standard_normal(frame.shape)
-    return np.clip(noisy, model.black_level, model.saturation_level)
+        return np.clip(frame, model.black_level, model.saturation_level, out=out)
+    # frame + sqrt(sigma^2 + gain * max(frame, 0)) * draw, in place on the draw
+    noisy = model.stream(stream).standard_normal(frame.shape)
+    variance = np.maximum(frame, 0.0)
+    variance *= model.shot_gain
+    variance += model.gaussian_sigma**2
+    noisy *= np.sqrt(variance, out=variance)
+    noisy += frame
+    return np.clip(noisy, model.black_level, model.saturation_level, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +453,11 @@ def simulate_hyperspectral(
 
     sat, black = np.inf, -np.inf
     if noise is not None:
-        for k in range(len(frames)):
-            frames[k] = add_noise(frames[k], noise, stream=k)
+        def noisy(lo, hi):
+            for k in range(lo, hi):
+                _add_noise(frames[k], noise, k, out=frames[k])
+
+        _pool.blocks(noisy, len(frames), frames[0].size)
         sat, black = noise.saturation_level, noise.black_level
     wl = None
     if scene.wavelengths is not None and responses is None:
@@ -525,12 +537,19 @@ def _upsample(segments: np.ndarray, absolute: bool = False) -> np.ndarray:
     """
     h, w = segments.shape[1:]
     full = np.empty((16, 4 * h, 4 * w))
-    for k, plane in enumerate(full):
-        c0, c1, ca, cb = _weights(k % 4, w, absolute)
-        r0, r1, ra, rb = _weights(k // 4, h, absolute)
-        up = segments[k][:, c0] * ca + segments[k][:, c1] * cb
-        np.multiply(up[r0], ra[:, None], out=plane)
-        plane += up[r1] * rb[:, None]
+    rows = max(1, _pool.BLOCK_VALUES // (4 * w))  # row chunks keep temporaries block-sized
+
+    def planes(lo, hi):
+        for k in range(lo, hi):
+            c0, c1, ca, cb = _weights(k % 4, w, absolute)
+            r0, r1, ra, rb = _weights(k // 4, h, absolute)
+            up = segments[k][:, c0] * ca + segments[k][:, c1] * cb
+            for top in range(0, 4 * h, rows):
+                part = slice(top, top + rows)
+                np.multiply(up[r0[part]], ra[part, None], out=full[k, part])
+                full[k, part] += up[r1[part]] * rb[part, None]
+
+    _pool.blocks(planes, 16, full[0].size)
     return full
 
 

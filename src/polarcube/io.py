@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .camera import CaptureConfig, MeasurementConfig, MosaicLayout, RawCapture
 from .errors import ContainerError, LabelSchemaError
 from .image import NormalMapStack, ScalarCube, StokesImage
@@ -168,7 +169,13 @@ def _write_cube(obj) -> list:
     h, wd, c = data.shape[:3]
     wavelengths = getattr(obj, "wavelengths", None)
     w = _header(KIND_CUBE, wd, h, c, components, code, wavelengths)
-    w.array(data.transpose(2, 3, 0, 1), _DTYPES[code])
+    planes = np.empty((c, components, h, wd), _DTYPES[code])  # channel-major layout
+
+    def rows(lo, hi):
+        planes[:, :, lo:hi] = data[lo:hi].transpose(2, 3, 0, 1)
+
+    _pool.blocks(rows, h, data[:1].size)
+    w.array(planes, _DTYPES[code])
     w.array(np.packbits(mask.transpose(2, 0, 1).ravel()), "<u1")
     return w.chunks
 
@@ -177,17 +184,23 @@ def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wave
     if components not in (1, 3, 4):
         raise ContainerError(f"unsupported cube component count {components}")
     dtype = _DTYPES[dtype_code]
-    flat = r.array(channels * components * height * width, dtype)
-    data = flat.reshape(channels, components, height, width).transpose(2, 3, 0, 1)
+    planes = r.array(channels * components * height * width, dtype).reshape(
+        channels, components, height, width)
     bits = np.unpackbits(r.array((channels * height * width + 7) // 8, "<u1"),
                          count=channels * height * width)
     mask = bits.reshape(channels, height, width).transpose(1, 2, 0).astype(bool)
     r.done()
+    data = np.empty((height, width, channels, components), dtype)
+
+    def rows(lo, hi):
+        data[lo:hi] = planes[:, :, lo:hi].transpose(2, 3, 0, 1)
+
+    _pool.blocks(rows, height, data[:1].size)
     if components == 4:
-        return StokesImage(np.ascontiguousarray(data), wavelengths, mask)
+        return StokesImage(data, wavelengths, mask)
     if components == 3:
-        return NormalMapStack(np.ascontiguousarray(data))
-    return ScalarCube(np.ascontiguousarray(data[..., 0]), wavelengths, mask)
+        return NormalMapStack(data)
+    return ScalarCube(data[..., 0], wavelengths, mask)
 
 
 # ---------------------------------------------------------------------------

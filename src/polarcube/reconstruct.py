@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import _pool
 from .camera import CaptureConfig, RawCapture, demosaic, demosaic_footprint, mosaic_split
 from .errors import ConfigurationError, DimensionError, EmptySelectionError
 from .image import StokesImage
-from .stokes import DEFAULT_DOP_TOL, is_valid
+from .stokes import DEFAULT_DOP_TOL, _within_bound
 
 __all__ = [
     "QualityReport",
@@ -176,16 +177,24 @@ def reconstruct_image(
         bad = demosaic_footprint(bad[0])
         samples = demosaic(mosaic_split(samples[0]))
 
-    h, w = raw.height, raw.width
-    data = np.empty((h, w, len(indices), 4))
-    mask = np.empty((h, w, len(indices)), dtype=bool)
+    pinvs = []
     for c, idx in enumerate(indices):
         system = system_matrix(config, c)
         if len(idx) != system.m:
             raise DimensionError(f"channel {c} has {len(idx)} samples for {system.m} rows")
-        stokes = (system.pinv @ samples[idx].reshape(system.m, -1)).T.reshape(h, w, 4)
-        data[:, :, c, :] = stokes
-        mask[:, :, c] = is_valid(stokes, dop_tol) & ~bad[idx].any(axis=0)
+        pinvs.append(system.pinv)
+
+    h, w = raw.height, raw.width
+    data = np.empty((h, w, len(indices), 4))
+    mask = np.empty((h, w, len(indices)), dtype=bool)
+
+    def solve_rows(lo, hi):
+        for c, (idx, pinv) in enumerate(zip(indices, pinvs)):
+            stokes = (pinv @ samples[idx, lo:hi].reshape(len(idx), -1)).T.reshape(hi - lo, w, 4)
+            data[lo:hi, :, c, :] = stokes
+            mask[lo:hi, :, c] = _within_bound(stokes, dop_tol) & ~bad[idx, lo:hi].any(axis=0)
+
+    _pool.blocks(solve_rows, h, w * max(map(len, indices)))  # one channel's samples per row
     return StokesImage(data, raw.wavelengths, mask)
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from .errors import DecompositionError, UndefinedFeatureError
 
 __all__ = [
@@ -159,6 +160,9 @@ def _split(s):
     return s, s[..., 0]
 
 
+_KERNEL_NAMES = ("s1n", "s2n", "s3n", "docp", "cop", "pol", "rho", "dolp", "chi", "psi")
+
+
 def _kernel(s, name, valid=True):
     """Feature ``name`` of Stokes vectors ``s`` where defined, zero elsewhere.
 
@@ -167,11 +171,30 @@ def _kernel(s, name, valid=True):
     (P = sqrt(s1^2 + s2^2 + s3^2)) or ``"s1n"``/``"s2n"``/``"s3n"``
     (s_i / s0).  Entries are computed where ``valid`` (any boolean
     broadcasting against s0) and s0 > 0 hold, and for ``"psi"`` also
-    L > 0.  Returns ``(values, defined)`` with that narrowed mask.
+    L > 0.  Returns ``(values, defined)`` with that narrowed mask.  The
+    work runs in blocks of the leading axis.
     """
+    if name not in _KERNEL_NAMES:
+        raise ValueError(f"unknown polarimetric quantity {name!r}")
+    out = np.zeros(s.shape[:-1])
+    defined = np.empty(out.shape, dtype=bool)
+    valid = np.broadcast_to(valid, out.shape)
+
+    def block(lo, hi):
+        _formula(s[lo:hi], name, valid[lo:hi], out[lo:hi], defined[lo:hi])
+
+    if out.ndim == 0:
+        _formula(s, name, valid, out, defined)
+    else:
+        _pool.blocks(block, len(out), int(np.prod(s.shape[1:])))
+    return out[()], defined[()]
+
+
+def _formula(s, name, given, out, valid):
+    """``_kernel`` of one block into its slices: ``out`` (zeros) and ``valid``."""
     s0, s1, s2, s3 = s[..., 0], s[..., 1], s[..., 2], s[..., 3]
-    valid = valid & (s0 > 0.0)
-    out = np.zeros(s0.shape)
+    np.greater(s0, 0.0, out=valid)
+    valid &= given
     if name in ("s1n", "s2n", "s3n"):
         np.divide(s[..., int(name[1])], s0, out=out, where=valid)
     elif name == "docp":
@@ -188,15 +211,12 @@ def _kernel(s, name, valid=True):
     elif name == "chi":
         np.arctan2(s3, np.sqrt(s1 * s1 + s2 * s2), out=out, where=valid)
         out *= 0.5
-    elif name == "psi":
+    else:  # psi
         valid &= s1 * s1 + s2 * s2 > 0.0
         np.arctan2(s2, s1, out=out, where=valid)
         out *= 0.5
         # map the branch cut -pi/2 onto +pi/2 so psi lies in (-pi/2, pi/2]
         out[out <= -np.pi / 2] += np.pi
-    else:
-        raise ValueError(f"unknown polarimetric quantity {name!r}")
-    return out[()], valid
 
 
 def features(s) -> PolarimetricFeatures:
@@ -234,9 +254,13 @@ def decompose(s, tol: float = DEFAULT_DOP_TOL):
 
 def is_valid(s, tol: float = DEFAULT_DOP_TOL):
     """True where s0 > 0 and the degree of polarization is <= 1 + tol."""
-    s, s0 = _split(s)
+    return _within_bound(_split(s)[0], tol)
+
+
+def _within_bound(s, tol):
+    """``is_valid`` of float Stokes vectors; a block may call it."""
     pol, positive = _kernel(s, "pol")
-    return positive & (pol <= (1.0 + tol) * s0)
+    return positive & (pol <= (1.0 + tol) * s[..., 0])
 
 
 def normalize(s) -> np.ndarray:

@@ -339,6 +339,39 @@ class TestPoincareDensity:
         grid = poincare_density([img], plane="s1-s2")
         assert grid.density.max() == 1.0
 
+    @pytest.mark.parametrize("grid", [1, 2, 7, 101, 201])
+    def test_counts_equal_histogram2d_on_edges_and_non_finite_values(self, grid):
+        # Every bin edge, its two neighbouring floats, +-1 and the non-finite
+        # values, paired in all combinations: the binning must agree with
+        # np.histogram2d exactly, including the closed last bin.
+        edges = np.linspace(-1.0, 1.0, grid + 1)
+        near = np.concatenate([edges, np.nextafter(edges, -2.0), np.nextafter(edges, 2.0),
+                               [np.nan, np.inf, -np.inf, 0.3]])
+        x, y = (a.ravel() for a in np.meshgrid(near, near))
+        data = np.zeros((x.size, 1, 1, 4))
+        data[:, 0, 0, 0] = 1.0
+        data[:, 0, 0, 1], data[:, 0, 0, 2] = x, y
+        with np.errstate(invalid="ignore"):
+            got = poincare_density([StokesImage(data)], plane="s1-s2", grid=grid)
+            want, want_x, want_y = np.histogram2d(x, y, bins=grid, range=[(-1, 1), (-1, 1)])
+        assert got.counts.dtype == want.dtype
+        np.testing.assert_array_equal(got.counts, want)
+        np.testing.assert_array_equal(got.x_edges, want_x)
+        np.testing.assert_array_equal(got.y_edges, want_y)
+
+    def test_counts_equal_histogram2d_on_a_random_scene(self):
+        img = random_scene(48, 40, 3, np.random.default_rng(23))
+        x, y = normalize(img.data)[..., :2][img.mask].T
+        got = poincare_density([img], plane="s1-s2", grid=37)
+        want, _, _ = np.histogram2d(x, y, bins=37, range=[(-1, 1), (-1, 1)])
+        np.testing.assert_array_equal(got.counts, want)
+
+    @pytest.mark.parametrize("grid", [0, -3])
+    def test_grid_below_one_rejected(self, grid):
+        img = constant_image((1.0, 0.5, 0.0, 0.0))
+        with pytest.raises(ValueError, match="grid"):
+            poincare_density([img], grid=grid)
+
 
 class TestDocpDistribution:
     def test_circular_mass_at_one(self):

@@ -248,6 +248,19 @@ class TestNoise:
         want = 0.03**2 + 0.002 * level
         assert np.var(noisy - frame) == pytest.approx(want, rel=0.05)
 
+    def test_bits_equal_the_written_out_model(self):
+        # clip(frame + sqrt(sigma^2 + gain * max(frame, 0)) * draw), with some
+        # samples below 0 and some clipped at either level.
+        frame = RNG.uniform(-0.1, 1.1, size=(40, 24))
+        model = NoiseModel(gaussian_sigma=0.03, shot_gain=0.01, saturation_level=0.9,
+                           black_level=0.05, rng_seed=13)
+        draw = model.stream(4).standard_normal(frame.shape)
+        want = np.clip(frame + np.sqrt(model.gaussian_sigma**2 + model.shot_gain
+                                       * np.maximum(frame, 0.0)) * draw, 0.05, 0.9)
+        got = add_noise(frame, model, stream=4)
+        assert got.tobytes() == want.tobytes()
+        assert (got == 0.05).any() and (got == 0.9).any()
+
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma=-0.1)
