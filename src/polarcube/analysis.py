@@ -15,7 +15,8 @@ import numpy as np
 from .errors import DimensionError, EmptySelectionError
 from .image import NormalMapStack, StokesImage
 from .labels import LabelFilter
-from .stokes import _kernel
+from . import _pool
+from .stokes import _formula, _kernel
 
 __all__ = [
     "DensityGrid",
@@ -71,9 +72,7 @@ class Histogram:
             raise EmptySelectionError(f"no samples for {label} histogram")
         if value_range is None:
             value_range = (float(samples.min()), float(samples.max()))
-        if value_range[0] == value_range[1]:
-            value_range = (value_range[0] - 1.0, value_range[1] + 1.0)
-        counts, edges = np.histogram(samples, bins=bins, range=value_range)
+        counts, edges = np.histogram(samples, bins=bins, range=_widened(value_range))
         return cls(edges, counts, label, unit)
 
 
@@ -95,17 +94,26 @@ class DensityGrid:
         return self.counts / peak
 
 
+_NO_PIXELS = "no valid pixels after filtering"
+
+
 def _select(images, labels, label_filter):
+    """Indices of the images whose labels pass the filter; images are not indexed."""
     if labels is None:
         labels = [None] * len(images)
     if len(labels) != len(images):
         raise DimensionError("need one label set per image")
     if label_filter is None:
         label_filter = LabelFilter()
-    chosen = [img for img, lab in zip(images, labels) if label_filter.matches(lab)]
+    chosen = [i for i, lab in enumerate(labels) if label_filter.matches(lab)]
     if not chosen:
         raise EmptySelectionError("label filter matched no images")
     return chosen
+
+
+def _check_feature(feature):
+    if feature not in FEATURES:
+        raise ValueError(f"unknown feature {feature!r}; expected one of {FEATURES}")
 
 
 def feature_plane(img: StokesImage, feature: str):
@@ -118,23 +126,169 @@ def feature_plane(img: StokesImage, feature: str):
     valid where the mask holds and s0 > 0.  AoLP additionally marks
     degenerate pixels (vanishing linear part) invalid.
     """
-    if feature not in FEATURES:
-        raise ValueError(f"unknown feature {feature!r}; expected one of {FEATURES}")
+    _check_feature(feature)
     if feature in STOKES_ELEMENTS:
         return img.data[..., STOKES_ELEMENTS.index(feature)].copy(), img.mask.copy()
     return _kernel(img.data, "psi" if feature == "aolp" else feature, img.mask)
 
 
-def _pooled(images, feature, labels=None, label_filter=None):
-    """Valid ``feature_plane`` values pooled over the selected images."""
-    samples = []
-    for img in _select(images, labels, label_filter):
-        values, valid = feature_plane(img, feature)
-        samples.append(values[valid])
-    pooled = np.concatenate(samples)
-    if pooled.size == 0:
-        raise EmptySelectionError("no valid pixels after filtering")
-    return pooled
+def _plane(s, mask, name):
+    """``feature_plane`` of the rows ``s`` under ``mask``; Stokes elements are views."""
+    if name in STOKES_ELEMENTS:
+        return s[..., STOKES_ELEMENTS.index(name)], mask
+    values, valid = np.zeros(mask.shape), np.empty(mask.shape, dtype=bool)
+    _formula(s, "psi" if name == "aolp" else name, mask, values, valid)
+    return values, valid
+
+
+def _blocked(images, chosen, sample, reduce, combine):
+    """``reduce(sample(img, lo, hi))`` over the row blocks of the chosen images, combined.
+
+    The accumulator behind every pooled statistic.  ``sample`` returns the
+    1-D sample streams of rows lo:hi, and ``reduce`` shrinks them inside
+    the block, in the block pool.  ``combine`` merges a list of results, in
+    block order, into one; it runs after each image, so memory holds one
+    image and its blocks' results.  A block spans ``BLOCK_VALUES // (W *
+    C)`` rows: the feature values of a row, not its Stokes values, so
+    per-block binning overhead stays small.  Each image is indexed once,
+    so a sequence that reads on indexing holds one image at a time.
+    """
+    total = []
+    for i in chosen:
+        total = [combine(total + _image_blocks(images[i], sample, reduce))]
+    return total[0]
+
+
+def _image_blocks(img, sample, reduce):
+    found = {}
+
+    def block(lo, hi):
+        found[lo] = reduce(sample(img, lo, hi))
+
+    h, w, c = img.mask.shape
+    if h == 0:
+        block(0, 0)  # an image without rows still has its checks and dtypes
+    _pool.blocks(block, h, w * c)
+    return [found[lo] for lo in sorted(found)]
+
+
+def _extents(images, chosen, sample, sums=False):
+    """Per stream: sample count, min, max (None without samples; NaN propagates) and sum."""
+    def reduce(streams):
+        return [(v.size, v.min(), v.max(), v.sum() if sums else 0) if v.size
+                else (0, None, None, 0) for v in streams]
+
+    def combine(results):
+        extents = []
+        for blocks in zip(*results):
+            n, low, high, total = zip(*([b for b in blocks if b[0]] or blocks[:1]))
+            extents.append((sum(n), np.minimum.reduce(low), np.maximum.reduce(high), sum(total)))
+        return extents
+
+    return _blocked(images, chosen, sample, reduce, combine)
+
+
+def _binned(images, chosen, sample, bins, ranges, dtypes=None):
+    """Per stream: sample count and ``np.histogram(samples, bins, range)``, summed over blocks.
+
+    A stream's histogram is ``(counts, edges)``, or the TypeError or
+    ValueError ``np.histogram`` raised, which ``_histogram`` raises after
+    the emptiness check that comes first.  Streams whose blocks differ in
+    dtype are binned again in their common dtype, as a concatenation is.
+    """
+    if isinstance(bins, str):
+        raise ValueError(f"bins must be a count or a sequence of edges, not {bins!r}: "
+                         "a bin-width estimator needs every pooled sample at once")
+    ranges = [_widened(r) for r in ranges]
+
+    def reduce(streams):
+        if dtypes:
+            streams = [v.astype(t, copy=False) for v, t in zip(streams, dtypes)]
+        return [(v.size, {v.dtype}, _attempt(np.histogram, v, bins, r))
+                for v, r in zip(streams, ranges)]
+
+    def combine(results):
+        binned = []
+        for blocks in zip(*results):
+            n, kinds, hists = zip(*blocks)
+            failed = [h for h in hists if isinstance(h, Exception)]
+            binned.append((sum(n), set().union(*kinds),
+                           failed[0] if failed else (sum(h[0] for h in hists), hists[0][1])))
+        return binned
+
+    binned = _blocked(images, chosen, sample, reduce, combine)
+    if any(len(kinds) > 1 for _, kinds, _ in binned):
+        return _binned(images, chosen, sample, bins, ranges,
+                       [np.result_type(*kinds) for _, kinds, _ in binned])
+    return [(n, hist) for n, _, hist in binned]
+
+
+def _attempt(fn, *args):
+    """``fn(*args)``, or the TypeError or ValueError it raised."""
+    try:
+        return fn(*args)
+    except (TypeError, ValueError) as error:
+        return error
+
+
+def _widened(value_range):
+    if value_range[0] == value_range[1]:
+        return (value_range[0] - 1.0, value_range[1] + 1.0)
+    return value_range
+
+
+def _histogram(binned, empty, label, unit=""):
+    n, result = binned
+    if n == 0:
+        raise EmptySelectionError(empty)
+    if isinstance(result, Exception):
+        raise result
+    return Histogram(result[1], result[0], label, unit)
+
+
+def _symmetric(low, high):
+    """(-peak, peak) for the peak |sample|, or (-1, 1) when it is not positive."""
+    peak = float(np.maximum(-low, high))
+    return (-peak, peak) if peak > 0 else (-1.0, 1.0)
+
+
+def _valid(*names):
+    """Sampler of the valid values of each named feature, or of ``"pol"``."""
+    def sample(img, lo, hi):
+        s, mask = img.data[lo:hi], img.mask[lo:hi]
+        return [values[valid] for values, valid in (_plane(s, mask, n) for n in names)]
+    return sample
+
+
+def _pol_unpol(img, lo, hi):
+    """Sampler of the polarized (P) and unpolarized (U = s0 - P) parts."""
+    pol, valid = _plane(img.data[lo:hi], img.mask[lo:hi], "pol")
+    pol = pol[valid]
+    return [pol, img.data[lo:hi, ..., 0][valid] - pol]
+
+
+def _gradients(feature, direction):
+    """Sampler of per-channel forward differences whose two ends are valid."""
+    def sample(img, lo, hi):
+        h, w, c = img.mask.shape
+        if c and (h < 2 or w < 2):
+            raise DimensionError("gradient needs a 2-D plane of at least 2x2")
+        # one row past the block for the y differences of its last row
+        values, valid = _plane(img.data[lo:hi + 1], img.mask[lo:hi + 1], feature)
+        parts = []
+        if direction in ("both", "x"):
+            parts.append(_differences(values[:hi - lo].swapaxes(0, 1),
+                                      valid[:hi - lo].swapaxes(0, 1)))
+        if direction in ("both", "y"):
+            parts.append(_differences(values, valid))
+        g = np.concatenate(parts)
+        return [_wrap_aolp(g) if feature == "aolp" else g]
+    return sample
+
+
+def _differences(values, valid):
+    both = valid[1:] & valid[:-1]
+    return values[1:][both] - values[:-1][both]
 
 
 def gradient_field(plane: np.ndarray):
@@ -151,6 +305,9 @@ def wrap_aolp_gradient(g: np.ndarray) -> np.ndarray:
     return np.where(np.abs(g) > np.pi / 2, g - np.pi * np.sign(g), g)
 
 
+_wrap_aolp = wrap_aolp_gradient  # bound at import: blocks must not reach a traced public name
+
+
 def aolp_gradient(psi: np.ndarray):
     """Wrapped forward differences of an angle-of-linear-polarization plane.
 
@@ -163,39 +320,38 @@ def aolp_gradient(psi: np.ndarray):
     return wrap_aolp_gradient(gx), wrap_aolp_gradient(gy)
 
 
-def _gradient_samples(plane, valid, wrap, direction):
-    gx, gy = gradient_field(plane)
-    if wrap:
-        gx, gy = wrap_aolp_gradient(gx), wrap_aolp_gradient(gy)
-    ok_x = valid[:, 1:] & valid[:, :-1]
-    ok_y = valid[1:, :] & valid[:-1, :]
-    parts = []
-    if direction in ("both", "x"):
-        parts.append(gx[ok_x])
-    if direction in ("both", "y"):
-        parts.append(gy[ok_y])
-    return np.concatenate(parts) if parts else np.empty(0)
-
-
 def stokes_histograms(images, element, bins=DEFAULT_BINS, value_range=None,
                       labels=None, label_filter=None) -> Histogram:
     """Histogram of one Stokes element pooled over images and channels."""
     if element not in STOKES_ELEMENTS + NORMALIZED_ELEMENTS:
         raise ValueError(f"element must be one of {STOKES_ELEMENTS + NORMALIZED_ELEMENTS}")
-    pooled = _pooled(images, element, labels, label_filter)
-    if value_range is None:
-        value_range = _default_range(element, pooled)
-    return Histogram.from_samples(pooled, bins, value_range, label=element,
-                                  unit="intensity" if element == "s0" else "")
+    chosen = _select(images, labels, label_filter)
+    sample = _valid(element)
+    if value_range is None and element in NORMALIZED_ELEMENTS:
+        value_range = (-1.0, 1.0)
+    elif value_range is None:
+        (n, low, high, _), = _extents(images, chosen, sample)
+        if n == 0:
+            raise EmptySelectionError(_NO_PIXELS)
+        value_range = (float(low), float(high)) if element == "s0" else _symmetric(low, high)
+    binned, = _binned(images, chosen, sample, bins, [value_range])
+    return _histogram(binned, _NO_PIXELS, element, "intensity" if element == "s0" else "")
 
 
-def _default_range(feature, samples):
-    if feature in NORMALIZED_ELEMENTS:
-        return (-1.0, 1.0)
-    if feature == "s0":
-        return (float(samples.min()), float(samples.max()))
-    peak = float(np.max(np.abs(samples)))
-    return (-peak, peak) if peak > 0 else (-1.0, 1.0)
+def _feature_histograms(images, names, bins, empty=_NO_PIXELS):
+    """Yield each named feature's histogram over its min..max and its mean, in turn.
+
+    The ``stats`` and ``features`` commands share this path.  A feature
+    without valid values raises ``EmptySelectionError(empty.format(name))``
+    at its turn.
+    """
+    chosen = _select(images, None, None)
+    sample = _valid(*names)
+    extents = _extents(images, chosen, sample, sums=True)
+    ranges = [(float(low), float(high)) if n else (0.0, 1.0) for n, low, high, _ in extents]
+    for name, (n, _, _, total), binned in zip(names, extents,
+                                              _binned(images, chosen, sample, bins, ranges)):
+        yield _histogram(binned, empty.format(name), name), float(total / max(n, 1))
 
 
 def feature_gradient_histograms(images, feature, bins=DEFAULT_BINS, direction="both",
@@ -208,47 +364,36 @@ def feature_gradient_histograms(images, feature, bins=DEFAULT_BINS, direction="b
     """
     if direction not in ("both", "x", "y"):
         raise ValueError("direction must be 'both', 'x' or 'y'")
-    samples = []
-    for img in _select(images, labels, label_filter):
-        values, valid = feature_plane(img, feature)
-        for c in range(img.channels):
-            samples.append(_gradient_samples(values[:, :, c], valid[:, :, c],
-                                             feature == "aolp", direction))
-    pooled = np.concatenate(samples)
-    if pooled.size == 0:
-        raise EmptySelectionError("no valid gradient samples after filtering")
-    if value_range is None:
-        if feature == "aolp":
-            value_range = (-np.pi / 2, np.pi / 2)
-        elif feature == "cop":
-            value_range, bins = (-2.5, 2.5), 5
-        else:
-            peak = float(np.max(np.abs(pooled)))
-            value_range = (-peak, peak) if peak > 0 else (-1.0, 1.0)
-    return Histogram.from_samples(pooled, bins, value_range, label=f"grad_{feature}",
-                                  unit="rad" if feature == "aolp" else "")
+    chosen = _select(images, labels, label_filter)
+    _check_feature(feature)
+    sample = _gradients(feature, direction)
+    empty = "no valid gradient samples after filtering"
+    if value_range is None and feature == "aolp":
+        value_range = (-np.pi / 2, np.pi / 2)
+    elif value_range is None and feature == "cop":
+        value_range, bins = (-2.5, 2.5), 5
+    elif value_range is None:
+        (n, low, high, _), = _extents(images, chosen, sample)
+        if n == 0:
+            raise EmptySelectionError(empty)
+        value_range = _symmetric(low, high)
+    binned, = _binned(images, chosen, sample, bins, [value_range])
+    return _histogram(binned, empty, f"grad_{feature}", "rad" if feature == "aolp" else "")
 
 
 def pol_unpol_histograms(images, bins=DEFAULT_BINS, value_range=None,
                          labels=None, label_filter=None):
     """Histograms of the polarized (P) and unpolarized (U = s0 - P) parts."""
-    pol_samples, unpol_samples = [], []
-    for img in _select(images, labels, label_filter):
-        pol, valid = _kernel(img.data, "pol", img.mask)
-        pol_samples.append(pol[valid])
-        unpol_samples.append((img.data[..., 0] - pol)[valid])
-    pol_all = np.concatenate(pol_samples)
-    unpol_all = np.concatenate(unpol_samples)
-    if pol_all.size == 0:
-        raise EmptySelectionError("no valid pixels after filtering")
+    chosen = _select(images, labels, label_filter)
     if value_range is None:
-        top = float(max(pol_all.max(), unpol_all.max()))
+        (n, _, pol_top, _), (_, _, unpol_top, _) = _extents(images, chosen, _pol_unpol)
+        if n == 0:
+            raise EmptySelectionError(_NO_PIXELS)
+        top = float(max(pol_top, unpol_top))
         value_range = (0.0, top if top > 0 else 1.0)
-    return (
-        Histogram.from_samples(pol_all, bins, value_range, label="polarized", unit="intensity"),
-        Histogram.from_samples(unpol_all, bins, value_range, label="unpolarized",
-                               unit="intensity"),
-    )
+    pol, unpol = _binned(images, chosen, _pol_unpol, bins, [value_range] * 2)
+    return (_histogram(pol, _NO_PIXELS, "polarized", "intensity"),
+            _histogram(unpol, _NO_PIXELS, "unpolarized", "intensity"))
 
 
 def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
@@ -256,18 +401,42 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
     """Normalized 2-D density of Poincare-ball projections on [-1, 1]^2."""
     if plane not in ("s1-s2", "s1-s3"):
         raise ValueError("plane must be 's1-s2' or 's1-s3'")
-    x = _pooled(images, "s1n", labels, label_filter)
-    y = _pooled(images, "s2n" if plane == "s1-s2" else "s3n", labels, label_filter)
-    inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
-    if not inside.any():
+    chosen = _select(images, labels, label_filter)
+    sample = _valid("s1n", "s2n" if plane == "s1-s2" else "s3n")
+    n, inside, cells = _blocked(images, chosen, sample, lambda xy: _cells(*xy, grid), _add_cells)
+    if n == 0:
+        raise EmptySelectionError(_NO_PIXELS)
+    if inside == 0:
         raise EmptySelectionError("no valid points inside the projected ball")
     if grid < 1:
         raise ValueError(f"grid must be a positive number of bins, got {grid}")
+    if isinstance(cells, Exception):
+        raise cells
     edges = np.linspace(-1.0, 1.0, grid + 1)
-    cells = _unit_bins(x[inside], edges) * grid + _unit_bins(y[inside], edges)
-    counts = np.bincount(cells, minlength=grid * grid).reshape(grid, grid).astype(float)
+    counts = cells.reshape(grid, grid).astype(float)
     return DensityGrid(edges, edges.copy(), counts, "s1_norm",
                        "s2_norm" if plane == "s1-s2" else "s3_norm")
+
+
+def _cells(x, y, grid):
+    """One block's point count, count inside [-1, 1]^2 and flat cell counts."""
+    inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
+    x, y = x[inside], y[inside]
+
+    def count():
+        if grid < 1:
+            return None  # poincare_density raises after its emptiness checks
+        edges = np.linspace(-1.0, 1.0, grid + 1)
+        return np.bincount(_unit_bins(x, edges) * grid + _unit_bins(y, edges),
+                           minlength=grid * grid)
+
+    return inside.size, x.size, _attempt(count)
+
+
+def _add_cells(results):
+    n, inside, cells = zip(*results)
+    failed = [c for c in cells if c is None or isinstance(c, Exception)]
+    return sum(n), sum(inside), failed[0] if failed else sum(cells)
 
 
 def _unit_bins(values, edges):
@@ -286,8 +455,9 @@ def _unit_bins(values, edges):
 
 def docp_distribution(images, bins=DEFAULT_BINS, labels=None, label_filter=None) -> Histogram:
     """Histogram of the degree of circular polarization over [0, 1]."""
-    pooled = _pooled(images, "docp", labels, label_filter)
-    return Histogram.from_samples(pooled, bins, (0.0, 1.0), label="docp")
+    chosen = _select(images, labels, label_filter)
+    binned, = _binned(images, chosen, _valid("docp"), bins, [(0.0, 1.0)])
+    return _histogram(binned, _NO_PIXELS, "docp")
 
 
 @dataclass

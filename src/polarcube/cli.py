@@ -149,6 +149,19 @@ def _load_cube(pc, path):
     return obj
 
 
+class _Cubes:
+    """The Stokes cubes in ``paths``, each read when indexed, so statistics hold one at a time."""
+
+    def __init__(self, pc, paths):
+        self.pc, self.paths = pc, paths
+
+    def __len__(self):
+        return len(self.paths)
+
+    def __getitem__(self, i):
+        return _load_cube(self.pc, self.paths[i])
+
+
 def _make_scene(pc, cfg, seed):
     import numpy as np
 
@@ -233,19 +246,16 @@ def cmd_reconstruct(cfg, args):
 
 
 def cmd_features(cfg, args):
-    import numpy as np
-
     pc = _api()
     out = _require_out(args)
-    cube = _load_cube(pc, args.input)
+    names = ("rho", "dolp", "docp", "aolp", "cop")
+    found = pc.analysis._feature_histograms([_load_cube(pc, args.input)], names,
+                                            cfg["stats"]["bins"], "no samples for {} histogram")
     summary = {}
-    for feature in ("rho", "dolp", "docp", "aolp", "cop"):
-        values, valid = pc.feature_plane(cube, feature)
-        hist = pc.Histogram.from_samples(values[valid], bins=cfg["stats"]["bins"],
-                                         label=feature)
+    for feature, (hist, mean) in zip(names, found):
         path = f"{out}{feature}.csv"
         pc.export_csv(hist, path)
-        summary[feature] = {"mean": float(np.mean(values[valid])), "csv": path}
+        summary[feature] = {"mean": mean, "csv": path}
     return summary
 
 
@@ -395,7 +405,7 @@ def cmd_inr_code(cfg, args):
 def cmd_stats(cfg, args):
     pc = _api()
     out = _require_out(args)
-    cubes = [_load_cube(pc, p) for p in [args.input] + (args.extra or [])]
+    cubes = _Cubes(pc, [args.input] + (args.extra or []))
     bins = cfg["stats"]["bins"]
     feature = args.feature
     if feature == "pol-unpol":
@@ -418,8 +428,7 @@ def cmd_stats(cfg, args):
     elif feature == "docp":
         hist = pc.docp_distribution(cubes, bins=bins)
     elif feature in pc.analysis.FEATURES:
-        hist = pc.Histogram.from_samples(pc.analysis._pooled(cubes, feature), bins=bins,
-                                         label=feature)
+        hist, _ = next(pc.analysis._feature_histograms(cubes, [feature], bins))
     else:
         raise _ConfigError(f"unknown stats feature {feature!r}")
     pc.export_csv(hist, out)

@@ -263,16 +263,26 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
     """Compare a reconstruction against its reference."""
     if reference.data.shape != test.data.shape:
         raise DimensionError("reference and test cubes must have the same shape")
-    joint = reference.mask & test.mask
-    if not joint.any():
+    parts = {}
+
+    def block(lo, hi):  # (C, 4) squared errors, per-channel counts and peak of jointly valid pixels
+        joint = reference.mask[lo:hi] & test.mask[lo:hi]
+        sq = test.data[lo:hi] - reference.data[lo:hi]
+        sq *= sq
+        np.copyto(sq, 0.0, where=~joint[..., None])
+        parts[lo] = (sq.sum(axis=(0, 1)), np.count_nonzero(joint, axis=(0, 1)),
+                     reference.data[lo:hi, ..., 0].max(where=joint, initial=-np.inf))
+
+    h, w, c = reference.mask.shape
+    _pool.blocks(block, h, w * c * 4)
+    sums, counts, peak = 0, 0, -np.inf
+    for lo in sorted(parts):  # in block order: the sums do not depend on the worker count
+        sums, counts, peak = (sums + parts[lo][0], counts + parts[lo][1],
+                              np.maximum(peak, parts[lo][2]))
+    n = int(np.sum(counts))
+    if n == 0:
         raise EmptySelectionError("no jointly valid pixels to compare")
-    peak = float(reference.data[..., 0].max(where=joint, initial=-np.inf))
-    sq = test.data - reference.data
-    sq *= sq
-    np.copyto(sq, 0.0, where=~joint[..., None])
-    sums = sq.sum(axis=(0, 1))  # (C, 4) squared errors over jointly valid pixels
-    counts = np.count_nonzero(joint, axis=(0, 1))
-    n = int(counts.sum())
+    peak = float(peak)
     mse = float(sums.sum()) / (4 * n)
     element_psnr = np.array([_psnr(peak, float(e) / n) for e in sums.sum(axis=0)])
     channel_psnr = np.array([_psnr(peak, float(s) / (4 * k)) if k else np.nan
@@ -282,6 +292,6 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
         psnr=_psnr(peak, mse),
         element_psnr=element_psnr,
         channel_psnr=channel_psnr,
-        valid_fraction=n / joint.size,
+        valid_fraction=n / reference.mask.size,
         peak=peak,
     )

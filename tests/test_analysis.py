@@ -1,10 +1,14 @@
+import contextlib
+import weakref
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from polarcube import (
+    DimensionError,
     EmptySelectionError,
     LabelFilter,
     LabelSet,
@@ -25,7 +29,7 @@ from polarcube import (
     stokes_histograms,
     uniform_scene,
 )
-from polarcube import analysis
+from polarcube import _pool
 from polarcube.analysis import FEATURES, Histogram, wrap_aolp_gradient
 
 RNG = np.random.default_rng(55)
@@ -220,25 +224,18 @@ class TestFeatureKernelContract:
 
     @given(img=masked_cubes())
     def test_pol_unpol_pools_the_decompose_split(self, img):
-        pooled = []
-
-        def capture(samples, *args, **kwargs):
-            pooled.append(np.asarray(samples))
-            return Histogram(np.array([0.0, 1.0]), np.array([samples.size]))
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(analysis.Histogram, "from_samples", capture)
-            try:
-                pol_unpol_histograms([img])
-            except EmptySelectionError:
-                pass
         chosen = img.data[img.mask & (img.data[..., 0] > 0)]
         if chosen.size == 0:
-            assert not pooled
+            with pytest.raises(EmptySelectionError):
+                pol_unpol_histograms([img])
             return
+        hist_p, hist_u = pol_unpol_histograms([img])
         pol, unpol = decompose(chosen, tol=np.inf)
-        assert pooled[0].tobytes() == pol.tobytes()
-        assert pooled[1].tobytes() == unpol.tobytes()
+        top = max(pol.max(), unpol.max())
+        for hist, samples in ((hist_p, pol), (hist_u, unpol)):
+            counts, edges = np.histogram(samples, bins=201, range=(0.0, top if top > 0 else 1.0))
+            np.testing.assert_array_equal(hist.counts, counts)
+            np.testing.assert_array_equal(hist.edges, edges)
 
     def test_underflowing_linear_part_is_degenerate(self):
         img = StokesImage(np.array([1.0, 1e-170, 1e-170, 0.0]).reshape(1, 1, 1, 4))
@@ -443,3 +440,296 @@ class TestHistogramContract:
     def test_edges_strictly_increasing(self):
         hist = Histogram.from_samples(RNG.normal(size=100), bins=11)
         assert np.all(np.diff(hist.edges) > 0)
+
+
+def outcome(fn):
+    """The arrays of what ``fn()`` returns, or the type and message of what it raised."""
+    try:
+        result = fn()
+    except (ValueError, TypeError, EmptySelectionError, DimensionError) as error:
+        return type(error), str(error)
+    return [(a.dtype.str, a.shape, a.tobytes()) for r in flat(result) for a in
+            ((r.edges, r.counts) if isinstance(r, Histogram) else (r.x_edges, r.y_edges, r.counts))]
+
+
+def flat(result):
+    if isinstance(result, (list, tuple)):
+        return [r for part in result for r in flat(part)]
+    return [result]
+
+
+def histogram_oracle(samples, bins, value_range):
+    if samples.size == 0:
+        raise EmptySelectionError("no samples")
+    if value_range[0] == value_range[1]:
+        value_range = (value_range[0] - 1.0, value_range[1] + 1.0)
+    return Histogram(*np.histogram(samples, bins, value_range)[::-1])
+
+
+def peak_range(samples):
+    peak = float(np.max(np.abs(samples)))
+    return (-peak, peak) if peak > 0 else (-1.0, 1.0)
+
+
+def valid_values(images, feature):
+    return np.concatenate([v[ok] for v, ok in (feature_plane(img, feature) for img in images)])
+
+
+def gradient_values(images, feature, direction):
+    parts = []
+    for img in images:
+        values, valid = feature_plane(img, feature)
+        for c in range(img.channels):
+            gx, gy = gradient_field(values[:, :, c])
+            if feature == "aolp":
+                gx, gy = wrap_aolp_gradient(gx), wrap_aolp_gradient(gy)
+            ok = valid[:, :, c]
+            if direction != "y":
+                parts.append(gx[ok[:, 1:] & ok[:, :-1]])
+            if direction != "x":
+                parts.append(gy[ok[1:] & ok[:-1]])
+    return np.concatenate(parts)
+
+
+def oracle_dataset(non_finite):
+    rng = np.random.default_rng(31)
+    images = [random_scene(23, 31, 2, rng), random_scene(9, 40, 3, rng), random_scene(30, 7, 1, rng)]
+    for img in images:
+        img.mask[rng.random(img.mask.shape) < 0.2] = False
+    if non_finite:
+        a, b, c = images
+        a.data[2, 3, 0, 1], a.mask[2, 3, 0] = np.nan, True  # valid
+        a.data[4, 5, 1, 2], a.mask[4, 5, 1] = np.inf, False
+        b.data[1, 1, 2, 3], b.mask[1, 1, 2] = -np.inf, True
+        b.data[3, 3, 0, 0], b.mask[3, 3, 0] = np.nan, False
+        c.data[6, 2, 0, 0], c.mask[6, 2, 0] = np.inf, True
+        c.data[7, 2, 0], c.mask[7, 2, 0] = [1.0, np.nan, np.inf, -np.inf], True
+    labels = [LabelSet("indoor", "white", "2023-06-01T10:00:00", "object"),
+              LabelSet("outdoor", "sunlight", "2023-06-02T11:00:00", "scene"),
+              LabelSet("outdoor", "cloudy", "2023-06-03T12:00:00", "scene")]
+    return images, labels
+
+
+class TestPooledStatisticsOracle:
+    """Counts and edges equal np.histogram / np.histogram2d of the valid values."""
+
+    OUTDOOR = LabelFilter(environments=frozenset({"outdoor"}))
+
+    @pytest.fixture(autouse=True, params=[(1, 1 << 16), (2, 50)], ids=["one-block", "blocks"])
+    def blocks(self, request):
+        with pool_settings(*request.param):
+            yield
+
+    def cases(self, non_finite):
+        images, labels = oracle_dataset(non_finite)
+        yield images, {}, images
+        yield images, {"labels": labels, "label_filter": self.OUTDOOR}, images[1:]
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    @pytest.mark.parametrize("element", ["s0", "s1", "s2", "s3", "s1n", "s2n", "s3n"])
+    def test_stokes_histograms(self, non_finite, element):
+        for images, select, kept in self.cases(non_finite):
+            samples = valid_values(kept, element)
+            default = ((-1.0, 1.0) if element.endswith("n") else
+                       (float(samples.min()), float(samples.max())) if element == "s0"
+                       else peak_range(samples))
+            assert outcome(lambda: stokes_histograms(images, element, **select)) == \
+                outcome(lambda: histogram_oracle(samples, 201, default))
+            assert outcome(lambda: stokes_histograms(images, element, bins=9,
+                                                     value_range=(-0.4, 0.7), **select)) == \
+                outcome(lambda: histogram_oracle(samples, 9, (-0.4, 0.7)))
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    def test_docp_distribution(self, non_finite):
+        for images, select, kept in self.cases(non_finite):
+            assert outcome(lambda: docp_distribution(images, bins=13, **select)) == \
+                outcome(lambda: histogram_oracle(valid_values(kept, "docp"), 13, (0.0, 1.0)))
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    def test_pol_unpol_histograms(self, non_finite):
+        for images, select, kept in self.cases(non_finite):
+            pol = np.concatenate([np.linalg.norm(img.data[..., 1:], axis=-1)[
+                img.mask & (img.data[..., 0] > 0)] for img in kept])
+            s0 = np.concatenate([img.data[..., 0][img.mask & (img.data[..., 0] > 0)]
+                                 for img in kept])
+            unpol = s0 - pol
+            top = float(max(pol.max(), unpol.max()))
+            for value_range in (None, (0.0, 0.3)):
+                want = value_range or (0.0, top if top > 0 else 1.0)
+                assert outcome(lambda: pol_unpol_histograms(images, value_range=value_range,
+                                                            **select)) == \
+                    outcome(lambda: (histogram_oracle(pol, 201, want),
+                                     histogram_oracle(unpol, 201, want)))
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    @pytest.mark.parametrize("feature", FEATURES)
+    @pytest.mark.parametrize("direction", ["both", "x", "y"])
+    def test_feature_gradient_histograms(self, non_finite, feature, direction):
+        for images, select, kept in self.cases(non_finite):
+            samples = gradient_values(kept, feature, direction)
+            bins, default = 201, peak_range(samples)
+            if feature == "aolp":
+                default = (-np.pi / 2, np.pi / 2)
+            elif feature == "cop":
+                bins, default = 5, (-2.5, 2.5)
+            got = outcome(lambda: feature_gradient_histograms(images, feature,
+                                                              direction=direction, **select))
+            assert got == outcome(lambda: histogram_oracle(samples, bins, default))
+            if feature == "cop":
+                assert got[0][1] == (6,)  # 5 bins
+
+    @pytest.mark.parametrize("non_finite", [False, True])
+    @pytest.mark.parametrize("plane", ["s1-s2", "s1-s3"])
+    def test_poincare_density(self, non_finite, plane):
+        for images, select, kept in self.cases(non_finite):
+            x = valid_values(kept, "s1n")
+            y = valid_values(kept, "s2n" if plane == "s1-s2" else "s3n")
+            got = poincare_density(images, plane, grid=23, **select)
+            with np.errstate(invalid="ignore"):
+                want, want_x, want_y = np.histogram2d(x, y, bins=23, range=[(-1, 1), (-1, 1)])
+            assert got.counts.dtype == want.dtype
+            np.testing.assert_array_equal(got.counts, want)
+            np.testing.assert_array_equal(got.x_edges, want_x)
+            np.testing.assert_array_equal(got.y_edges, want_y)
+
+    def test_mixed_precision_images_bin_in_the_common_dtype(self):
+        # float32 values at and next to the float64 edges fall in other bins
+        # when binned among float32 edges; pooled with a float64 image, they
+        # must be binned as one float64 concatenation is.
+        edges = np.linspace(-1.0, 1.0, 202)
+        near = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -2.0)])
+        narrow = np.zeros((near.size, 1, 1, 4), dtype=np.float32)
+        narrow[..., 0], narrow[:, 0, 0, 1] = 1.0, near
+        images = [oracle_dataset(False)[0][0], StokesImage(narrow)]
+        samples = valid_values(images, "s1")
+        assert samples.dtype == np.float64
+        for value_range in (None, (-1.0, 1.0)):
+            want = value_range or peak_range(samples)
+            assert outcome(lambda: stokes_histograms(images, "s1", value_range=value_range)) == \
+                outcome(lambda: histogram_oracle(samples, 201, want))
+        alone = stokes_histograms(images[1:], "s1", value_range=(-1.0, 1.0))
+        assert alone.edges.dtype == np.float32
+        np.testing.assert_array_equal(alone.counts, np.histogram(near.astype(np.float32), 201,
+                                                                 (-1.0, 1.0))[0])
+        assert not np.array_equal(alone.counts, np.histogram(near, 201, (-1.0, 1.0))[0])
+
+    def test_zero_width_range_is_widened(self):
+        img = constant_image((0.5, 0.1, 0.0, 0.0))
+        hist = stokes_histograms([img], "s0", bins=4)
+        want_counts, want_edges = np.histogram(img.data[..., 0], 4, (-0.5, 1.5))
+        np.testing.assert_array_equal(hist.edges, want_edges)
+        np.testing.assert_array_equal(hist.counts, want_counts)
+
+    def test_errors_keep_their_order(self):
+        images, _ = oracle_dataset(False)
+        empty = images[0].copy()
+        empty.mask[:] = False
+        with pytest.raises(EmptySelectionError):
+            docp_distribution([empty], bins=0)
+        with pytest.raises(ValueError, match="bins"):
+            docp_distribution(images, bins=0)
+        with pytest.raises(EmptySelectionError):
+            stokes_histograms([empty], "s1", value_range=(1.0, 0.0))
+        with pytest.raises(ValueError, match="max must be larger"):
+            stokes_histograms(images, "s1", value_range=(1.0, 0.0))
+        with pytest.raises(EmptySelectionError):
+            poincare_density([empty], grid=0)
+        with pytest.raises(DimensionError):
+            feature_gradient_histograms([images[0], StokesImage(np.ones((1, 4, 2, 4)))], "s0")
+        with pytest.raises(ValueError, match="unknown feature"):
+            feature_gradient_histograms([StokesImage(np.ones((1, 4, 2, 4)))], "nope")
+        with pytest.raises(ValueError, match="estimator"):
+            stokes_histograms(images, "s1", bins="auto")
+        no_rows = StokesImage(np.ones((0, 4, 2, 4)))
+        with pytest.raises(DimensionError):
+            feature_gradient_histograms([no_rows], "s0")
+        for call in (lambda: stokes_histograms([no_rows], "s1"),
+                     lambda: pol_unpol_histograms([no_rows, no_rows]),
+                     lambda: poincare_density([no_rows])):
+            with pytest.raises(EmptySelectionError):
+                call()
+
+
+class OneAtATime:
+    """A sequence that copies an image when indexed and tracks how many copies are alive."""
+
+    def __init__(self, images):
+        self.images, self.alive, self.peak, self.reads = images, 0, 0, 0
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, i):
+        img = self.images[i].copy()
+        self.alive += 1
+        self.peak, self.reads = max(self.peak, self.alive), self.reads + 1
+        weakref.finalize(img, self.drop)
+        return img
+
+    def drop(self):
+        self.alive -= 1
+
+
+class TestStreaming:
+    @pytest.mark.parametrize("call, passes", [
+        (lambda imgs: stokes_histograms(imgs, "s0"), 2),
+        (lambda imgs: stokes_histograms(imgs, "s1n"), 1),
+        (lambda imgs: pol_unpol_histograms(imgs), 2),
+        (lambda imgs: feature_gradient_histograms(imgs, "aolp"), 1),
+        (lambda imgs: feature_gradient_histograms(imgs, "dolp"), 2),
+        (lambda imgs: poincare_density(imgs, "s1-s3"), 1),
+        (lambda imgs: docp_distribution(imgs), 1),
+    ])
+    def test_one_image_at_a_time_and_one_read_per_pass(self, call, passes):
+        images, _ = oracle_dataset(False)
+        lazy = OneAtATime(images)
+        with pool_settings(1, 1 << 16):
+            got = outcome(lambda: call(lazy))
+        assert got == outcome(lambda: call(images))
+        assert lazy.peak == 1
+        assert lazy.reads == passes * len(images)
+
+    def test_filtered_out_images_are_never_read(self):
+        images, labels = oracle_dataset(False)
+        lazy = OneAtATime(images)
+        stokes_histograms(lazy, "s2n", labels=labels,
+                          label_filter=LabelFilter(environments=frozenset({"indoor"})))
+        assert lazy.reads == 1
+
+
+@contextlib.contextmanager
+def pool_settings(workers, block_values):
+    saved = _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES
+    _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = workers, None, block_values
+    try:
+        yield
+    finally:
+        if _pool._tasks is not None:  # stop this pool's threads
+            for _ in range(workers):
+                _pool._tasks.put(None)
+        _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = saved
+
+
+ALL_STATISTICS = (
+    lambda imgs: [stokes_histograms(imgs, e) for e in ("s0", "s1", "s3n")],
+    lambda imgs: pol_unpol_histograms(imgs),
+    lambda imgs: docp_distribution(imgs, bins=17),
+    lambda imgs: [feature_gradient_histograms(imgs, f, direction=d)
+                  for f, d in (("aolp", "both"), ("cop", "x"), ("s2", "y"), ("rho", "both"))],
+    lambda imgs: [poincare_density(imgs, p, grid=9) for p in ("s1-s2", "s1-s3")],
+)
+
+
+class TestBlockIndependence:
+    @settings(max_examples=25, deadline=None)
+    @given(images=st.lists(masked_cubes(), min_size=1, max_size=3),
+           block_values=st.integers(1, 64))
+    def test_counts_do_not_depend_on_blocks_or_workers(self, images, block_values):
+        def run():
+            return [outcome(lambda: stat(images)) for stat in ALL_STATISTICS]
+
+        with pool_settings(1, 1 << 20):
+            whole = run()
+        for workers in (1, 2, 3):
+            with pool_settings(workers, block_values):
+                assert run() == whole

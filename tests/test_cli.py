@@ -115,6 +115,29 @@ class TestValidateAndStats:
         assert min(lows) >= -np.pi / 2 - 1e-9
         assert max(highs) <= np.pi / 2 + 1e-9
 
+    @pytest.mark.parametrize("feature", ["s1", "rho", "pol-unpol", "dolp-gradient"])
+    def test_stats_pools_every_input_file(self, capsys, tmp_path, feature):
+        paths = [str(tmp_path / f"cube{k}.spsi") for k in range(3)]
+        cubes = [write_cube(path, h=9 + k, seed=k) for k, path in enumerate(paths)]
+        out = str(tmp_path / "got_")
+        code, *_ = run_cli(capsys, "stats", *paths, "--feature", feature, "--out", out)
+        assert code == 0
+        if feature == "pol-unpol":
+            found = dict(zip(("polarized.csv", "unpolarized.csv"),
+                             polarcube.pol_unpol_histograms(cubes)))
+        elif feature == "dolp-gradient":
+            found = {"": polarcube.feature_gradient_histograms(cubes, "dolp")}
+        elif feature == "s1":
+            found = {"": polarcube.stokes_histograms(cubes, "s1")}
+        else:
+            found = {"": polarcube.Histogram.from_samples(
+                np.concatenate([v[ok] for v, ok in (polarcube.feature_plane(c, feature)
+                                                     for c in cubes)]), label=feature)}
+        for suffix, hist in found.items():
+            polarcube.export_csv(hist, str(tmp_path / f"want_{suffix}"))
+            with open(f"{out}{suffix}", "rb") as got, open(tmp_path / f"want_{suffix}", "rb") as want:
+                assert got.read() == want.read()
+
     def test_features_and_decompose(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
         write_cube(cube_path)

@@ -17,12 +17,17 @@ from polarcube import (
     StokesImage,
     default_qwp_angles,
     demosaic_footprint,
+    feature_gradient_histograms,
     feature_plane,
+    poincare_density,
+    pol_unpol_histograms,
+    quality,
     read_spsi,
     reconstruct_image,
     simulate_hyperspectral,
     simulate_trichromatic,
     smooth_scene,
+    stokes_histograms,
     write_spsi,
 )
 import polarcube
@@ -126,6 +131,29 @@ class TestSameBitsForAnyWorkerCount:
                 whole = _kernel(cube.data, name, cube.mask)
             assert_bits_equal(blocked[0], whole[0])
             assert_bits_equal(blocked[1], whole[1])
+
+    def test_statistics(self, hyper_raw, mosaic_raw):
+        cubes = [reconstruct_image(hyper_raw), reconstruct_image(mosaic_raw)]
+
+        def statistics():
+            found = [stokes_histograms(cubes, "s0"), feature_gradient_histograms(cubes, "aolp"),
+                     *pol_unpol_histograms(cubes)]
+            grid = poincare_density(cubes, "s1-s3")
+            return [a for h in found for a in (h.edges, h.counts)] + [grid.x_edges, grid.counts]
+
+        one, *more = on_each(statistics)
+        for other in more:
+            for a, b in zip(one, other):
+                assert_bits_equal(a, b)
+
+    def test_quality(self, mosaic_raw):
+        scene = smooth_scene(32, 28, 3, np.random.default_rng(12))
+        one, *more = on_each(lambda: quality(scene, reconstruct_image(mosaic_raw)))
+        for other in more:
+            assert vars(other).keys() == vars(one).keys()
+            for key, value in vars(one).items():
+                assert_bits_equal(value, vars(other)[key])
+        assert 0 < one.valid_fraction < 1
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_spsi_cube_round_trip(self, hyper_raw, tmp_path, dtype):
