@@ -28,6 +28,7 @@ from .camera import (
     NoiseModel,
     RawCapture,
     SpectralResponse,
+    SystemMatrix,
     add_noise,
     analyzer_row,
     default_qwp_angles,
@@ -39,6 +40,7 @@ from .camera import (
     mosaic_split,
     simulate_hyperspectral,
     simulate_trichromatic,
+    system_matrix,
     trichromatic_responses,
 )
 from .errors import (
@@ -90,14 +92,11 @@ from .pca import (
 )
 from .reconstruct import (
     QualityReport,
-    SystemMatrix,
     burst_average,
     median_filter,
     quality,
     reconstruct_image,
     solve_stokes,
-    solve_stokes_per_pixel,
-    system_matrix,
 )
 from .scenes import lctf_wavelengths, random_scene, smooth_scene, uniform_scene
 from .stokes import (

@@ -8,8 +8,9 @@ filters, wire-grid polarizers and micro-retarders.
 In both systems light passes the retarder first and the polarizer
 second, so the recorded intensity is the first element of
 ``C @ P(theta2) @ Q(theta1) @ s`` with C an optional per-channel
-calibration matrix.  The sensor sees only that first element; the
-per-configuration first rows are what the reconstruction module inverts.
+calibration matrix.  The sensor sees only that first element; a
+channel's first rows form its ``SystemMatrix``, which simulation applies
+and the reconstruction module inverts.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "NoiseModel",
     "RawCapture",
     "SpectralResponse",
+    "SystemMatrix",
     "add_noise",
     "analyzer_row",
     "default_qwp_angles",
@@ -41,6 +43,7 @@ __all__ = [
     "mosaic_split",
     "simulate_hyperspectral",
     "simulate_trichromatic",
+    "system_matrix",
     "trichromatic_responses",
 ]
 
@@ -214,6 +217,60 @@ class CaptureConfig:
         return cls(configs, calibration, exposure)
 
 
+@dataclass
+class SystemMatrix:
+    """An m x 4 measurement system with conditioning metadata.
+
+    ``rank`` and ``condition_number`` come from the singular values, and
+    the 4 x m pseudo-inverse ``pinv`` from the same decomposition, so
+    thousands of per-pixel solves share one matrix product.
+    """
+
+    matrix: np.ndarray
+    rank: int
+    condition_number: float
+    pinv: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: np.ndarray) -> "SystemMatrix":
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != 4:
+            raise DimensionError(f"system matrix must be (m, 4), got {rows.shape}")
+        if rows.shape[0] < 4:
+            raise ConfigurationError("at least 4 measurement configurations required")
+        u, sv, vt = np.linalg.svd(rows, full_matrices=False)
+        tol = sv[0] * max(rows.shape) * np.finfo(float).eps
+        rank = int(np.count_nonzero(sv > tol))
+        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
+        inverse_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > tol)
+        return cls(rows, rank, cond, (vt.T * inverse_sv) @ u.T)
+
+    @property
+    def m(self) -> int:
+        return self.matrix.shape[0]
+
+
+def system_matrix(config: CaptureConfig, channel: int = 0) -> SystemMatrix:
+    """Build and validate the measurement system of one channel.
+
+    Simulation takes its rows from here and reconstruction inverts it,
+    so a capture is written only if it can be inverted.
+
+    Raises
+    ------
+    ConfigurationError
+        If fewer than 4 configurations are given or the system has rank
+        below 4 (the diagnosis names the channel and its rank).
+    """
+    system = SystemMatrix.from_rows(config.rows(channel))
+    if system.rank < 4:
+        raise ConfigurationError(
+            f"degenerate configuration: channel {channel} system rank {system.rank} < 4"
+            " (some Stokes components are unobservable)"
+        )
+    return system
+
+
 # ---------------------------------------------------------------------------
 # mosaic layout
 
@@ -249,11 +306,7 @@ class MosaicLayout:
             )
         config = self.capture_config()
         for color in (RED, GREEN, BLUE):
-            rank = np.linalg.matrix_rank(config.rows(color))
-            if rank < 4:
-                raise ConfigurationError(
-                    f"color {color} configuration set is rank-deficient (rank {rank} < 4)"
-                )
+            system_matrix(config, color)
 
     @staticmethod
     def segment_index(n: int, m: int) -> int:
@@ -439,9 +492,7 @@ def simulate_hyperspectral(
     weights = _band_matrix(scene, responses)
     n_channels = weights.shape[0]
 
-    rows = np.stack([config.rows(c) for c in range(n_channels)])  # (C, m, 4)
-    if np.any(np.linalg.matrix_rank(rows) < 4):
-        raise ConfigurationError("QWP/LP angle set yields a rank-deficient system")
+    rows = np.stack([system_matrix(config, c).matrix for c in range(n_channels)])  # (C, m, 4)
 
     band = np.matmul(weights, scene.data)  # (H, W, C, 4)
     band = band.reshape(-1, n_channels, 4).transpose(1, 2, 0)  # (C, 4, H*W)
@@ -484,7 +535,8 @@ def simulate_trichromatic(
 
     frame = np.empty((scene.height, scene.width))
     for color in (RED, GREEN, BLUE):
-        for (k, _), row in zip(layout.cells_for_color(color), config.rows(color)):
+        rows = system_matrix(config, color).matrix
+        for (k, _), row in zip(layout.cells_for_color(color), rows):
             i, j = divmod(k, 4)
             frame[i::4, j::4] = scene.data[i::4, j::4, color, :] @ row
 

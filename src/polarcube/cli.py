@@ -291,6 +291,8 @@ def cmd_validate(cfg, args):
 
 
 def cmd_denoise(cfg, args):
+    from dataclasses import replace
+
     import numpy as np
 
     if not args.burst and (args.median < 1 or args.median % 2 == 0):
@@ -302,12 +304,7 @@ def cmd_denoise(cfg, args):
         if not all(isinstance(r, pc.RawCapture) for r in raws):
             raise _ConfigError("burst inputs must be raw captures")
         frames = pc.burst_average([r.frames for r in raws])
-        first = raws[0]
-        result = pc.RawCapture(frames, first.config, tags=first.tags, layout=first.layout,
-                               wavelengths=first.wavelengths,
-                               saturation_level=first.saturation_level,
-                               black_level=first.black_level)
-        pc.write_spsi(out, result)
+        pc.write_spsi(out, replace(raws[0], frames=frames))
         return {"out": out, "averaged": len(raws)}
     raw = pc.read_spsi(args.input)
     if not isinstance(raw, pc.RawCapture):
@@ -316,11 +313,7 @@ def cmd_denoise(cfg, args):
     frames = np.empty_like(raw.frames)
     for out_frame, frame in zip(frames, raw.frames):
         out_frame[...] = pc.median_filter(frame, k)
-    result = pc.RawCapture(frames, raw.config, tags=raw.tags, layout=raw.layout,
-                           wavelengths=raw.wavelengths,
-                           saturation_level=raw.saturation_level,
-                           black_level=raw.black_level)
-    pc.write_spsi(out, result)
+    pc.write_spsi(out, replace(raw, frames=frames))
     return {"out": out, "median_window": k}
 
 

@@ -3,8 +3,8 @@
 Each spectral channel contributes an m x 4 system whose row i is the
 analyzer (intensity) row of configuration i.  The per-pixel estimate is
 the least-squares minimizer of ``sum_i (I_i - a_i . s)^2``, applied as
-the channel's 4 x m pseudo-inverse, computed once per channel and reused
-across all pixels.
+the channel's 4 x m pseudo-inverse (``camera.system_matrix``), computed
+once per channel and reused across all pixels.
 """
 
 from __future__ import annotations
@@ -15,21 +15,25 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import _pool
-from .camera import CaptureConfig, RawCapture, demosaic, demosaic_footprint, mosaic_split
+from .camera import (
+    RawCapture,
+    SystemMatrix,
+    demosaic,
+    demosaic_footprint,
+    mosaic_split,
+    system_matrix,
+)
 from .errors import ConfigurationError, DimensionError, EmptySelectionError
 from .image import StokesImage
 from .stokes import DEFAULT_DOP_TOL, _within_bound
 
 __all__ = [
     "QualityReport",
-    "SystemMatrix",
     "burst_average",
     "median_filter",
     "quality",
     "reconstruct_image",
     "solve_stokes",
-    "solve_stokes_per_pixel",
-    "system_matrix",
 ]
 
 #: A frame pixel at or above this fraction of the saturation level is
@@ -40,59 +44,6 @@ UNDEREXPOSURE_MULTIPLIER = 2.0
 #: ``median_filter`` copies at most this many window values at a time
 #: (2 MiB of float64), so its scratch memory does not grow with the frame.
 MEDIAN_BLOCK_VALUES = 1 << 18
-
-
-@dataclass
-class SystemMatrix:
-    """An m x 4 measurement system with conditioning metadata.
-
-    ``rank`` and ``condition_number`` come from the singular values, and
-    the 4 x m pseudo-inverse ``pinv`` from the same decomposition, so
-    thousands of per-pixel solves share one matrix product.
-    """
-
-    matrix: np.ndarray
-    rank: int
-    condition_number: float
-    pinv: np.ndarray
-
-    @classmethod
-    def from_rows(cls, rows: np.ndarray) -> "SystemMatrix":
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != 4:
-            raise DimensionError(f"system matrix must be (m, 4), got {rows.shape}")
-        if rows.shape[0] < 4:
-            raise ConfigurationError("at least 4 measurement configurations required")
-        u, sv, vt = np.linalg.svd(rows, full_matrices=False)
-        tol = sv[0] * max(rows.shape) * np.finfo(float).eps
-        rank = int(np.count_nonzero(sv > tol))
-        cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-        inverse_sv = np.divide(1.0, sv, out=np.zeros_like(sv), where=sv > tol)
-        return cls(rows, rank, cond, (vt.T * inverse_sv) @ u.T)
-
-    @property
-    def m(self) -> int:
-        return self.matrix.shape[0]
-
-
-def system_matrix(config: CaptureConfig, channel: int = 0) -> SystemMatrix:
-    """Build and validate the measurement system of one channel.
-
-    Raises
-    ------
-    ConfigurationError
-        If fewer than 4 configurations are given or the system has rank
-        below 4 (the diagnosis names the deficient rank).
-    """
-    if len(config.configs_for(channel)) < 4:
-        raise ConfigurationError("at least 4 measurement configurations required")
-    system = SystemMatrix.from_rows(config.rows(channel))
-    if system.rank < 4:
-        raise ConfigurationError(
-            f"degenerate configuration: system rank {system.rank} < 4 "
-            "(some Stokes components are unobservable)"
-        )
-    return system
 
 
 def solve_stokes(system: SystemMatrix, intensities: np.ndarray):
@@ -110,24 +61,14 @@ def solve_stokes(system: SystemMatrix, intensities: np.ndarray):
         )
     if not np.all(np.isfinite(intensities)):
         raise ValueError("intensities must be finite")
-    stokes = intensities @ system.pinv.T
+    stokes = _solve(system.pinv, np.moveaxis(intensities, -1, 0))
     residual = np.linalg.norm(stokes @ system.matrix.T - intensities, axis=-1)
     return stokes, residual
 
 
-def solve_stokes_per_pixel(matrices: np.ndarray, intensities: np.ndarray):
-    """Batched solve for spatially varying systems (calibrated real data).
-
-    ``matrices`` is (..., m, 4) and ``intensities`` (..., m); each pixel
-    gets its own pseudo-inverse.
-    """
-    matrices = np.asarray(matrices, dtype=float)
-    intensities = np.asarray(intensities, dtype=float)
-    if matrices.shape[:-2] != intensities.shape[:-1] or matrices.shape[-1] != 4:
-        raise DimensionError("matrices (..., m, 4) and intensities (..., m) must align")
-    stokes = (np.linalg.pinv(matrices) @ intensities[..., None])[..., 0]
-    residual = np.linalg.norm((matrices @ stokes[..., None])[..., 0] - intensities, axis=-1)
-    return stokes, residual
+def _solve(pinv, samples):
+    """Stokes vectors (..., 4) of samples (m, ...) through a 4 x m pseudo-inverse."""
+    return (pinv @ samples.reshape(len(samples), -1)).T.reshape(*samples.shape[1:], 4)
 
 
 def _bad_pixel_mask(frames, saturation_level, black_level):
@@ -136,7 +77,7 @@ def _bad_pixel_mask(frames, saturation_level, black_level):
     return saturated | underexposed
 
 
-def _frame_indices(raw: RawCapture, config: CaptureConfig) -> list[list[int]]:
+def _frame_indices(raw: RawCapture) -> list[list[int]]:
     """Per channel, the frame index of each configuration, from the tags."""
     if raw.tags is None:
         raise DimensionError("sequential capture requires (channel, config) tags")
@@ -144,7 +85,7 @@ def _frame_indices(raw: RawCapture, config: CaptureConfig) -> list[list[int]]:
     if channels != list(range(len(channels))):
         raise ConfigurationError("frame tags must cover channels 0..C-1")
     frame_of = {(c, i): k for k, (c, i) in enumerate(raw.tags)}
-    indices = [[frame_of.get((c, i)) for i in range(len(config.configs_for(c)))]
+    indices = [[frame_of.get((c, i)) for i in range(len(raw.config.configs_for(c)))]
                for c in channels]
     for c, frames in enumerate(indices):
         if None in frames:
@@ -152,11 +93,7 @@ def _frame_indices(raw: RawCapture, config: CaptureConfig) -> list[list[int]]:
     return indices
 
 
-def reconstruct_image(
-    raw: RawCapture,
-    config: CaptureConfig | None = None,
-    dop_tol: float = DEFAULT_DOP_TOL,
-) -> StokesImage:
+def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> StokesImage:
     """Invert a capture into a Stokes cube with a validity mask.
 
     A pixel/channel is valid when its estimate passes the degree of
@@ -167,11 +104,10 @@ def reconstruct_image(
     segment planes, picked per color by the layout's cells.  A bad raw
     mosaic sample taints every pixel its interpolation reaches.
     """
-    config = config or raw.config
     samples = raw.frames
     bad = _bad_pixel_mask(samples, raw.saturation_level, raw.black_level)
     if raw.layout is None:
-        indices = _frame_indices(raw, config)
+        indices = _frame_indices(raw)
     else:
         indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
         bad = demosaic_footprint(bad[0])
@@ -179,7 +115,7 @@ def reconstruct_image(
 
     pinvs = []
     for c, idx in enumerate(indices):
-        system = system_matrix(config, c)
+        system = system_matrix(raw.config, c)
         if len(idx) != system.m:
             raise DimensionError(f"channel {c} has {len(idx)} samples for {system.m} rows")
         pinvs.append(system.pinv)
@@ -190,7 +126,7 @@ def reconstruct_image(
 
     def solve_rows(lo, hi):
         for c, (idx, pinv) in enumerate(zip(indices, pinvs)):
-            stokes = (pinv @ samples[idx, lo:hi].reshape(len(idx), -1)).T.reshape(hi - lo, w, 4)
+            stokes = _solve(pinv, samples[idx, lo:hi])
             data[lo:hi, :, c, :] = stokes
             mask[lo:hi, :, c] = _within_bound(stokes, dop_tol) & ~bad[idx, lo:hi].any(axis=0)
 

@@ -13,6 +13,7 @@ from polarcube import (
     inr_forward,
     inr_init,
     inr_loss_and_grads,
+    inr_rate_curve,
     inr_train,
     parameter_count,
     positional_encode,
@@ -229,6 +230,19 @@ class TestDecode:
         peak = img.data[..., 0].max()
         psnr = 10 * np.log10(peak**2 / mse)
         assert psnr == pytest.approx(report.final_psnr, abs=0.1)
+
+
+class TestRateCurve:
+    def test_one_row_per_fitted_model(self):
+        small, large = inr_init(2, 8, seed=0), inr_init(3, 16, seed=1)
+        assert parameter_count(small) < parameter_count(large)
+        curve = inr_rate_curve([(small, 0.01), (large, 0.002)], width=12, height=5,
+                               bits_per_value=16)
+        assert curve.columns == ["layers", "parameters", "bpp", "mse"]
+        assert curve.rows == [
+            (2, parameter_count(small), parameter_count(small) * 16 / (12 * 5), 0.01),
+            (3, parameter_count(large), parameter_count(large) * 16 / (12 * 5), 0.002),
+        ]
 
 
 def worst_gradient_error(model, coords, targets, eps=1e-6):

@@ -14,6 +14,7 @@ from polarcube import (
     NoiseModel,
     RawCapture,
     StokesImage,
+    SystemMatrix,
     burst_average,
     default_qwp_angles,
     demosaic,
@@ -26,11 +27,9 @@ from polarcube import (
     simulate_trichromatic,
     smooth_scene,
     solve_stokes,
-    solve_stokes_per_pixel,
     system_matrix,
 )
-from polarcube import reconstruct
-from polarcube.reconstruct import SystemMatrix
+from polarcube import _pool, reconstruct
 
 RNG = np.random.default_rng(2024)
 
@@ -86,6 +85,15 @@ class TestSystemMatrix:
         assert system_matrix(config, 1).m == 8
         assert system_matrix(config, 2).m == 4
 
+    def test_both_cameras_reject_a_calibration_singular_in_one_channel(self):
+        calibration = np.stack([np.eye(4)] * 3)
+        calibration[1, 0] = [0.0, 0.0, 0.0, 1.0]  # channel 1 records no intensity
+        scene = smooth_scene(8, 8, 3, np.random.default_rng(12))
+        with pytest.raises(ConfigurationError, match="channel 1"):
+            simulate_trichromatic(scene, calibration=calibration)
+        with pytest.raises(ConfigurationError, match="channel 1"):
+            simulate_hyperspectral(scene, default_qwp_angles(), calibration=calibration)
+
 
 unit_floats = st.floats(-1.0, 1.0, width=32, allow_subnormal=False)  # no underflow in norms
 
@@ -139,14 +147,6 @@ class TestSolveStokes:
         grad = rows.T @ (rows @ s_hat - intensities)
         assert np.max(np.abs(grad)) <= 1e-8 * np.linalg.norm(intensities)
 
-    def test_batched_and_per_pixel_paths_agree(self):
-        system = system_matrix(qwp_config())
-        intensities = RNG.normal(size=(5, 6, 4))
-        batched, _ = solve_stokes(system, intensities)
-        stacked = np.broadcast_to(system.matrix, (5, 6, 4, 4))
-        per_pixel, _ = solve_stokes_per_pixel(stacked, intensities)
-        assert np.max(np.abs(batched - per_pixel)) < 1e-11
-
 
 class TestReconstructImage:
     def test_mild_noise_keeps_99_percent_valid(self):
@@ -172,6 +172,19 @@ class TestReconstructImage:
         assert np.array_equal(got.data, want.data)
         assert np.array_equal(got.mask, want.mask)
         assert 0 < want.mask.sum()
+
+    def test_cube_channels_are_solve_stokes_of_their_frames(self, monkeypatch):
+        monkeypatch.setattr(_pool, "BLOCK_VALUES", 1 << 8)  # 6 rows a block: 4 blocks
+        scene = random_scene(20, 10, 3, np.random.default_rng(13),
+                             wavelengths=[450.0, 550.0, 650.0])
+        noise = NoiseModel(gaussian_sigma=0.01, saturation_level=10.0, black_level=-10.0,
+                           rng_seed=14)
+        raw = simulate_hyperspectral(scene, default_qwp_angles(), noise=noise)
+        cube = reconstruct_image(raw)
+        for c in range(3):
+            frames = raw.frames[[raw.tags.index((c, i)) for i in range(4)]]
+            stokes, _ = solve_stokes(system_matrix(raw.config, c), np.moveaxis(frames, 0, -1))
+            assert np.array_equal(cube.data[..., c, :], stokes)
 
     def test_missing_frames_rejected(self):
         scene = random_scene(4, 4, 2, RNG, wavelengths=[500.0, 600.0])
