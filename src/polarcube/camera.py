@@ -178,6 +178,17 @@ class CaptureConfig:
             raise ConfigurationError("at least one measurement configuration required")
         if self.exposure <= 0:
             raise ConfigurationError("exposure must be positive")
+        shape = np.shape(self.calibration)
+        if (self.calibration is not None and shape[-2:] != (4, 4)) or len(shape) > 3:
+            raise ConfigurationError(f"calibration must be (4, 4) or (n, 4, 4), got {shape}")
+        if not self.shared:
+            self._check_channels(len(self.channel_configs))
+
+    def _check_channels(self, n_channels):
+        """Reject a per-channel calibration that has not one matrix per channel."""
+        if np.ndim(self.calibration) == 3 and len(self.calibration) != n_channels:
+            raise ConfigurationError(f"calibration has {len(self.calibration)} matrices"
+                                     f" for {n_channels} channels")
 
     @property
     def shared(self) -> bool:
@@ -190,9 +201,7 @@ class CaptureConfig:
         if self.calibration is None:
             return None
         cal = np.asarray(self.calibration, dtype=float)
-        if cal.ndim == 2:
-            return cal
-        return cal[channel]
+        return cal if cal.ndim == 2 else cal[channel]
 
     def rows(self, channel: int) -> np.ndarray:
         """The channel's (m, 4) measurement rows, exposure included.
@@ -425,8 +434,10 @@ class RawCapture:
             raise DimensionError(f"frames must be (N, H, W), got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("frame intensities must be finite")
-        if self.tags is not None and len(self.tags) != self.frames.shape[0]:
-            raise DimensionError("one (channel, config) tag per frame required")
+        if self.tags is not None:
+            if len(self.tags) != self.frames.shape[0]:
+                raise DimensionError("one (channel, config) tag per frame required")
+            self.config._check_channels(len({c for c, _ in self.tags}))
 
     @property
     def height(self) -> int:
@@ -487,19 +498,24 @@ def simulate_hyperspectral(
     By default each channel's response is a unit-area box on the scene's
     own wavelength grid, i.e. the band-integrated Stokes vector equals
     the scene channel exactly; pass ``responses`` for overlapping bands.
+    Each row block is band-integrated and measured in one stacked product.
     """
     config = CaptureConfig.hyperspectral(qwp_angles, lp_angle, calibration, exposure)
     weights = _band_matrix(scene, responses)
     n_channels = weights.shape[0]
 
+    config._check_channels(n_channels)
     rows = np.stack([system_matrix(config, c).matrix for c in range(n_channels)])  # (C, m, 4)
 
-    band = np.matmul(weights, scene.data)  # (H, W, C, 4)
-    band = band.reshape(-1, n_channels, 4).transpose(1, 2, 0)  # (C, 4, H*W)
-    frames = np.empty((n_channels, rows.shape[1], band.shape[2]), np.result_type(rows, band))
-    for c in range(n_channels):
-        np.matmul(rows[c], band[c], out=frames[c])
-    frames = frames.reshape(-1, scene.height, scene.width)
+    h, w = scene.height, scene.width
+    frames = np.empty((n_channels, rows.shape[1], h * w), np.result_type(rows, weights, scene.data))
+
+    def integrate(lo, hi):  # frames (C, m, rows x W) of a row block, all channels at once
+        planar = np.matmul(weights, scene.data[lo:hi]).reshape(-1, n_channels, 4).transpose(1, 2, 0)
+        np.matmul(rows, planar, out=frames[:, :, lo * w:hi * w])
+
+    _pool.blocks(integrate, h, w * n_channels * (4 + rows.shape[1]))
+    frames = frames.reshape(-1, h, w)
     tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
 
     sat, black = np.inf, -np.inf

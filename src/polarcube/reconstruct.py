@@ -3,8 +3,8 @@
 Each spectral channel contributes an m x 4 system whose row i is the
 analyzer (intensity) row of configuration i.  The per-pixel estimate is
 the least-squares minimizer of ``sum_i (I_i - a_i . s)^2``, applied as
-the channel's 4 x m pseudo-inverse (``camera.system_matrix``), computed
-once per channel and reused across all pixels.
+the channel's 4 x m pseudo-inverse (``camera.system_matrix``); channels
+of equal m share one stacked product per block of rows.
 """
 
 from __future__ import annotations
@@ -61,14 +61,15 @@ def solve_stokes(system: SystemMatrix, intensities: np.ndarray):
         )
     if not np.all(np.isfinite(intensities)):
         raise ValueError("intensities must be finite")
-    stokes = _solve(system.pinv, np.moveaxis(intensities, -1, 0))
+    stokes = _solve(system.pinv[None], np.moveaxis(intensities, -1, 0)[None])[..., 0, :]
     residual = np.linalg.norm(stokes @ system.matrix.T - intensities, axis=-1)
     return stokes, residual
 
 
-def _solve(pinv, samples):
-    """Stokes vectors (..., 4) of samples (m, ...) through a 4 x m pseudo-inverse."""
-    return (pinv @ samples.reshape(len(samples), -1)).T.reshape(*samples.shape[1:], 4)
+def _solve(pinvs, samples):
+    """Stokes vectors (..., g, 4) of g channels' samples (g, m, ...) through (g, 4, m) pinvs."""
+    g, m = samples.shape[:2]
+    return (pinvs @ samples.reshape(g, m, -1)).transpose(2, 0, 1).reshape(*samples.shape[2:], g, 4)
 
 
 def _bad_pixel_mask(frames, saturation_level, black_level):
@@ -98,11 +99,11 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
 
     A pixel/channel is valid when its estimate passes the degree of
     polarization bound and no contributing intensity sample was
-    saturated or underexposed.  Both cameras solve from a stack of
-    (N, H, W) sample frames: a sequential capture's own frames, picked
-    per channel by its tags, or a mosaic frame demosaiced into its 16
-    segment planes, picked per color by the layout's cells.  A bad raw
-    mosaic sample taints every pixel its interpolation reaches.
+    saturated or underexposed.  Both cameras solve from (N, H, W) sample
+    frames, a sequential capture's own or a mosaic's 16 demosaiced
+    segment planes: per block of rows, one gather and one stacked product
+    for all channels of equal row count.  A bad raw mosaic sample taints
+    every pixel its interpolation reaches.
     """
     samples = raw.frames
     bad = _bad_pixel_mask(samples, raw.saturation_level, raw.black_level)
@@ -113,24 +114,27 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
         bad = demosaic_footprint(bad[0])
         samples = demosaic(mosaic_split(samples[0]))
 
-    pinvs = []
+    groups = {}  # per row count m: the channels, their frame indices and 4 x m pseudo-inverses
     for c, idx in enumerate(indices):
         system = system_matrix(raw.config, c)
         if len(idx) != system.m:
             raise DimensionError(f"channel {c} has {len(idx)} samples for {system.m} rows")
-        pinvs.append(system.pinv)
+        groups.setdefault(system.m, []).append((c, idx, system.pinv))
+    # All channels as a slice: a basic-index copy into ``data`` beats a fancy one.
+    groups = [(list(chans) if len(chans) < len(indices) else slice(None), np.array(idx),
+               np.stack(pinvs)) for chans, idx, pinvs in (zip(*g) for g in groups.values())]
 
     h, w = raw.height, raw.width
     data = np.empty((h, w, len(indices), 4))
     mask = np.empty((h, w, len(indices)), dtype=bool)
 
     def solve_rows(lo, hi):
-        for c, (idx, pinv) in enumerate(zip(indices, pinvs)):
-            stokes = _solve(pinv, samples[idx, lo:hi])
-            data[lo:hi, :, c, :] = stokes
-            mask[lo:hi, :, c] = _within_bound(stokes, dop_tol) & ~bad[idx, lo:hi].any(axis=0)
+        for chans, idx, pinvs in groups:
+            data[lo:hi, :, chans] = _solve(pinvs, samples[idx, lo:hi])
+            mask[lo:hi, :, chans] = ~bad[idx, lo:hi].any(axis=1).transpose(1, 2, 0)
+        mask[lo:hi] &= _within_bound(data[lo:hi], dop_tol)
 
-    _pool.blocks(solve_rows, h, w * max(map(len, indices)))  # one channel's samples per row
+    _pool.blocks(solve_rows, h, w * sum(map(len, indices)))  # every channel's samples per row
     return StokesImage(data, raw.wavelengths, mask)
 
 

@@ -39,6 +39,7 @@ from polarcube import (
     write_labels,
     write_spsi,
 )
+from polarcube.cli import main
 from polarcube.io import cube_payload_bytes
 
 RNG = np.random.default_rng(404)
@@ -515,6 +516,18 @@ class TestPresenceFlags:
         at = len(path.read_bytes()) - raw.frames.nbytes - 128 - 4 - 1
         with pytest.raises(ContainerError, match="flag byte 3"):
             read_spsi(patched(tmp_path, raw, at, "<B", 3))
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_calibration_count_other_than_channel_count_is_rejected(self, tmp_path, n):
+        scene = random_scene(4, 4, 3, np.random.default_rng(7), wavelengths=[500.0, 550.0, 600.0])
+        raw = simulate_hyperspectral(scene, default_qwp_angles(),
+                                     calibration=np.stack([np.eye(4)] * 3))
+        raw.config.calibration = np.stack([np.eye(4)] * n)  # the writer does not check it
+        path = tmp_path / "raw.spsi"
+        write_spsi(path, raw)
+        with pytest.raises(ContainerError, match=f"{n} matrices for 3 channels"):
+            read_spsi(path)
+        assert main(["reconstruct", str(path), "--out", str(tmp_path / "cube.spsi")]) == 3
 
 
 KINDS = ["cube", "raw", "mosaic", "codebook", "encoding", "network"]

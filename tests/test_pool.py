@@ -87,12 +87,17 @@ def mosaic_raw():
 
 
 class TestSameBitsForAnyWorkerCount:
-    def test_noisy_hyperspectral_frames(self):
+    @pytest.mark.parametrize("noise", [None, NOISE], ids=["noiseless", "noisy"])
+    def test_hyperspectral_frames(self, noise):
         scene = smooth_scene(24, 20, 5, np.random.default_rng(11))
-        one, *more = on_each(lambda: simulate_hyperspectral(scene, default_qwp_angles(),
-                                                            noise=NOISE).frames)
-        for other in more:
-            assert_bits_equal(one, other)
+
+        def frames():
+            return simulate_hyperspectral(scene, default_qwp_angles(), noise=noise).frames
+
+        with workers(1, block_values=scene.data.size * 10):
+            whole = frames()
+        for blocked in on_each(frames):  # several row blocks each
+            assert_bits_equal(blocked, whole)
 
     def test_reconstruct_hyperspectral(self, hyper_raw):
         one, *more = on_each(lambda: reconstruct_image(hyper_raw))

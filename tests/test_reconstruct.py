@@ -94,6 +94,22 @@ class TestSystemMatrix:
         with pytest.raises(ConfigurationError, match="channel 1"):
             simulate_hyperspectral(scene, default_qwp_angles(), calibration=calibration)
 
+    @pytest.mark.parametrize("shape", [(), (4,), (3, 4), (4, 3), (2, 4, 3), (2, 2, 4, 4)])
+    def test_calibration_other_than_4x4_or_n_4x4_is_rejected(self, shape):
+        with pytest.raises(ConfigurationError, match="calibration must be"):
+            CaptureConfig.hyperspectral(default_qwp_angles(), calibration=np.ones(shape))
+        CaptureConfig.hyperspectral(default_qwp_angles(), calibration=np.eye(4))
+        CaptureConfig.hyperspectral(default_qwp_angles(), calibration=np.stack([np.eye(4)] * 2))
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_simulation_needs_one_calibration_matrix_per_channel(self, n):
+        calibration = np.stack([np.eye(4)] * n)
+        scene = smooth_scene(8, 8, 3, np.random.default_rng(12))
+        with pytest.raises(ConfigurationError, match=f"{n} matrices for 3 channels"):
+            simulate_trichromatic(scene, calibration=calibration)
+        with pytest.raises(ConfigurationError, match=f"{n} matrices for 3 channels"):
+            simulate_hyperspectral(scene, default_qwp_angles(), calibration=calibration)
+
 
 unit_floats = st.floats(-1.0, 1.0, width=32, allow_subnormal=False)  # no underflow in norms
 
