@@ -283,11 +283,14 @@ def cmd_decompose(cfg, args):
 
 
 def cmd_validate(cfg, args):
+    import numpy as np
+
     pc = _api()
     cube = _load_cube(pc, args.input)
     ok = cube.mask & pc.is_valid(cube.data, cfg["solver"]["dop_tol"])
     return {"valid_fraction": float(ok.sum()) / ok.size,
-            "masked_fraction": 1.0 - cube.valid_fraction()}
+            "masked_fraction": 1.0 - cube.valid_fraction(),
+            "nonfinite_valid": int((cube.mask & ~np.isfinite(cube.data).all(axis=-1)).sum())}
 
 
 def cmd_denoise(cfg, args):

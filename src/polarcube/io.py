@@ -9,22 +9,26 @@ The SPSI container is a single little-endian file::
 
 Kinds: 0 = value cube (components 4 = Stokes, 3 = normals, 1 = scalar),
 1 = raw capture, 2 = patch-basis codec artifact, 3 = coordinate-network
-artifact.  dtype 0 = IEEE-754 binary32, 1 = binary64.  Cube payloads are
-laid out channel-major, then component-major, then row-major, followed
-by a bit-packed validity plane.  Writes go to a temp file and are
-renamed into place, so readers never observe partial files; identical
-objects serialize to identical bytes.
+artifact.  dtype 0 = IEEE-754 binary32, 1 = binary64.  Version 2 cube
+payloads are in memory order, (H, W, C, components), then the validity
+mask bit-packed as (H, W, C); version 1, still read, is channel-major,
+then component-major, then row-major, with the mask packed as (C, H, W).
+Writes go to a preallocated temp file renamed into place, so readers see
+the old file or the complete new one, and identical objects serialize to
+identical bytes.  Without ``fsync``, a container written just before a
+power failure may read back with zero-filled pages.
 
 Payloads stream straight between arrays and the file: the writer hands
 each contiguous array to the file as a buffer, and the reader fills a
 fresh array with ``readinto`` after checking the size its header claims
 against the bytes left in the file.  So each payload is copied once per
-direction (a cube once more, for its channel-major layout), and a header
-cannot make the reader allocate more than the file holds.
+direction (a version-1 cube read once more, for its layout), and a
+header cannot make the reader allocate more than the file holds.
 """
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import struct
@@ -56,7 +60,7 @@ __all__ = [
 ]
 
 MAGIC = b"SPSI"
-VERSION = 1
+VERSION = 2
 KIND_CUBE, KIND_RAW, KIND_PCA, KIND_INR = 0, 1, 2, 3
 
 _HEADER = struct.Struct("<4sHHIIHHB")
@@ -133,6 +137,14 @@ def _atomic_write(path, *chunks):
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
+            # With its blocks allocated up front, replacing an existing file
+            # does not make ext4 (auto_da_alloc) flush the new one in rename().
+            if hasattr(os, "posix_fallocate"):
+                try:
+                    os.posix_fallocate(fd, 0, sum(memoryview(c).nbytes for c in chunks))
+                except OSError as exc:
+                    if exc.errno not in (errno.EINVAL, errno.EOPNOTSUPP):
+                        raise
             for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
@@ -169,14 +181,8 @@ def _write_cube(obj) -> list:
     h, wd, c = data.shape[:3]
     wavelengths = getattr(obj, "wavelengths", None)
     w = _header(KIND_CUBE, wd, h, c, components, code, wavelengths)
-    planes = np.empty((c, components, h, wd), _DTYPES[code])  # channel-major layout
-
-    def rows(lo, hi):
-        planes[:, :, lo:hi] = data[lo:hi].transpose(2, 3, 0, 1)
-
-    _pool.blocks(rows, h, data[:1].size)
-    w.array(planes, _DTYPES[code])
-    w.array(np.packbits(mask.transpose(2, 0, 1).ravel()), "<u1")
+    w.array(data, _DTYPES[code])
+    w.array(np.packbits(mask), "<u1")
     return w.chunks
 
 
@@ -184,18 +190,21 @@ def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wave
     if components not in (1, 3, 4):
         raise ContainerError(f"unsupported cube component count {components}")
     dtype = _DTYPES[dtype_code]
-    planes = r.array(channels * components * height * width, dtype).reshape(
-        channels, components, height, width)
-    bits = np.unpackbits(r.array((channels * height * width + 7) // 8, "<u1"),
-                         count=channels * height * width)
-    mask = bits.reshape(channels, height, width).transpose(1, 2, 0).astype(bool)
+    n = height * width * channels
+    data = r.array(n * components, dtype)
+    mask = np.unpackbits(r.array((n + 7) // 8, "<u1"), count=n).view(bool)
     r.done()
-    data = np.empty((height, width, channels, components), dtype)
+    if r.version == 1:  # channel-major data, (C, H, W) mask
+        planes = data.reshape(channels, components, height, width)
+        mask = mask.reshape(channels, height, width).transpose(1, 2, 0)
+        data = np.empty((height, width, channels, components), dtype)
 
-    def rows(lo, hi):
-        data[lo:hi] = planes[:, :, lo:hi].transpose(2, 3, 0, 1)
+        def rows(lo, hi):
+            data[lo:hi] = planes[:, :, lo:hi].transpose(2, 3, 0, 1)
 
-    _pool.blocks(rows, height, data[:1].size)
+        _pool.blocks(rows, height, data[:1].size)
+    data = data.reshape(height, width, channels, components)
+    mask = mask.reshape(height, width, channels)
     if components == 4:
         return StokesImage(data, wavelengths, mask)
     if components == 3:
@@ -434,8 +443,9 @@ def read_spsi(path):
         )
         if magic != MAGIC:
             raise ContainerError(f"bad magic {magic!r}")
-        if version != VERSION:
+        if version not in (1, VERSION):
             raise ContainerError(f"unsupported container version {version}")
+        r.version = version
         if dtype_code not in _DTYPES:
             raise ContainerError(f"unknown dtype code {dtype_code}")
         if kind not in _READERS:

@@ -72,9 +72,9 @@ def _solve(pinvs, samples):
     return (pinvs @ samples.reshape(g, m, -1)).transpose(2, 0, 1).reshape(*samples.shape[2:], g, 4)
 
 
-def _bad_pixel_mask(frames, saturation_level, black_level):
-    saturated = frames >= SATURATION_FRACTION * saturation_level
-    underexposed = frames <= UNDEREXPOSURE_MULTIPLIER * black_level
+def _bad_pixel_mask(samples, raw: RawCapture):
+    saturated = samples >= SATURATION_FRACTION * raw.saturation_level
+    underexposed = samples <= UNDEREXPOSURE_MULTIPLIER * raw.black_level
     return saturated | underexposed
 
 
@@ -105,13 +105,12 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
     for all channels of equal row count.  A bad raw mosaic sample taints
     every pixel its interpolation reaches.
     """
-    samples = raw.frames
-    bad = _bad_pixel_mask(samples, raw.saturation_level, raw.black_level)
+    samples, bad = raw.frames, None  # a sequential capture's blocks flag their own samples
     if raw.layout is None:
         indices = _frame_indices(raw)
     else:
         indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
-        bad = demosaic_footprint(bad[0])
+        bad = demosaic_footprint(_bad_pixel_mask(samples[0], raw))
         samples = demosaic(mosaic_split(samples[0]))
 
     groups = {}  # per row count m: the channels, their frame indices and 4 x m pseudo-inverses
@@ -130,8 +129,10 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
 
     def solve_rows(lo, hi):
         for chans, idx, pinvs in groups:
-            data[lo:hi, :, chans] = _solve(pinvs, samples[idx, lo:hi])
-            mask[lo:hi, :, chans] = ~bad[idx, lo:hi].any(axis=1).transpose(1, 2, 0)
+            block = samples[idx, lo:hi]
+            data[lo:hi, :, chans] = _solve(pinvs, block)
+            flags = _bad_pixel_mask(block, raw) if bad is None else bad[idx, lo:hi]
+            mask[lo:hi, :, chans] = ~flags.any(axis=1).transpose(1, 2, 0)
         mask[lo:hi] &= _within_bound(data[lo:hi], dop_tol)
 
     _pool.blocks(solve_rows, h, w * sum(map(len, indices)))  # every channel's samples per row

@@ -100,6 +100,17 @@ class TestValidateAndStats:
         assert code == 0
         assert summary["valid_fraction"] == 1.0
 
+    def test_validate_counts_nonfinite_valid_entries(self, capsys, tmp_path):
+        path = str(tmp_path / "cube.spsi")
+        img = random_scene(8, 8, 3, np.random.default_rng(5))
+        img.mask[2, 3, 1] = False
+        img.data[2, 3, 1, 0] = np.inf  # masked: not counted
+        img.data[4, 5, 2, 3] = np.nan
+        write_spsi(path, img)
+        code, _, summary, _ = run_cli(capsys, "validate", path)
+        assert code == 0
+        assert summary["nonfinite_valid"] == 1
+
     def test_aolp_gradient_stats_support(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
         csv_path = str(tmp_path / "grad.csv")

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import os
 import struct
 import tempfile
@@ -140,6 +141,36 @@ class TestContainerErrors:
         assert [p.name for p in tmp_path.iterdir()] == ["cube.spsi"]
         assert path.read_bytes() == before
 
+    def test_unsupported_preallocation_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        img = random_cube()
+        write_spsi(tmp_path / "a.spsi", img)
+        calls = []
+
+        def posix_fallocate(fd, offset, length):
+            calls.append((offset, length))
+            raise OSError(errno.EOPNOTSUPP, os.strerror(errno.EOPNOTSUPP))
+
+        monkeypatch.setattr(os, "posix_fallocate", posix_fallocate, raising=False)
+        write_spsi(tmp_path / "b.spsi", img)
+        blob = (tmp_path / "a.spsi").read_bytes()
+        assert (tmp_path / "b.spsi").read_bytes() == blob
+        assert calls == [(0, len(blob))]
+
+    def test_failed_preallocation_leaves_the_target(self, tmp_path, monkeypatch):
+        path = tmp_path / "cube.spsi"
+        write_spsi(path, random_cube())
+        before = path.read_bytes()
+
+        def posix_fallocate(fd, offset, length):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "posix_fallocate", posix_fallocate, raising=False)
+        with pytest.raises(OSError) as info:
+            write_spsi(path, random_cube(c=5))
+        assert info.value.errno == errno.ENOSPC
+        assert [p.name for p in tmp_path.iterdir()] == ["cube.spsi"]
+        assert path.read_bytes() == before
+
     def test_header_payload_arithmetic(self):
         data_bytes, mask_bytes = cube_payload_bytes(612, 512, 21, 4, dtype_code=0)
         assert data_bytes == 612 * 512 * 21 * 4 * 4
@@ -208,18 +239,20 @@ class TestCodecArtifacts:
 HEADER = struct.Struct("<4sHHIIHHB")  # magic, version, kind, width, height, channels, ...
 
 
-def reference_serialisation(obj) -> bytes:
-    """SPSI version-1 bytes of ``obj``, built field by field and joined.
+def reference_serialisation(obj, version=2) -> bytes:
+    """SPSI bytes of ``obj`` in ``version`` 1 or 2, built field by field and joined.
 
     A frozen, independent copy of the container layout: ``write_spsi``
-    must produce exactly these bytes, so the format cannot drift.
+    must produce exactly the version-2 bytes, so the format cannot drift,
+    and ``read_spsi`` must still read the version-1 bytes.  The versions
+    differ only in the version field and the cube payload.
     """
 
     def header(kind, width, height, channels, components, code, wavelengths):
         table = np.zeros(channels, "<f4")
         if wavelengths is not None:
             table[:] = wavelengths
-        fields = (b"SPSI", 1, kind, width, height, channels, components, code)
+        fields = (b"SPSI", version, kind, width, height, channels, components, code)
         return [HEADER.pack(*fields), table.tobytes()]
 
     def code_of(dtype):
@@ -243,8 +276,10 @@ def reference_serialisation(obj) -> bytes:
             mask, wavelengths = obj.mask, obj.wavelengths
         code = code_of(data.dtype)
         parts = header(0, w, h, c, components, code, wavelengths)
-        parts.append(arr(data.transpose(2, 3, 0, 1), f(code)))
-        parts.append(np.packbits(mask.transpose(2, 0, 1).ravel()).tobytes())
+        if version == 1:  # channel-major, then component-major, then row-major
+            data, mask = data.transpose(2, 3, 0, 1), mask.transpose(2, 0, 1)
+        parts.append(arr(data, f(code)))
+        parts.append(np.packbits(mask.ravel()).tobytes())
     elif isinstance(obj, RawCapture):
         code = code_of(obj.frames.dtype)
         wl = obj.wavelengths
@@ -351,6 +386,7 @@ class TestHostileHeaders:
     # payload (or millions of records) from a file of a few hundred bytes.
     CASES = [
         ("cube", 8, "<II", (2**14, 2**14)),  # width x height: 4 GiB of f32 Stokes data
+        ("cube", 4, "<HHII", (1, 0, 2**14, 2**14)),  # the same, as a version-1 cube
         ("raw", 8, "<II", (2**14, 2**14)),  # 4 frames of 2**28 f64 pixels
         ("raw", HEADER.size + 4, "<I", (2**31,)),  # frame (and tag) count
         ("codebook", HEADER.size, "<I", (2**28,)),  # dimension: a 2 GiB mean
@@ -536,17 +572,18 @@ KINDS = ["cube", "raw", "mosaic", "codebook", "encoding", "network"]
 class TestCorruption:
     @pytest.mark.parametrize("kind", KINDS)
     def test_every_prefix_and_one_byte_more_is_rejected(self, tmp_path, kind):
+        obj = small_container(kind)
         path = tmp_path / "whole.spsi"
-        write_spsi(path, small_container(kind))
-        blob = path.read_bytes()
+        write_spsi(path, obj)
         cut = tmp_path / "cut.spsi"
-        for n in range(len(blob)):
-            cut.write_bytes(blob[:n])
-            with pytest.raises(ContainerError, match="truncated"):
+        for blob in (path.read_bytes(), reference_serialisation(obj, 1)):  # versions 2 and 1
+            for n in range(len(blob)):
+                cut.write_bytes(blob[:n])
+                with pytest.raises(ContainerError, match="truncated"):
+                    read_spsi(cut)
+            cut.write_bytes(blob + b"\x00")
+            with pytest.raises(ContainerError, match="mismatch"):
                 read_spsi(cut)
-        cut.write_bytes(blob + b"\x00")
-        with pytest.raises(ContainerError, match="mismatch"):
-            read_spsi(cut)
 
 
 SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(np.float32).tiny])
@@ -609,16 +646,19 @@ class TestContainerProperties:
             path = os.path.join(tmp, "obj.spsi")
             write_spsi(path, obj)
             with open(path, "rb") as fh:
-                blob = fh.read()
-            assert blob == reference_serialisation(obj)
-            assert_bit_exact(obj, read_spsi(path))
+                assert fh.read() == reference_serialisation(obj, 2)
 
-            cut = data.draw(st.integers(0, len(blob) - 1), label="prefix length")
-            for damaged in (blob[:cut], blob + b"\x00"):
+            for version in (2, 1):  # version-1 bytes, written straight, still read bit-exact
+                blob = reference_serialisation(obj, version)
                 with open(path, "wb") as fh:
-                    fh.write(damaged)
-                with pytest.raises(ContainerError):
-                    read_spsi(path)
+                    fh.write(blob)
+                assert_bit_exact(obj, read_spsi(path))
+                cut = data.draw(st.integers(0, len(blob) - 1), label=f"v{version} prefix length")
+                for damaged in (blob[:cut], blob + b"\x00"):
+                    with open(path, "wb") as fh:
+                        fh.write(damaged)
+                    with pytest.raises(ContainerError):
+                        read_spsi(path)
 
 
 class TestLabels:

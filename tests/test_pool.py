@@ -19,6 +19,7 @@ from polarcube import (
     demosaic_footprint,
     feature_gradient_histograms,
     feature_plane,
+    is_valid,
     poincare_density,
     pol_unpol_histograms,
     quality,
@@ -32,6 +33,7 @@ from polarcube import (
 )
 import polarcube
 from polarcube import _pool
+from polarcube.reconstruct import SATURATION_FRACTION, UNDEREXPOSURE_MULTIPLIER
 from polarcube.stokes import _KERNEL_NAMES, _kernel
 
 # Small blocks, so the small inputs below span many blocks.
@@ -105,6 +107,16 @@ class TestSameBitsForAnyWorkerCount:
             assert_cubes_equal(one, other)
         assert 0 < one.valid_fraction() < 1  # clipped samples reach the mask
 
+    def test_hyperspectral_mask_flags_each_channels_frames(self, hyper_raw):
+        frames = hyper_raw.frames
+        bad = ((frames >= SATURATION_FRACTION * hyper_raw.saturation_level)
+               | (frames <= UNDEREXPOSURE_MULTIPLIER * hyper_raw.black_level))
+        clean = np.stack([~bad[[k for k, (c, _) in enumerate(hyper_raw.tags) if c == channel]]
+                          .any(axis=0) for channel in range(5)], axis=-1)
+        assert 0 < clean.sum() < clean.size
+        for cube in on_each(lambda: reconstruct_image(hyper_raw)):
+            assert_bits_equal(cube.mask, clean & is_valid(cube.data))
+
     def test_reconstruct_mosaic(self, mosaic_raw):
         one, *more = on_each(lambda: reconstruct_image(mosaic_raw))
         for other in more:
@@ -170,14 +182,22 @@ class TestSameBitsForAnyWorkerCount:
             write_spsi(path, cube)
             with open(path, "rb") as fh:
                 blob = fh.read()
-            return blob, read_spsi(path)
+            back = read_spsi(path)
+            # the same cube as version 1: channel-major data, then a (C, H, W) mask
+            header = len(blob) - cube.data.nbytes - (cube.mask.size + 7) // 8
+            path.write_bytes(blob[:4] + b"\x01\x00" + blob[6:header]
+                             + cube.data.transpose(2, 3, 0, 1).tobytes()
+                             + np.packbits(cube.mask.transpose(2, 0, 1)).tobytes())
+            return blob, back, read_spsi(path)
 
-        (blob_one, back_one), *more = on_each(round_trip)
-        for blob, back in more:
+        (blob_one, back_one, old_one), *more = on_each(round_trip)
+        for blob, back, old in more:
             assert blob == blob_one
             assert_cubes_equal(back, back_one)
+            assert_cubes_equal(old, old_one)
         assert_cubes_equal(back_one, cube)
-        assert back_one.data.flags.c_contiguous
+        assert_cubes_equal(old_one, cube)
+        assert back_one.data.flags.c_contiguous and old_one.data.flags.c_contiguous
 
 
 class TestDispatch:
