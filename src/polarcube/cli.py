@@ -1,14 +1,19 @@
 """Command-line frontend for the pipeline.
 
-Every subcommand resolves a full configuration (built-in defaults, then
-an optional JSON config file, then command-line flags, flags winning),
-prints it as one JSON line before doing any work, and ends with a JSON
-summary line.  Exit codes: 0 success, 2 configuration problems, 3 I/O
-problems, 4 numerical failures.
+Each subcommand is one declaration in ``_COMMANDS``: the config sections
+it reads and its flags, each with the config keys it sets.  The parser
+offers only the declared flags (plus ``--config`` and ``--threads`` on
+every command).  A command resolves its configuration (built-in
+defaults, then an optional JSON config file, then flags, flags winning),
+prints the sections it reads as one JSON line before doing any work, and
+ends with a JSON summary line.  A flag that an input or another flag
+overrides is refused before that first line.  Exit codes: 0 success,
+2 configuration problems (argument errors included), 3 I/O problems,
+4 numerical failures.
 
-Heavy imports happen after argument parsing so that ``--threads`` (or
-the POLARCUBE_THREADS environment variable) can pin the BLAS thread
-count before numpy is loaded.
+``--threads`` (or the POLARCUBE_THREADS environment variable) is echoed
+but does not take effect yet: importing this module already loads numpy,
+and with it BLAS, so the BLAS thread count cannot be pinned from here.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import copy
 import json
 import os
 import sys
+from typing import Callable, NamedTuple
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
 
@@ -72,9 +78,16 @@ def _deep_update(base: dict, override: dict, path: str = ""):
             base[key] = value
 
 
+# (flag, what sets it instead): given together, they exit 2 before the echo
+_OVERRIDDEN = (("height", "scene"), ("width", "scene"), ("channels", "scene"),
+               ("height", "size"), ("width", "size"), ("median", "burst"))
+
+
 def _resolve_config(args) -> dict:
+    """The configuration ``args.command`` reads: defaults, then the config file, then flags."""
+    command = _COMMANDS[args.command]
     cfg = copy.deepcopy(DEFAULTS)
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 loaded = json.load(fh)
@@ -85,41 +98,36 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise _ConfigError("config file must hold a JSON object")
         _deep_update(cfg, loaded)
-    if getattr(args, "seed", None) is not None:
-        cfg["seed"] = args.seed
-    if getattr(args, "threads", None) is not None:
-        cfg["threads"] = args.threads
-    elif cfg["threads"] is None and os.environ.get("POLARCUBE_THREADS"):
+    for flag, keys, _ in command.flags + _SHARED:
+        value = getattr(args, flag.lstrip("-").replace("-", "_"))
+        if value is None:
+            continue
+        for key in keys:
+            section, _, name = key.rpartition(".")
+            (cfg[section] if section else cfg)[name] = value
+    if cfg["threads"] is None and os.environ.get("POLARCUBE_THREADS"):
         try:
             cfg["threads"] = int(os.environ["POLARCUBE_THREADS"])
         except ValueError as exc:
             raise _ConfigError("POLARCUBE_THREADS must be an integer") from exc
-    for flag, target in (
-        ("camera", ("camera", "kind")),
-        ("height", ("camera", "height")),
-        ("width", ("camera", "width")),
-        ("channels", ("camera", "channels")),
-        ("noise", ("noise", "sigma")),
-        ("patch", ("pca", "patch_size")),
-        ("bases", ("pca", "bases")),
-        ("layers", ("inr", "layers")),
-        ("net_width", ("inr", "width")),
-        ("steps", ("inr", "steps")),
-        ("lr", ("inr", "lr")),
-        ("batch", ("inr", "batch")),
-        ("bins", ("stats", "bins")),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg[target[0]][target[1]] = value
-    return cfg
-
-
-def _apply_threads(threads):
-    if threads is None:
-        return
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = str(threads)
+    given = {dest for dest, value in vars(args).items() if value is not None}
+    for flag, by in _OVERRIDDEN:
+        if {flag, by} <= given:
+            raise _ConfigError(f"--{flag} has no effect with --{by}")
+    if cfg["camera"]["kind"] == "trichromatic":
+        if "channels" in given:
+            raise _ConfigError("--channels has no effect on the trichromatic camera")
+        cfg["camera"]["channels"] = 3
+    if getattr(args, "feature", None) == "cop-gradient":
+        if "bins" in given:
+            raise _ConfigError("--bins has no effect on cop-gradient, which has 5 unit bins")
+        cfg["stats"]["bins"] = 5
+    sections = ["threads", *command.sections] + (["seed"] if hasattr(args, "seed") else [])
+    if getattr(args, "scene", None):  # the input cube is the scene and sets its size
+        sections.remove("scene")
+        for key in ("height", "width", "channels"):
+            del cfg["camera"][key]
+    return {key: cfg[key] for key in sections}
 
 
 def _require_seed(cfg, why):
@@ -129,17 +137,9 @@ def _require_seed(cfg, why):
 
 
 def _api():
-    import numpy as np  # noqa: F401  (imported after thread pinning)
-
     import polarcube
 
     return polarcube
-
-
-def _require_out(args):
-    if not getattr(args, "out", None):
-        raise _ConfigError("--out is required for this command")
-    return args.out
 
 
 def _load_cube(pc, path):
@@ -166,7 +166,7 @@ def _make_scene(pc, cfg, seed):
     import numpy as np
 
     cam = cfg["camera"]
-    channels = 3 if cam["kind"] == "trichromatic" else int(cam["channels"])
+    channels = int(cam["channels"])
     rng = np.random.default_rng(seed)
     kind = cfg["scene"]["kind"]
     if kind == "smooth":
@@ -217,7 +217,7 @@ def _simulate(pc, cfg, scene, seed):
 
 def cmd_simulate(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     if args.scene:
         scene = _load_cube(pc, args.scene)
         seed = cfg["seed"]
@@ -235,7 +235,7 @@ def cmd_simulate(cfg, args):
 
 def cmd_reconstruct(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     raw = pc.read_spsi(args.input)
     if not isinstance(raw, pc.RawCapture):
         raise _ConfigError(f"{args.input} does not hold a raw capture")
@@ -247,7 +247,7 @@ def cmd_reconstruct(cfg, args):
 
 def cmd_features(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     names = ("rho", "dolp", "docp", "aolp", "cop")
     found = pc.analysis._feature_histograms([_load_cube(pc, args.input)], names,
                                             cfg["stats"]["bins"], "no samples for {} histogram")
@@ -263,7 +263,7 @@ def cmd_decompose(cfg, args):
     import numpy as np
 
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     cube = _load_cube(pc, args.input)
     tol = cfg["solver"]["dop_tol"]
     valid = cube.mask & pc.is_valid(cube.data, tol)
@@ -298,10 +298,8 @@ def cmd_denoise(cfg, args):
 
     import numpy as np
 
-    if not args.burst and (args.median < 1 or args.median % 2 == 0):
-        raise _ConfigError(f"--median must be odd and >= 1, got {args.median}")
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     if args.burst:
         raws = [pc.read_spsi(p) for p in [args.input] + args.burst]
         if not all(isinstance(r, pc.RawCapture) for r in raws):
@@ -309,10 +307,12 @@ def cmd_denoise(cfg, args):
         frames = pc.burst_average([r.frames for r in raws])
         pc.write_spsi(out, replace(raws[0], frames=frames))
         return {"out": out, "averaged": len(raws)}
+    k = 3 if args.median is None else args.median
+    if k < 1 or k % 2 == 0:
+        raise _ConfigError(f"--median must be odd and >= 1, got {k}")
     raw = pc.read_spsi(args.input)
     if not isinstance(raw, pc.RawCapture):
         raise _ConfigError(f"{args.input} does not hold a raw capture")
-    k = args.median
     frames = np.empty_like(raw.frames)
     for out_frame, frame in zip(frames, raw.frames):
         out_frame[...] = pc.median_filter(frame, k)
@@ -322,7 +322,7 @@ def cmd_denoise(cfg, args):
 
 def cmd_pca_fit(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     cube = _load_cube(pc, args.input)
     codebook = pc.pca_fit_image(cube, cfg["pca"]["patch_size"], cfg["pca"]["bases"])
     pc.write_spsi(out, codebook)
@@ -335,7 +335,7 @@ def cmd_pca_code(cfg, args):
     from polarcube.pca import _patch_mse
 
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     cube = _load_cube(pc, args.input)
     artifact = pc.read_spsi(args.codebook)
     codebook = artifact.codebook if isinstance(artifact, pc.PcaEncoding) else artifact
@@ -361,7 +361,7 @@ def cmd_pca_code(cfg, args):
 
 def cmd_inr_fit(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     seed = _require_seed(cfg, "network initialization")
     cube = _load_cube(pc, args.input)
     inr = cfg["inr"]
@@ -381,7 +381,7 @@ def cmd_inr_fit(cfg, args):
 
 def cmd_inr_code(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     model = pc.read_spsi(args.input)
     if not isinstance(model, pc.InrModel):
         raise _ConfigError(f"{args.input} does not hold a network artifact")
@@ -400,7 +400,7 @@ def cmd_inr_code(cfg, args):
 
 def cmd_stats(cfg, args):
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     cubes = _Cubes(pc, [args.input] + (args.extra or []))
     bins = cfg["stats"]["bins"]
     feature = args.feature
@@ -436,7 +436,7 @@ def cmd_sfp_stats(cfg, args):
     import numpy as np
 
     pc = _api()
-    out = _require_out(args)
+    out = args.out
     stack = pc.read_spsi(args.input)
     if not isinstance(stack, pc.NormalMapStack):
         raise _ConfigError(f"{args.input} does not hold a normal-map stack")
@@ -482,120 +482,104 @@ def cmd_roundtrip(cfg, args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# declarations and parser
+
+
+class _Command(NamedTuple):
+    run: Callable
+    help: str
+    sections: tuple  # config sections the command reads; echoed with threads (and seed)
+    flags: tuple  # (flag, config keys it sets, argparse keywords)
+
+
+def _flag(name, *keys, **kwargs):
+    return name, keys, kwargs
+
+
+_INPUT = _flag("input")
+_OUT = _flag("--out", required=True, help="output path or prefix")
+_SEED = _flag("--seed", "seed", type=int, help="RNG seed (required for stochastic stages)")
+_BINS = _flag("--bins", "stats.bins", type=int)
+_CAMERA = (
+    _flag("--camera", "camera.kind", choices=["hyperspectral", "trichromatic"]),
+    _flag("--height", "camera.height", type=int),
+    _flag("--width", "camera.width", type=int),
+    _flag("--channels", "camera.channels", type=int,
+          help="spectral channels (the trichromatic camera has 3)"),
+    _flag("--noise", "noise.sigma", type=float, help="Gaussian sigma"),
+    _SEED,
+)
+# On every command; the config file may hold every section, so one file serves a pipeline.
+_SHARED = (
+    _flag("--config", help="JSON config file"),
+    _flag("--threads", "threads", type=int,
+          help="BLAS thread count (env POLARCUBE_THREADS as fallback); echoed, but not "
+               "applied yet: numpy, and with it BLAS, is loaded before the flag is read"),
+)
+
+_COMMANDS = {
+    "simulate": _Command(cmd_simulate, "forward-simulate a capture",
+                         ("camera", "noise", "scene"), (
+        *_CAMERA, _flag("--scene", help="input Stokes cube, which sets the size "
+                                         "(synthetic scene if omitted)"), _OUT)),
+    "reconstruct": _Command(cmd_reconstruct, "invert a raw capture", ("solver",), (_INPUT, _OUT)),
+    "features": _Command(cmd_features, "polarimetric feature histograms", ("stats",),
+                         (_INPUT, _BINS, _OUT)),
+    "decompose": _Command(cmd_decompose, "polarized/unpolarized intensity split",
+                          ("solver", "stats"), (_INPUT, _BINS, _OUT)),
+    "validate": _Command(cmd_validate, "validity census of a cube", ("solver",), (_INPUT,)),
+    "denoise": _Command(cmd_denoise, "median filter or burst average", (), (
+        _INPUT, _flag("--median", type=int, help="odd window size (default 3)"),
+        _flag("--burst", nargs="*", help="further raw captures to average with"), _OUT)),
+    "pca-fit": _Command(cmd_pca_fit, "fit a patch basis", ("pca",), (
+        _INPUT, _flag("--patch", "pca.patch_size", type=int),
+        _flag("--bases", "pca.bases", type=int), _OUT)),
+    "pca-code": _Command(cmd_pca_code, "encode + decode through a basis", (), (
+        _INPUT, _flag("--codebook", required=True),
+        _flag("--bases", type=int, help="truncate the basis to this count"), _OUT)),
+    "inr-fit": _Command(cmd_inr_fit, "fit the coordinate network", ("inr",), (
+        _INPUT, _flag("--layers", "inr.layers", type=int),
+        _flag("--net-width", "inr.width", type=int), _flag("--steps", "inr.steps", type=int),
+        _flag("--lr", "inr.lr", type=float),
+        _flag("--batch", "inr.batch", type=int,
+              help="coordinates per step, rounded down to whole pixels but at least one "
+                   "pixel (default: all)"),
+        _flag("--loss-csv", help="write the loss curve here"), _SEED, _OUT)),
+    "inr-code": _Command(cmd_inr_code, "decode a fitted network", (), (
+        _INPUT, _flag("--reference", help="cube to score the decode against"), _OUT)),
+    "stats": _Command(cmd_stats, "dataset statistics to CSV", ("stats",), (
+        _INPUT, _flag("extra", nargs="*", help="additional cubes to pool"),
+        _flag("--feature", required=True,
+              help="s0..s3, s1n..s3n, dolp, docp, aolp, cop, rho, "
+                   "<feature>-gradient, pol-unpol, poincare-s1s2, poincare-s1s3"),
+        _BINS, _OUT)),
+    "sfp-stats": _Command(cmd_sfp_stats, "spectral spread of normal maps", ("stats",),
+                          (_INPUT, _BINS, _OUT)),
+    "roundtrip": _Command(cmd_roundtrip, "simulate, reconstruct, and score in one go",
+                          ("camera", "noise", "scene", "solver"), (
+        *_CAMERA, _flag("--size", "camera.height", "camera.width", type=int,
+                        help="square scene size (sets height and width)"),
+        _flag("--out", help="write the reconstructed cube here"))),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file")
-    common.add_argument("--seed", type=int, help="RNG seed (required for stochastic stages)")
-    common.add_argument("--threads", type=int,
-                        help="BLAS thread count (env POLARCUBE_THREADS as fallback)")
-    common.add_argument("--out", help="output path or prefix")
-
     parser = argparse.ArgumentParser(prog="polarcube",
                                      description="spectro-polarimetric pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("simulate", parents=[common], help="forward-simulate a capture")
-    p.add_argument("--camera", choices=["hyperspectral", "trichromatic"])
-    p.add_argument("--scene", help="input Stokes cube (synthetic scene if omitted)")
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--channels", type=int)
-    p.add_argument("--noise", type=float, help="Gaussian sigma")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("reconstruct", parents=[common], help="invert a raw capture")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("features", parents=[common], help="polarimetric feature histograms")
-    p.add_argument("input")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_features)
-
-    p = sub.add_parser("decompose", parents=[common],
-                       help="polarized/unpolarized intensity split")
-    p.add_argument("input")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_decompose)
-
-    p = sub.add_parser("validate", parents=[common], help="validity census of a cube")
-    p.add_argument("input")
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("denoise", parents=[common], help="median filter or burst average")
-    p.add_argument("input")
-    p.add_argument("--median", type=int, default=3, help="odd window size")
-    p.add_argument("--burst", nargs="*", help="further raw captures to average with")
-    p.set_defaults(func=cmd_denoise)
-
-    p = sub.add_parser("pca-fit", parents=[common], help="fit a patch basis")
-    p.add_argument("input")
-    p.add_argument("--patch", type=int)
-    p.add_argument("--bases", type=int)
-    p.set_defaults(func=cmd_pca_fit)
-
-    p = sub.add_parser("pca-code", parents=[common], help="encode + decode through a basis")
-    p.add_argument("input")
-    p.add_argument("--codebook", required=True)
-    p.add_argument("--bases", type=int, help="truncate the basis to this count")
-    p.set_defaults(func=cmd_pca_code)
-
-    p = sub.add_parser("inr-fit", parents=[common], help="fit the coordinate network")
-    p.add_argument("input")
-    p.add_argument("--layers", type=int)
-    p.add_argument("--net-width", dest="net_width", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch", type=int,
-                   help="coordinates per step, rounded down to whole pixels (default: all)")
-    p.add_argument("--loss-csv", dest="loss_csv", help="write the loss curve here")
-    p.set_defaults(func=cmd_inr_fit)
-
-    p = sub.add_parser("inr-code", parents=[common], help="decode a fitted network")
-    p.add_argument("input")
-    p.add_argument("--reference", help="cube to score the decode against")
-    p.set_defaults(func=cmd_inr_code)
-
-    p = sub.add_parser("stats", parents=[common], help="dataset statistics to CSV")
-    p.add_argument("input")
-    p.add_argument("extra", nargs="*", help="additional cubes to pool")
-    p.add_argument("--feature", required=True,
-                   help="s0..s3, s1n..s3n, dolp, docp, aolp, cop, rho, "
-                        "<feature>-gradient, pol-unpol, poincare-s1s2, poincare-s1s3")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("sfp-stats", parents=[common],
-                       help="spectral spread of normal maps")
-    p.add_argument("input")
-    p.add_argument("--bins", type=int)
-    p.set_defaults(func=cmd_sfp_stats)
-
-    p = sub.add_parser("roundtrip", parents=[common],
-                       help="simulate, reconstruct, and score in one go")
-    p.add_argument("--camera", choices=["hyperspectral", "trichromatic"])
-    p.add_argument("--height", type=int)
-    p.add_argument("--width", type=int)
-    p.add_argument("--size", type=int, help="square scene size (sets height and width)")
-    p.add_argument("--channels", type=int)
-    p.add_argument("--noise", type=float)
-    p.set_defaults(func=cmd_roundtrip)
-
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, _, kwargs in command.flags + _SHARED:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "size", None):
-            args.height = args.width = args.size
         cfg = _resolve_config(args)
-        _apply_threads(cfg["threads"])
         print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
-        summary = args.func(cfg, args)
+        summary = _COMMANDS[args.command].run(cfg, args)
         print(json.dumps({"summary": summary}, sort_keys=True))
         return EXIT_OK
     except _ConfigError as exc:

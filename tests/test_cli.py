@@ -1,4 +1,7 @@
+import contextlib
 import csv
+import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,13 +13,16 @@ import pytest
 
 import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
-from polarcube.cli import main
+from polarcube.cli import _COMMANDS, main
 
 RNG = np.random.default_rng(612)
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # the parser refused the arguments
+        code = exc.code
     captured = capsys.readouterr()
     lines = [ln for ln in captured.out.strip().split("\n") if ln]
     config = json.loads(lines[0])["config"] if lines else None
@@ -42,11 +48,12 @@ class TestRoundtrip:
         assert summary["max_rel_error"] < 1e-5
 
     def test_trichromatic_roundtrip(self, capsys):
-        code, _, summary, _ = run_cli(
+        code, config, summary, _ = run_cli(
             capsys, "roundtrip", "--camera", "trichromatic", "--noise", "0",
             "--seed", "3", "--size", "64",
         )
         assert code == 0
+        assert config["camera"]["channels"] == 3
         assert summary["mse"] < 1e-3
 
     def test_seed_required(self, capsys):
@@ -89,7 +96,7 @@ class TestSimulateReconstruct:
         assert code == 0
         assert config["seed"] == 1
         assert config["camera"]["height"] == 8
-        assert "solver" in config and "pca" in config
+        assert set(config) == {"camera", "noise", "scene", "seed", "threads"}
 
 
 class TestValidateAndStats:
@@ -294,14 +301,18 @@ class TestDenoise:
         assert json.loads(err)["class"] == "config"
         assert not (tmp_path / "x.spsi").exists()
 
-    def test_burst_average_ignores_median_window(self, capsys, tmp_path):
+    def test_burst_average_refuses_median_window(self, capsys, tmp_path):
         paths = [str(tmp_path / f"raw{seed}.spsi") for seed in (9, 10)]
         for seed, path in zip((9, 10), paths):
             run_cli(capsys, "simulate", "--camera", "hyperspectral", "--seed", str(seed),
                     "--height", "8", "--width", "8", "--channels", "2",
                     "--noise", "0.05", "--out", path)
+        code, config, _, _ = run_cli(capsys, "denoise", paths[0], "--burst", paths[1],
+                                     "--median", "4", "--out", str(tmp_path / "x.spsi"))
+        assert code == 2 and config is None
+        assert not (tmp_path / "x.spsi").exists()
         code, _, summary, _ = run_cli(capsys, "denoise", paths[0], "--burst", paths[1],
-                                      "--median", "4", "--out", str(tmp_path / "x.spsi"))
+                                      "--out", str(tmp_path / "x.spsi"))
         assert code == 0
         assert summary["averaged"] == 2
 
@@ -309,6 +320,182 @@ class TestDenoise:
         code, *_ = run_cli(capsys, "denoise", str(tmp_path / "missing.spsi"),
                            "--median", "2", "--out", str(tmp_path / "x.spsi"))
         assert code == 2
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """One input file of each kind the commands read, written once."""
+    d = tmp_path_factory.mktemp("inputs")
+    f = {name: str(d / f"{name}.spsi") for name in (
+        "cube", "raw", "raw2", "codebook", "codebook2", "model", "normals")}
+    f["tri"] = str(d / "tri.json")
+    img = write_cube(f["cube"], h=8, w=8, c=2)
+    write_spsi(f["codebook"], polarcube.pca_fit_image(img, 2, 8))
+    write_spsi(f["codebook2"], polarcube.pca_fit_image(img, 2, 4))
+    n = np.random.default_rng(8).normal(size=(6, 6, 3, 3))
+    write_spsi(f["normals"], polarcube.NormalMapStack(n / np.linalg.norm(n, axis=-1,
+                                                                              keepdims=True)))
+    with open(f["tri"], "w") as fh:
+        json.dump({"camera": {"kind": "trichromatic"}}, fh)
+    with contextlib.redirect_stdout(io.StringIO()):
+        for seed, raw in ((9, "raw"), (10, "raw2")):
+            assert main(["simulate", "--seed", str(seed), "--height", "8", "--width", "8",
+                         "--channels", "2", "--noise", "0.05", "--out", f[raw]]) == 0
+        assert main(["inr-fit", f["cube"], "--steps", "3", "--layers", "2",
+                     "--net-width", "4", "--seed", "1", "--out", f["model"]]) == 0
+    return f
+
+
+# For every subcommand: the keys its echo must hold, its positional arguments,
+# the flags of a base run, a non-default value for every option it offers, and
+# a config file for the --config run.  Inputs are named by "{cube}", "{raw}", ...
+WALK = {
+    "simulate": ({"camera", "noise", "scene", "seed"}, [], {"--seed": "1", "--out": "o.spsi"}, {
+        "--camera": "trichromatic", "--height": "8", "--width": "8", "--channels": "3",
+        "--noise": "0.01", "--seed": "2", "--scene": "{cube}", "--out": "p.spsi"},
+        {"noise": {"sigma": 0.01}}),
+    "reconstruct": ({"solver"}, ["{raw}"], {"--out": "o.spsi"}, {"--out": "p.spsi"},
+                    {"solver": {"dop_tol": -0.5}}),
+    "features": ({"stats"}, ["{cube}"], {"--out": "o_"}, {"--bins": "7", "--out": "p_"},
+                 {"stats": {"bins": 7}}),
+    "decompose": ({"solver", "stats"}, ["{cube}"], {"--out": "o_"},
+                  {"--bins": "7", "--out": "p_"}, {"solver": {"dop_tol": -0.5}}),
+    "validate": ({"solver"}, ["{cube}"], {}, {}, {"solver": {"dop_tol": -0.5}}),
+    "denoise": (set(), ["{raw}"], {"--out": "o.spsi"},
+                {"--median": "5", "--burst": "{raw2}", "--out": "p.spsi"}, {"threads": 2}),
+    "pca-fit": ({"pca"}, ["{cube}"], {"--patch": "2", "--bases": "4", "--out": "o.spsi"},
+                {"--patch": "4", "--bases": "6", "--out": "p.spsi"}, {"pca": {"bases": 6}}),
+    "pca-code": (set(), ["{cube}"], {"--codebook": "{codebook}", "--out": "o.spsi"},
+                 {"--codebook": "{codebook2}", "--bases": "2", "--out": "p.spsi"},
+                 {"threads": 2}),
+    "inr-fit": ({"inr", "seed"}, ["{cube}"],
+                {"--steps": "3", "--layers": "2", "--net-width": "4", "--seed": "1",
+                 "--out": "o.spsi"},
+                {"--layers": "3", "--net-width": "6", "--steps": "4", "--lr": "0.01",
+                 "--batch": "16", "--loss-csv": "loss.csv", "--seed": "2", "--out": "p.spsi"},
+                {"inr": {"steps": 4}}),
+    "inr-code": (set(), ["{model}"], {"--out": "o.spsi"},
+                 {"--reference": "{cube}", "--out": "p.spsi"}, {"threads": 2}),
+    "stats": ({"stats"}, ["{cube}"], {"--feature": "s0", "--out": "o.csv"},
+              {"--feature": "dolp", "--bins": "7", "--out": "p.csv"}, {"stats": {"bins": 7}}),
+    "sfp-stats": ({"stats"}, ["{normals}"], {"--out": "o_"}, {"--bins": "7", "--out": "p_"},
+                  {"stats": {"bins": 7}}),
+    "roundtrip": ({"camera", "noise", "scene", "solver", "seed"}, [], {"--seed": "1"}, {
+        "--camera": "trichromatic", "--height": "16", "--width": "16", "--channels": "3",
+        "--noise": "0.01", "--seed": "2", "--size": "16", "--out": "o.spsi"},
+        {"noise": {"sigma": 0.01}}),
+}
+
+
+def _config_keys(table, prefix=""):
+    for key, value in table.items():
+        if isinstance(value, dict):
+            yield from _config_keys(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _lookup(config, key):
+    for part in key.split("."):
+        config = config[part]
+    return config
+
+
+class TestDeclarations:
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_every_offered_flag_is_echoed_or_changes_the_output(self, capsys, tmp_path,
+                                                                 monkeypatch, inputs, command):
+        echoed, positional, base, values, config_file = WALK[command]
+        keys = {flag: flag_keys for flag, flag_keys, _ in _COMMANDS[command].flags}
+        assert {flag for flag in keys if flag.startswith("--")} == set(values)
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(config_file))
+        runs = itertools.count()
+
+        def run(flags):
+            here = tmp_path / f"run{next(runs)}"
+            here.mkdir()
+            monkeypatch.chdir(here)
+            argv = [a.format(**inputs) for a in positional]
+            for flag, value in flags.items():
+                argv += [flag, value.format(**inputs)]
+            code, config, summary, err = run_cli(capsys, command, *argv)
+            assert code == 0, (argv, err)
+            summary.pop("seconds", None)  # wall time
+            return config, (summary, {p.name: p.read_bytes() for p in here.iterdir()})
+
+        config, outputs = run(base)
+        assert set(config) == echoed | {"threads"}
+        variants = [(flag, {**base, flag: value}, {key: value for key in keys[flag]})
+                    for flag, value in values.items()]
+        variants.append(("--threads", {**base, "--threads": "2"}, {"threads": "2"}))
+        from_file = dict(_config_keys(config_file))
+        # base flags that set a key the file sets would override it
+        kept = {flag: value for flag, value in base.items()
+                if not from_file.keys() & set(keys[flag])}
+        variants.append(("--config", {**kept, "--config": str(cfg_path)}, from_file))
+        for flag, flags, expected in variants:
+            got, changed = run(flags)
+            for key, value in expected.items():
+                assert str(_lookup(got, key)) == str(value), (flag, key)
+            if set(expected) != {"threads"}:  # --threads is echoed but not applied yet
+                assert changed != outputs, f"{command} {flag} changed no output"
+
+    @pytest.mark.parametrize("command, argv", [
+        ("simulate", ["--scene", "{cube}", "--height", "8"]),
+        ("simulate", ["--scene", "{cube}", "--width", "8"]),
+        ("simulate", ["--scene", "{cube}", "--height", "8", "--width", "8",
+                      "--channels", "2"]),
+        ("simulate", ["--camera", "trichromatic", "--channels", "5", "--seed", "1"]),
+        ("simulate", ["--config", "{tri}", "--channels", "5", "--seed", "1"]),
+        ("roundtrip", ["--size", "16", "--height", "32", "--seed", "1"]),
+        ("roundtrip", ["--size", "16", "--width", "32", "--seed", "1"]),
+        ("validate", ["{cube}"]),
+        ("reconstruct", ["{raw}", "--seed", "3"]),
+        ("denoise", ["{raw}", "--burst", "{raw2}", "--median", "4"]),
+        ("stats", ["{cube}", "--feature", "cop-gradient", "--bins", "50"]),
+    ])
+    def test_overridden_or_unoffered_flag_exits_2_before_the_echo(self, capsys, tmp_path,
+                                                                   inputs, command, argv):
+        out = tmp_path / "x.out"
+        code, config, _, _ = run_cli(capsys, command, *[a.format(**inputs) for a in argv],
+                                     "--out", str(out))
+        assert code == 2
+        assert config is None
+        assert not out.exists()
+
+    def test_scene_input_drops_the_synthetic_scene_from_the_echo(self, capsys, tmp_path,
+                                                                  inputs):
+        code, config, summary, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
+                                           "--out", str(tmp_path / "raw.spsi"))
+        assert code == 0
+        assert set(config) == {"camera", "noise", "seed", "threads"}
+        assert not {"height", "width", "channels"} & set(config["camera"])
+        assert (summary["height"], summary["width"], summary["frames"]) == (8, 8, 8)
+
+    def test_cop_gradient_echoes_its_five_bins(self, capsys, tmp_path, inputs):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"stats": {"bins": 50}}')
+        out = tmp_path / "cop.csv"
+        code, config, _, _ = run_cli(capsys, "stats", inputs["cube"], "--feature", "cop-gradient",
+                                     "--config", str(cfg_path), "--out", str(out))
+        assert code == 0
+        assert config["stats"]["bins"] == 5
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 5
+
+    def test_pca_code_ignores_the_pca_section(self, capsys, tmp_path, inputs):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"pca": {"bases": 4}}')
+        decoded = []
+        for extra in ([], ["--config", str(cfg_path)]):
+            out = tmp_path / f"decoded{len(decoded)}.spsi"
+            code, config, _, _ = run_cli(capsys, "pca-code", inputs["cube"], "--codebook",
+                                         inputs["codebook"], "--out", str(out), *extra)
+            assert code == 0
+            assert set(config) == {"threads"}
+            decoded.append(out.read_bytes())
+        assert decoded[0] == decoded[1]
 
 
 class TestSfpStats:
