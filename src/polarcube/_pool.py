@@ -1,7 +1,8 @@
 """Per-pixel loops in cache-sized blocks on one thread per core.
 
-Each block writes its own slices of outputs the caller preallocated, and
-block bounds do not depend on the thread count, so neither do results.
+Each block writes its own slices of outputs the caller preallocated, or
+returns its part, which ``blocks`` hands back in block order.  Block bounds
+do not depend on the thread count, so neither do results.
 Blocks call private helpers only: the benchmark tracer follows public
 calls on the calling thread alone.  The pool is a queue and plain
 threads, started at the first job that uses it: ``concurrent.futures``
@@ -22,27 +23,27 @@ _thread = threading.local()
 
 
 def blocks(fn, n, unit):
-    """Run ``fn(lo, hi)`` over blocks of ``range(n)``, ``BLOCK_VALUES // unit`` items each.
+    """``[fn(lo, hi)]`` over blocks of ``range(n)``, ``BLOCK_VALUES // unit`` items each, in order.
 
     One block, one core, or a call from a pool thread (whose nested job
-    would wait on the pool it fills) runs inline.  A block's exception is
-    raised here once every block has finished.
+    would wait on the pool it fills) runs inline.  Pooled, every block
+    runs, and then the exception of the first block that raised is raised
+    here; a block's return value is never taken for an exception.
     """
     step = max(1, BLOCK_VALUES // max(1, unit))
     bounds = [(lo, min(lo + step, n)) for lo in range(0, n, step)]
     if len(bounds) < 2 or WORKERS < 2 or getattr(_thread, "in_pool", False):
-        for lo, hi in bounds:
-            fn(lo, hi)
-        return
+        return [fn(lo, hi) for lo, hi in bounds]
     from queue import SimpleQueue
 
     done, tasks = SimpleQueue(), _start()
     for lo, hi in bounds:
         tasks.put((fn, lo, hi, done))
-    errors = [done.get() for _ in bounds]
-    for error in errors:
+    outcomes = sorted(done.get() for _ in bounds)  # (lo, result, error) in block order
+    for _, _, error in outcomes:
         if error is not None:
             raise error
+    return [result for _, result, _ in outcomes]
 
 
 def _start():
@@ -71,15 +72,9 @@ if hasattr(os, "register_at_fork"):
 def _serve(tasks):
     """A pool thread: run blocks until it takes ``None`` from ``tasks``."""
     _thread.in_pool = True
-    for task in iter(tasks.get, None):
-        _run(*task)
-        del task  # an idle thread must not keep the last job's arrays alive
-
-
-def _run(fn, lo, hi, done):
-    try:
-        fn(lo, hi)
-    except BaseException as error:  # the caller raises it
-        done.put(error)
-    else:
-        done.put(None)
+    for fn, lo, hi, done in iter(tasks.get, None):
+        try:
+            done.put((lo, fn(lo, hi), None))
+        except BaseException as error:  # the caller raises it
+            done.put((lo, None, error))
+        del fn, done  # an idle thread must not keep the last job's arrays alive

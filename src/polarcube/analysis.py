@@ -160,30 +160,23 @@ def _blocked(images, chosen, sample, reduce, combine):
 
 
 def _image_blocks(img, sample, reduce):
-    found = {}
-
     def block(lo, hi):
-        found[lo] = reduce(sample(img, lo, hi))
+        return reduce(sample(img, lo, hi))
 
     h, w, c = img.mask.shape
-    if h == 0:
-        block(0, 0)  # an image without rows still has its checks and dtypes
-    _pool.blocks(block, h, w * c)
-    return [found[lo] for lo in sorted(found)]
+    # an image without rows still has its checks and dtypes
+    return _pool.blocks(block, h, w * c) or [block(0, 0)]
 
 
 def _extents(images, chosen, sample, sums=False):
-    """Per stream: sample count, min, max (None without samples; NaN propagates) and sum."""
+    """Per stream: sample count, min, max (inf and -inf without samples; NaN propagates), sum."""
     def reduce(streams):
         return [(v.size, v.min(), v.max(), v.sum() if sums else 0) if v.size
-                else (0, None, None, 0) for v in streams]
+                else (0, np.inf, -np.inf, 0) for v in streams]
 
     def combine(results):
-        extents = []
-        for blocks in zip(*results):
-            n, low, high, total = zip(*([b for b in blocks if b[0]] or blocks[:1]))
-            extents.append((sum(n), np.minimum.reduce(low), np.maximum.reduce(high), sum(total)))
-        return extents
+        return [(sum(n), np.minimum.reduce(low), np.maximum.reduce(high), sum(total))
+                for n, low, high, total in (zip(*blocks) for blocks in zip(*results))]
 
     return _blocked(images, chosen, sample, reduce, combine)
 
@@ -191,10 +184,11 @@ def _extents(images, chosen, sample, sums=False):
 def _binned(images, chosen, sample, bins, ranges, dtypes=None):
     """Per stream: sample count and ``np.histogram(samples, bins, range)``, summed over blocks.
 
-    A stream's histogram is ``(counts, edges)``, or the TypeError or
-    ValueError ``np.histogram`` raised, which ``_histogram`` raises after
-    the emptiness check that comes first.  Streams whose blocks differ in
-    dtype are binned again in their common dtype, as a concatenation is.
+    A block bins only the streams that have samples, so ``np.histogram``
+    raises its argument errors from a block, and a stream without samples
+    reaches ``_histogram``'s emptiness check, with ``(0, None)`` for its
+    counts and edges.  Streams whose blocks differ in dtype are binned
+    again in their common dtype, as a concatenation is.
     """
     if isinstance(bins, str):
         raise ValueError(f"bins must be a count or a sequence of edges, not {bins!r}: "
@@ -204,31 +198,22 @@ def _binned(images, chosen, sample, bins, ranges, dtypes=None):
     def reduce(streams):
         if dtypes:
             streams = [v.astype(t, copy=False) for v, t in zip(streams, dtypes)]
-        return [(v.size, {v.dtype}, _attempt(np.histogram, v, bins, r))
+        return [(v.size, {v.dtype}, *(np.histogram(v, bins, r) if v.size else (0, None)))
                 for v, r in zip(streams, ranges)]
 
     def combine(results):
         binned = []
         for blocks in zip(*results):
-            n, kinds, hists = zip(*blocks)
-            failed = [h for h in hists if isinstance(h, Exception)]
-            binned.append((sum(n), set().union(*kinds),
-                           failed[0] if failed else (sum(h[0] for h in hists), hists[0][1])))
+            n, kinds, counts, edges = zip(*blocks)
+            edges = [e for e in edges if e is not None] or [None]
+            binned.append((sum(n), set().union(*kinds), sum(counts), edges[0]))
         return binned
 
     binned = _blocked(images, chosen, sample, reduce, combine)
-    if any(len(kinds) > 1 for _, kinds, _ in binned):
+    if any(len(kinds) > 1 for _, kinds, _, _ in binned):
         return _binned(images, chosen, sample, bins, ranges,
-                       [np.result_type(*kinds) for _, kinds, _ in binned])
-    return [(n, hist) for n, _, hist in binned]
-
-
-def _attempt(fn, *args):
-    """``fn(*args)``, or the TypeError or ValueError it raised."""
-    try:
-        return fn(*args)
-    except (TypeError, ValueError) as error:
-        return error
+                       [np.result_type(*kinds) for _, kinds, _, _ in binned])
+    return [(n, counts, edges) for n, _, counts, edges in binned]
 
 
 def _widened(value_range):
@@ -238,12 +223,10 @@ def _widened(value_range):
 
 
 def _histogram(binned, empty, label, unit=""):
-    n, result = binned
+    n, counts, edges = binned
     if n == 0:
         raise EmptySelectionError(empty)
-    if isinstance(result, Exception):
-        raise result
-    return Histogram(result[1], result[0], label, unit)
+    return Histogram(edges, counts, label, unit)
 
 
 def _symmetric(low, high):
@@ -339,19 +322,18 @@ def stokes_histograms(images, element, bins=DEFAULT_BINS, value_range=None,
 
 
 def _feature_histograms(images, names, bins, empty=_NO_PIXELS):
-    """Yield each named feature's histogram over its min..max and its mean, in turn.
+    """Each named feature's histogram over its min..max and its mean, all or none.
 
-    The ``stats`` and ``features`` commands share this path.  A feature
-    without valid values raises ``EmptySelectionError(empty.format(name))``
-    at its turn.
+    The ``stats`` and ``features`` commands share this path.  The first
+    feature without valid values raises ``EmptySelectionError(empty.format(name))``.
     """
     chosen = _select(images, None, None)
     sample = _valid(*names)
     extents = _extents(images, chosen, sample, sums=True)
     ranges = [(float(low), float(high)) if n else (0.0, 1.0) for n, low, high, _ in extents]
-    for name, (n, _, _, total), binned in zip(names, extents,
-                                              _binned(images, chosen, sample, bins, ranges)):
-        yield _histogram(binned, empty.format(name), name), float(total / max(n, 1))
+    binned = _binned(images, chosen, sample, bins, ranges)
+    return [(_histogram(b, empty.format(name), name), float(total / max(n, 1)))
+            for name, (n, _, _, total), b in zip(names, extents, binned)]
 
 
 def feature_gradient_histograms(images, feature, bins=DEFAULT_BINS, direction="both",
@@ -403,15 +385,12 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
         raise ValueError("plane must be 's1-s2' or 's1-s3'")
     chosen = _select(images, labels, label_filter)
     sample = _valid("s1n", "s2n" if plane == "s1-s2" else "s3n")
-    n, inside, cells = _blocked(images, chosen, sample, lambda xy: _cells(*xy, grid), _add_cells)
+    n, inside, cells = _blocked(images, chosen, sample, lambda xy: _cells(*xy, grid),
+                                lambda results: [sum(part) for part in zip(*results)])
     if n == 0:
         raise EmptySelectionError(_NO_PIXELS)
     if inside == 0:
         raise EmptySelectionError("no valid points inside the projected ball")
-    if grid < 1:
-        raise ValueError(f"grid must be a positive number of bins, got {grid}")
-    if isinstance(cells, Exception):
-        raise cells
     edges = np.linspace(-1.0, 1.0, grid + 1)
     counts = cells.reshape(grid, grid).astype(float)
     return DensityGrid(edges, edges.copy(), counts, "s1_norm",
@@ -419,24 +398,16 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
 
 
 def _cells(x, y, grid):
-    """One block's point count, count inside [-1, 1]^2 and flat cell counts."""
+    """One block's point count, count inside [-1, 1]^2 and flat cell counts (0 if none inside)."""
     inside = (np.abs(x) <= 1.0) & (np.abs(y) <= 1.0)
     x, y = x[inside], y[inside]
-
-    def count():
-        if grid < 1:
-            return None  # poincare_density raises after its emptiness checks
-        edges = np.linspace(-1.0, 1.0, grid + 1)
-        return np.bincount(_unit_bins(x, edges) * grid + _unit_bins(y, edges),
-                           minlength=grid * grid)
-
-    return inside.size, x.size, _attempt(count)
-
-
-def _add_cells(results):
-    n, inside, cells = zip(*results)
-    failed = [c for c in cells if c is None or isinstance(c, Exception)]
-    return sum(n), sum(inside), failed[0] if failed else sum(cells)
+    if x.size == 0:
+        return inside.size, 0, 0
+    if grid < 1:
+        raise ValueError(f"grid must be a positive number of bins, got {grid}")
+    edges = np.linspace(-1.0, 1.0, grid + 1)
+    return inside.size, x.size, np.bincount(_unit_bins(x, edges) * grid + _unit_bins(y, edges),
+                                            minlength=grid * grid)
 
 
 def _unit_bins(values, edges):

@@ -586,31 +586,31 @@ def mosaic_merge(segments: np.ndarray) -> np.ndarray:
     return segments.reshape(4, 4, h, w).transpose(2, 0, 3, 1).copy().reshape(4 * h, 4 * w)
 
 
-def _weights(offset: int, n: int, absolute: bool):
+def _weights(offset: int, n: int):
     """Indices and weights of the two samples, at ``offset + 4i``, behind positions 0..4n-1."""
     x = np.arange(4 * n, dtype=float)
     lo = np.clip((x - offset) // 4, 0, max(n - 2, 0)).astype(int)
     t = (x - offset - 4 * lo) / 4 if n > 1 else np.zeros_like(x)
-    a, b = (np.abs(1 - t), np.abs(t)) if absolute else (1 - t, t)
-    return lo, np.minimum(lo + 1, n - 1), a, b
+    return lo, np.minimum(lo + 1, n - 1), 1 - t, t
 
 
-def _upsample(segments: np.ndarray, absolute: bool = False) -> np.ndarray:
+def _upsample(segments: np.ndarray) -> np.ndarray:
     """Separable linear upsampling of the 16 segments into (16, H, W) planes.
 
     Segment K's samples sit at rows ``K // 4 + 4r`` and columns
     ``K % 4 + 4c`` of plane K.  Columns, then rows, weigh the two nearest
     samples linearly and extrapolate past the outermost ones, where one
-    weight is negative; ``absolute`` takes the weights' magnitudes.
+    weight is negative.  Boolean segments weigh by ``weight != 0``, AND and OR.
     """
     h, w = segments.shape[1:]
-    full = np.empty((16, 4 * h, 4 * w))
+    full = np.empty((16, 4 * h, 4 * w), dtype=segments.dtype)
     rows = max(1, _pool.BLOCK_VALUES // (4 * w))  # row chunks keep temporaries block-sized
 
     def planes(lo, hi):
         for k in range(lo, hi):
-            c0, c1, ca, cb = _weights(k % 4, w, absolute)
-            r0, r1, ra, rb = _weights(k // 4, h, absolute)
+            c0, c1, ca, cb = _weights(k % 4, w)
+            r0, r1, ra, rb = _weights(k // 4, h)
+            ca, cb, ra, rb = (v.astype(segments.dtype) for v in (ca, cb, ra, rb))
             up = segments[k][:, c0] * ca + segments[k][:, c1] * cb
             for top in range(0, 4 * h, rows):
                 part = slice(top, top + rows)
@@ -637,7 +637,7 @@ def demosaic_footprint(flags: np.ndarray) -> np.ndarray:
     """Where ``demosaic`` gives flagged samples of a mosaic frame nonzero weight.
 
     Plane K of the (16, H, W) result marks the pixels whose plane-K value
-    uses a flagged sample of segment K: the same interpolation on 0/1
-    flags with the weights' magnitudes, whose terms cannot cancel.
+    uses a flagged sample of segment K: the same interpolation on boolean
+    flags, where a sample counts when it is flagged and its weight is not 0.
     """
-    return _upsample(mosaic_split(np.asarray(flags, dtype=float)), absolute=True) != 0
+    return _upsample(mosaic_split(np.asarray(flags, dtype=bool)))

@@ -7,9 +7,9 @@ every command).  A command resolves its configuration (built-in
 defaults, then an optional JSON config file, then flags, flags winning),
 prints the sections it reads as one JSON line before doing any work, and
 ends with a JSON summary line.  A flag that an input or another flag
-overrides is refused before that first line.  Exit codes: 0 success,
-2 configuration problems (argument errors included), 3 I/O problems,
-4 numerical failures.
+overrides is refused before that first line.  A failure prints one JSON
+line on stderr and exits 2 for configuration problems (argument errors
+included), 3 for I/O problems, 4 for numerical failures.
 
 ``--threads`` (or the POLARCUBE_THREADS environment variable) is echoed
 but does not take effect yet: importing this module already loads numpy,
@@ -127,6 +127,10 @@ def _resolve_config(args) -> dict:
         sections.remove("scene")
         for key in ("height", "width", "channels"):
             del cfg["camera"][key]
+        if not _noisy(cfg):  # and nothing reads the seed
+            if "seed" in given:
+                raise _ConfigError("--seed has no effect on a noiseless capture of --scene")
+            sections.remove("seed")
     return {key: cfg[key] for key in sections}
 
 
@@ -180,9 +184,13 @@ def _make_scene(pc, cfg, seed):
     raise _ConfigError(f"unknown synthetic scene kind {kind!r}")
 
 
+def _noisy(cfg):
+    return cfg["noise"]["sigma"] != 0.0 or cfg["noise"]["shot_gain"] != 0.0
+
+
 def _noise_model(pc, cfg, seed):
     n = cfg["noise"]
-    if n["sigma"] == 0.0 and n["shot_gain"] == 0.0:
+    if not _noisy(cfg):
         return None
     return pc.NoiseModel(
         gaussian_sigma=n["sigma"],
@@ -220,10 +228,7 @@ def cmd_simulate(cfg, args):
     out = args.out
     if args.scene:
         scene = _load_cube(pc, args.scene)
-        seed = cfg["seed"]
-        if cfg["noise"]["sigma"] > 0 or cfg["noise"]["shot_gain"] > 0:
-            seed = _require_seed(cfg, "noisy simulation")
-        seed = 0 if seed is None else int(seed)
+        seed = _require_seed(cfg, "noisy simulation") if _noisy(cfg) else None
     else:
         seed = _require_seed(cfg, "synthetic scene generation")
         scene = _make_scene(pc, cfg, seed)
@@ -249,6 +254,7 @@ def cmd_features(cfg, args):
     pc = _api()
     out = args.out
     names = ("rho", "dolp", "docp", "aolp", "cop")
+    # every histogram before any file: a feature that fails leaves no CSV behind
     found = pc.analysis._feature_histograms([_load_cube(pc, args.input)], names,
                                             cfg["stats"]["bins"], "no samples for {} histogram")
     summary = {}
@@ -424,7 +430,7 @@ def cmd_stats(cfg, args):
     elif feature == "docp":
         hist = pc.docp_distribution(cubes, bins=bins)
     elif feature in pc.analysis.FEATURES:
-        hist, _ = next(pc.analysis._feature_histograms(cubes, [feature], bins))
+        (hist, _), = pc.analysis._feature_histograms(cubes, [feature], bins)
     else:
         raise _ConfigError(f"unknown stats feature {feature!r}")
     pc.export_csv(hist, out)
@@ -563,9 +569,13 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # reported as every other configuration error is
+        raise _ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="polarcube",
-                                     description="spectro-polarimetric pipeline")
+    parser = _Parser(prog="polarcube", description="spectro-polarimetric pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
@@ -575,8 +585,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:  # the top-level parser collects them: name the subcommand that refused them
+            raise _ConfigError(f"polarcube {args.command}: unrecognized arguments: "
+                               + " ".join(unknown))
         cfg = _resolve_config(args)
         print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
         summary = _COMMANDS[args.command].run(cfg, args)

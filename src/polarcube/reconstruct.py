@@ -204,22 +204,19 @@ def quality(reference: StokesImage, test: StokesImage) -> QualityReport:
     """Compare a reconstruction against its reference."""
     if reference.data.shape != test.data.shape:
         raise DimensionError("reference and test cubes must have the same shape")
-    parts = {}
 
     def block(lo, hi):  # (C, 4) squared errors, per-channel counts and peak of jointly valid pixels
         joint = reference.mask[lo:hi] & test.mask[lo:hi]
         sq = test.data[lo:hi] - reference.data[lo:hi]
         sq *= sq
         np.copyto(sq, 0.0, where=~joint[..., None])
-        parts[lo] = (sq.sum(axis=(0, 1)), np.count_nonzero(joint, axis=(0, 1)),
-                     reference.data[lo:hi, ..., 0].max(where=joint, initial=-np.inf))
+        return (sq.sum(axis=(0, 1)), np.count_nonzero(joint, axis=(0, 1)),
+                reference.data[lo:hi, ..., 0].max(where=joint, initial=-np.inf))
 
     h, w, c = reference.mask.shape
-    _pool.blocks(block, h, w * c * 4)
     sums, counts, peak = 0, 0, -np.inf
-    for lo in sorted(parts):  # in block order: the sums do not depend on the worker count
-        sums, counts, peak = (sums + parts[lo][0], counts + parts[lo][1],
-                              np.maximum(peak, parts[lo][2]))
+    for part_sums, part_counts, part_peak in _pool.blocks(block, h, w * c * 4):
+        sums, counts, peak = sums + part_sums, counts + part_counts, np.maximum(peak, part_peak)
     n = int(np.sum(counts))
     if n == 0:
         raise EmptySelectionError("no jointly valid pixels to compare")

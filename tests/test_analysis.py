@@ -620,7 +620,12 @@ class TestPooledStatisticsOracle:
         np.testing.assert_array_equal(hist.edges, want_edges)
         np.testing.assert_array_equal(hist.counts, want_counts)
 
-    def test_errors_keep_their_order(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_errors_keep_their_order(self, workers):
+        with pool_settings(workers, 8):  # a row per block: pooled, blocks raise in the pool
+            self.check_error_order()
+
+    def check_error_order(self):
         images, _ = oracle_dataset(False)
         empty = images[0].copy()
         empty.mask[:] = False

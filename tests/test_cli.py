@@ -173,6 +173,16 @@ class TestValidateAndStats:
         assert np.all(pol.data >= 0)
         assert pol.data.shape == unpol.data.shape
 
+    def test_features_writes_no_csv_when_a_feature_fails(self, capsys, tmp_path):
+        # no linear part anywhere: rho, dolp and docp have samples, aolp has none
+        data = np.zeros((8, 8, 2, 4))
+        data[..., 0], data[..., 3] = 1.0, RNG.uniform(-0.5, 0.5, (8, 8, 2))
+        cube_path = str(tmp_path / "circular.spsi")
+        write_spsi(cube_path, polarcube.StokesImage(data))
+        code, _, _, err = run_cli(capsys, "features", cube_path, "--out", str(tmp_path / "feat_"))
+        assert code == 4
+        assert "aolp" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("feat_*.csv"))
 
     def test_decompose_histograms_pool_the_valid_pixels(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
@@ -350,7 +360,9 @@ def inputs(tmp_path_factory):
 # the flags of a base run, a non-default value for every option it offers, and
 # a config file for the --config run.  Inputs are named by "{cube}", "{raw}", ...
 WALK = {
-    "simulate": ({"camera", "noise", "scene", "seed"}, [], {"--seed": "1", "--out": "o.spsi"}, {
+    # noisy, so that the seed still counts with --scene
+    "simulate": ({"camera", "noise", "scene", "seed"}, [],
+                 {"--seed": "1", "--noise": "0.02", "--out": "o.spsi"}, {
         "--camera": "trichromatic", "--height": "8", "--width": "8", "--channels": "3",
         "--noise": "0.01", "--seed": "2", "--scene": "{cube}", "--out": "p.spsi"},
         {"noise": {"sigma": 0.01}}),
@@ -448,6 +460,7 @@ class TestDeclarations:
                       "--channels", "2"]),
         ("simulate", ["--camera", "trichromatic", "--channels", "5", "--seed", "1"]),
         ("simulate", ["--config", "{tri}", "--channels", "5", "--seed", "1"]),
+        ("simulate", ["--scene", "{cube}", "--seed", "1"]),
         ("roundtrip", ["--size", "16", "--height", "32", "--seed", "1"]),
         ("roundtrip", ["--size", "16", "--width", "32", "--seed", "1"]),
         ("validate", ["{cube}"]),
@@ -469,9 +482,27 @@ class TestDeclarations:
         code, config, summary, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
                                            "--out", str(tmp_path / "raw.spsi"))
         assert code == 0
-        assert set(config) == {"camera", "noise", "seed", "threads"}
+        assert set(config) == {"camera", "noise", "threads"}  # nothing reads a seed
         assert not {"height", "width", "channels"} & set(config["camera"])
         assert (summary["height"], summary["width"], summary["frames"]) == (8, 8, 8)
+
+    def test_scene_input_echoes_the_seed_that_its_noise_reads(self, capsys, tmp_path, inputs):
+        cfg_path = tmp_path / "noisy.json"
+        cfg_path.write_text('{"noise": {"sigma": 0.01}}')
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"raw{seed}.spsi"
+            code, config, _, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
+                                         "--config", str(cfg_path), "--seed", seed,
+                                         "--out", str(out))
+            assert code == 0
+            assert set(config) == {"camera", "noise", "seed", "threads"}
+            assert config["seed"] == int(seed)
+            written.append(out.read_bytes())
+        assert written[0] != written[1]
+        code, config, _, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
+                                     "--config", str(cfg_path), "--out", str(out))
+        assert code == 2 and config["seed"] is None  # the noise needs a seed
 
     def test_cop_gradient_echoes_its_five_bins(self, capsys, tmp_path, inputs):
         cfg_path = tmp_path / "config.json"
@@ -516,6 +547,33 @@ class TestSfpStats:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, named", [
+        (["validate", "{cube}", "--out", "unused.csv"], "polarcube validate"),
+        (["validate", "{cube}", "--no-such-flag"], "polarcube validate"),
+        (["simulate", "--seed", "1"], "polarcube simulate"),
+        (["stats", "{cube}", "--feature", "s0", "--bins", "many", "--out", "o.csv"],
+         "polarcube stats"),
+        (["no-such-command"], "polarcube"),
+        ([], "polarcube"),
+    ])
+    def test_argument_errors_are_one_json_config_line(self, capsys, tmp_path, monkeypatch,
+                                                      inputs, argv, named):
+        monkeypatch.chdir(tmp_path)
+        code, config, _, err = run_cli(capsys, *[a.format(**inputs) for a in argv])
+        assert code == 2 and config is None
+        line, = err.splitlines()
+        error = json.loads(line)
+        assert error["class"] == "config"
+        assert error["error"].startswith(f"{named}: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_stays_plain_text(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["validate", "--help"])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("usage: polarcube validate") and captured.err == ""
+
     def test_unknown_config_key_is_config_error(self, capsys, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text('{"no_such_key": 1}')

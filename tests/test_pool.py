@@ -251,6 +251,38 @@ class TestDispatch:
                                 text=True, env=env, timeout=TIMEOUT_S)
         assert result.returncode == 0, result.stderr
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_results_come_back_in_block_order(self, n):
+        def span(lo, hi):
+            time.sleep(0.001 * (9 - lo // 10))  # later blocks tend to finish first
+            return lo, hi
+
+        def nested(lo, hi):  # from a pool thread, the inner job runs inline
+            return lo, _pool.blocks(span, 30, 1)
+
+        with workers(n, block_values=10):
+            assert _pool.blocks(span, 95, 1) == [(lo, min(lo + 10, 95))
+                                                 for lo in range(0, 95, 10)]
+            inner = [(0, 10), (10, 20), (20, 30)]
+            assert _pool.blocks(nested, 95, 1) == [(lo, inner) for lo in range(0, 95, 10)]
+            # a returned exception or None is a result, not a failure
+            returned = _pool.blocks(lambda lo, hi: ValueError(lo) if lo % 20 else None, 40, 1)
+            assert [type(r) for r in returned] == [type(None), ValueError] * 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_the_first_failing_block_in_order_raises(self, n):
+        def fail_twice(lo, hi):
+            if lo == 30:
+                time.sleep(0.05)  # the later failure comes in first
+                raise ZeroDivisionError("block 30")
+            if lo == 70:
+                raise KeyError("block 70")
+            return lo
+
+        with workers(n, block_values=10):
+            with pytest.raises(ZeroDivisionError, match="block 30"):
+                _pool.blocks(fail_twice, 100, 1)
+
     def test_worker_exception_reaches_the_caller(self):
         done = []
 
