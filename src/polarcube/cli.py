@@ -6,8 +6,13 @@ offers only the declared flags (plus ``--config`` and ``--threads`` on
 every command).  A command resolves its configuration (built-in
 defaults, then an optional JSON config file, then flags, flags winning),
 prints the sections it reads as one JSON line before doing any work, and
-ends with a JSON summary line.  A flag that an input or another flag
-overrides is refused before that first line.  A failure prints one JSON
+ends with a JSON summary line.  ``_resolve_config`` decides every rule
+that the flags and the config file alone decide, before that first line:
+a flag that an input or another flag overrides, a missing or non-integer
+seed where something reads it, an unknown camera or scene kind, a
+``--median`` window that is not odd and positive, an unknown ``stats``
+feature.  An input of the wrong container kind can only be found by
+reading it (``_read``), after the first line.  A failure prints one JSON
 line on stderr and exits 2 for configuration problems (argument errors
 included), 3 for I/O problems, 4 for numerical failures.
 
@@ -81,10 +86,15 @@ def _deep_update(base: dict, override: dict, path: str = ""):
 # (flag, what sets it instead): given together, they exit 2 before the echo
 _OVERRIDDEN = (("height", "scene"), ("width", "scene"), ("channels", "scene"),
                ("height", "size"), ("width", "size"), ("median", "burst"))
+_KINDS = {"camera": ("hyperspectral", "trichromatic"), "scene": ("smooth", "random", "uniform")}
+_PLANES = ("pol-unpol", "poincare-s1s2", "poincare-s1s3")  # stats --feature beyond FEATURES
 
 
 def _resolve_config(args) -> dict:
-    """The configuration ``args.command`` reads: defaults, then the config file, then flags."""
+    """The configuration ``args.command`` reads: defaults, then the config file, then flags.
+
+    Every rule that the flags and the config file alone decide raises here, before the echo.
+    """
     command = _COMMANDS[args.command]
     cfg = copy.deepcopy(DEFAULTS)
     if args.config:
@@ -118,10 +128,18 @@ def _resolve_config(args) -> dict:
         if "channels" in given:
             raise _ConfigError("--channels has no effect on the trichromatic camera")
         cfg["camera"]["channels"] = 3
-    if getattr(args, "feature", None) == "cop-gradient":
+    feature = getattr(args, "feature", None)
+    if feature == "cop-gradient":
         if "bins" in given:
             raise _ConfigError("--bins has no effect on cop-gradient, which has 5 unit bins")
         cfg["stats"]["bins"] = 5
+    if feature is not None:
+        from polarcube.analysis import FEATURES
+
+        if feature not in _PLANES and feature.removesuffix("-gradient") not in FEATURES:
+            raise _ConfigError(f"unknown stats feature {feature!r}")
+    if getattr(args, "median", None) is not None and (args.median < 1 or args.median % 2 == 0):
+        raise _ConfigError(f"--median must be odd and >= 1, got {args.median}")
     sections = ["threads", *command.sections] + (["seed"] if hasattr(args, "seed") else [])
     if getattr(args, "scene", None):  # the input cube is the scene and sets its size
         sections.remove("scene")
@@ -131,13 +149,16 @@ def _resolve_config(args) -> dict:
             if "seed" in given:
                 raise _ConfigError("--seed has no effect on a noiseless capture of --scene")
             sections.remove("seed")
+    for section, kinds in _KINDS.items():
+        if section in sections and cfg[section]["kind"] not in kinds:
+            raise _ConfigError(f"unknown {section} kind {cfg[section]['kind']!r}")
+    if "seed" in sections:  # a synthetic scene, noise or a network reads it
+        try:
+            cfg["seed"] = int(cfg["seed"])
+        except (TypeError, ValueError) as exc:
+            raise _ConfigError(f"polarcube {args.command} needs an integer seed (--seed or "
+                               f"the config file), got {cfg['seed']!r}") from exc
     return {key: cfg[key] for key in sections}
-
-
-def _require_seed(cfg, why):
-    if cfg["seed"] is None:
-        raise _ConfigError(f"--seed is required for {why}")
-    return int(cfg["seed"])
 
 
 def _api():
@@ -146,10 +167,11 @@ def _api():
     return polarcube
 
 
-def _load_cube(pc, path):
+def _read(pc, path, kind, what):
+    """The container at ``path``, which must be a ``kind`` (a config error naming ``what``)."""
     obj = pc.read_spsi(path)
-    if not isinstance(obj, pc.StokesImage):
-        raise _ConfigError(f"{path} does not hold a Stokes cube")
+    if not isinstance(obj, kind):
+        raise _ConfigError(f"{path} does not hold {what}")
     return obj
 
 
@@ -163,32 +185,25 @@ class _Cubes:
         return len(self.paths)
 
     def __getitem__(self, i):
-        return _load_cube(self.pc, self.paths[i])
+        return _read(self.pc, self.paths[i], self.pc.StokesImage, "a Stokes cube")
 
 
-def _make_scene(pc, cfg, seed):
+def _make_scene(pc, cfg):
     import numpy as np
 
-    cam = cfg["camera"]
-    channels = int(cam["channels"])
-    rng = np.random.default_rng(seed)
-    kind = cfg["scene"]["kind"]
-    if kind == "smooth":
-        return pc.smooth_scene(cam["height"], cam["width"], channels, rng,
-                               rho_max=cfg["scene"]["rho_max"])
-    if kind == "random":
-        return pc.random_scene(cam["height"], cam["width"], channels, rng,
-                               rho_max=cfg["scene"]["rho_max"])
-    if kind == "uniform":
-        return pc.uniform_scene(cam["height"], cam["width"], channels)
-    raise _ConfigError(f"unknown synthetic scene kind {kind!r}")
+    cam, scene = cfg["camera"], cfg["scene"]
+    shape = cam["height"], cam["width"], int(cam["channels"])
+    if scene["kind"] == "uniform":
+        return pc.uniform_scene(*shape)
+    make = pc.smooth_scene if scene["kind"] == "smooth" else pc.random_scene
+    return make(*shape, np.random.default_rng(cfg["seed"]), rho_max=scene["rho_max"])
 
 
 def _noisy(cfg):
     return cfg["noise"]["sigma"] != 0.0 or cfg["noise"]["shot_gain"] != 0.0
 
 
-def _noise_model(pc, cfg, seed):
+def _noise_model(pc, cfg):
     n = cfg["noise"]
     if not _noisy(cfg):
         return None
@@ -197,66 +212,56 @@ def _noise_model(pc, cfg, seed):
         shot_gain=n["shot_gain"],
         saturation_level=n["saturation"],
         black_level=n["black"],
-        rng_seed=seed,
+        rng_seed=cfg["seed"],
     )
 
 
-def _simulate(pc, cfg, scene, seed):
+def _simulate(pc, cfg, scene):
     import numpy as np
 
     cam = cfg["camera"]
-    noise = _noise_model(pc, cfg, seed)
-    if cam["kind"] == "hyperspectral":
-        return pc.simulate_hyperspectral(
-            scene,
-            np.deg2rad(cam["qwp_angles_deg"]),
-            lp_angle=float(np.deg2rad(cam["lp_angle_deg"])),
-            noise=noise,
-            exposure=cam["exposure"],
-        )
+    noise = _noise_model(pc, cfg)
     if cam["kind"] == "trichromatic":
         return pc.simulate_trichromatic(scene, noise=noise, exposure=cam["exposure"])
-    raise _ConfigError(f"unknown camera kind {cam['kind']!r}")
+    return pc.simulate_hyperspectral(
+        scene,
+        np.deg2rad(cam["qwp_angles_deg"]),
+        lp_angle=float(np.deg2rad(cam["lp_angle_deg"])),
+        noise=noise,
+        exposure=cam["exposure"],
+    )
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_simulate(cfg, args):
-    pc = _api()
+def cmd_simulate(pc, cfg, args):
     out = args.out
-    if args.scene:
-        scene = _load_cube(pc, args.scene)
-        seed = _require_seed(cfg, "noisy simulation") if _noisy(cfg) else None
-    else:
-        seed = _require_seed(cfg, "synthetic scene generation")
-        scene = _make_scene(pc, cfg, seed)
-    raw = _simulate(pc, cfg, scene, seed)
+    scene = (_read(pc, args.scene, pc.StokesImage, "a Stokes cube") if args.scene
+             else _make_scene(pc, cfg))
+    raw = _simulate(pc, cfg, scene)
     pc.write_spsi(out, raw)
     return {"frames": int(raw.frames.shape[0]), "height": raw.height,
             "width": raw.width, "out": out}
 
 
-def cmd_reconstruct(cfg, args):
-    pc = _api()
+def cmd_reconstruct(pc, cfg, args):
     out = args.out
-    raw = pc.read_spsi(args.input)
-    if not isinstance(raw, pc.RawCapture):
-        raise _ConfigError(f"{args.input} does not hold a raw capture")
+    raw = _read(pc, args.input, pc.RawCapture, "a raw capture")
     cube = pc.reconstruct_image(raw, dop_tol=cfg["solver"]["dop_tol"])
     pc.write_spsi(out, cube)
     return {"out": out, "valid_fraction": cube.valid_fraction(),
             "channels": cube.channels}
 
 
-def cmd_features(cfg, args):
-    pc = _api()
+def cmd_features(pc, cfg, args):
     out = args.out
     names = ("rho", "dolp", "docp", "aolp", "cop")
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     # every histogram before any file: a feature that fails leaves no CSV behind
-    found = pc.analysis._feature_histograms([_load_cube(pc, args.input)], names,
-                                            cfg["stats"]["bins"], "no samples for {} histogram")
+    found = pc.analysis._feature_histograms([cube], names, cfg["stats"]["bins"],
+                                            "no samples for {} histogram")
     summary = {}
     for feature, (hist, mean) in zip(names, found):
         path = f"{out}{feature}.csv"
@@ -265,12 +270,11 @@ def cmd_features(cfg, args):
     return summary
 
 
-def cmd_decompose(cfg, args):
+def cmd_decompose(pc, cfg, args):
     import numpy as np
 
-    pc = _api()
     out = args.out
-    cube = _load_cube(pc, args.input)
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     tol = cfg["solver"]["dop_tol"]
     valid = cube.mask & pc.is_valid(cube.data, tol)
     pol, unpol = np.zeros(valid.shape), np.zeros(valid.shape)
@@ -288,37 +292,30 @@ def cmd_decompose(cfg, args):
     }
 
 
-def cmd_validate(cfg, args):
+def cmd_validate(pc, cfg, args):
     import numpy as np
 
-    pc = _api()
-    cube = _load_cube(pc, args.input)
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     ok = cube.mask & pc.is_valid(cube.data, cfg["solver"]["dop_tol"])
     return {"valid_fraction": float(ok.sum()) / ok.size,
             "masked_fraction": 1.0 - cube.valid_fraction(),
             "nonfinite_valid": int((cube.mask & ~np.isfinite(cube.data).all(axis=-1)).sum())}
 
 
-def cmd_denoise(cfg, args):
+def cmd_denoise(pc, cfg, args):
     from dataclasses import replace
 
     import numpy as np
 
-    pc = _api()
     out = args.out
+    raws = [_read(pc, path, pc.RawCapture, "a raw capture")
+            for path in [args.input] + (args.burst or [])]
     if args.burst:
-        raws = [pc.read_spsi(p) for p in [args.input] + args.burst]
-        if not all(isinstance(r, pc.RawCapture) for r in raws):
-            raise _ConfigError("burst inputs must be raw captures")
         frames = pc.burst_average([r.frames for r in raws])
         pc.write_spsi(out, replace(raws[0], frames=frames))
         return {"out": out, "averaged": len(raws)}
     k = 3 if args.median is None else args.median
-    if k < 1 or k % 2 == 0:
-        raise _ConfigError(f"--median must be odd and >= 1, got {k}")
-    raw = pc.read_spsi(args.input)
-    if not isinstance(raw, pc.RawCapture):
-        raise _ConfigError(f"{args.input} does not hold a raw capture")
+    raw, = raws
     frames = np.empty_like(raw.frames)
     for out_frame, frame in zip(frames, raw.frames):
         out_frame[...] = pc.median_filter(frame, k)
@@ -326,10 +323,9 @@ def cmd_denoise(cfg, args):
     return {"out": out, "median_window": k}
 
 
-def cmd_pca_fit(cfg, args):
-    pc = _api()
+def cmd_pca_fit(pc, cfg, args):
     out = args.out
-    cube = _load_cube(pc, args.input)
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     codebook = pc.pca_fit_image(cube, cfg["pca"]["patch_size"], cfg["pca"]["bases"])
     pc.write_spsi(out, codebook)
     spectrum = pc.variance_spectrum(codebook)
@@ -337,19 +333,13 @@ def cmd_pca_fit(cfg, args):
             "top_variance_fraction": float(spectrum[0])}
 
 
-def cmd_pca_code(cfg, args):
+def cmd_pca_code(pc, cfg, args):
     from polarcube.pca import _patch_mse
 
-    pc = _api()
     out = args.out
-    cube = _load_cube(pc, args.input)
-    artifact = pc.read_spsi(args.codebook)
-    codebook = artifact.codebook if isinstance(artifact, pc.PcaEncoding) else artifact
-    if not isinstance(codebook, pc.PcaCodebook):
-        raise _ConfigError(f"{args.codebook} does not hold a codec basis")
-    if codebook.element is not None:
-        raise _ConfigError(f"{args.codebook} codes Stokes element {codebook.element} alone; "
-                           "pca-code needs a joint codebook")
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    artifact = _read(pc, args.codebook, (pc.PcaCodebook, pc.PcaEncoding), "a codec basis")
+    codebook = getattr(artifact, "codebook", artifact)  # an encoding's codebook
     if args.bases is not None:
         if not 1 <= args.bases <= codebook.n_bases:
             raise _ConfigError(f"--bases must be in 1..{codebook.n_bases}, got {args.bases}")
@@ -359,18 +349,16 @@ def cmd_pca_code(cfg, args):
     pc.write_spsi(out, decoded)
     return {
         "out": out,
-        "mse": _patch_mse(pc.extract_patches(cube, enc.patch_size), enc),
+        "mse": _patch_mse(pc.extract_patches(cube, enc.patch_size, enc.element), enc),
         "bpp_coefficients": pc.bpp(enc.stored_bits(False), cube.width, cube.height),
         "bpp_with_codebook": pc.bpp(enc.stored_bits(True), cube.width, cube.height),
     }
 
 
-def cmd_inr_fit(cfg, args):
-    pc = _api()
+def cmd_inr_fit(pc, cfg, args):
     out = args.out
-    seed = _require_seed(cfg, "network initialization")
-    cube = _load_cube(pc, args.input)
-    inr = cfg["inr"]
+    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    inr, seed = cfg["inr"], cfg["seed"]
     model = pc.inr_init(inr["layers"], inr["width"], seed,
                         k_spatial=inr["k_spatial"], k_channel=inr["k_channel"])
     model, report = pc.inr_train(model, cube, inr["steps"], lr=inr["lr"],
@@ -385,17 +373,14 @@ def cmd_inr_fit(cfg, args):
             "steps": report.steps, "parameters": pc.parameter_count(model)}
 
 
-def cmd_inr_code(cfg, args):
-    pc = _api()
+def cmd_inr_code(pc, cfg, args):
     out = args.out
-    model = pc.read_spsi(args.input)
-    if not isinstance(model, pc.InrModel):
-        raise _ConfigError(f"{args.input} does not hold a network artifact")
+    model = _read(pc, args.input, pc.InrModel, "a network artifact")
     decoded = pc.inr_decode(model)
     summary = {"out": out, "height": decoded.height, "width": decoded.width,
                "channels": decoded.channels}
     if args.reference:
-        cube = _load_cube(pc, args.reference)
+        cube = _read(pc, args.reference, pc.StokesImage, "a Stokes cube")
         decoded.wavelengths = cube.wavelengths
         report = pc.quality(cube, decoded)
         summary["psnr"] = report.psnr
@@ -404,8 +389,7 @@ def cmd_inr_code(cfg, args):
     return summary
 
 
-def cmd_stats(cfg, args):
-    pc = _api()
+def cmd_stats(pc, cfg, args):
     out = args.out
     cubes = _Cubes(pc, [args.input] + (args.extra or []))
     bins = cfg["stats"]["bins"]
@@ -421,31 +405,23 @@ def cmd_stats(cfg, args):
         pc.export_csv(grid, out)
         return {"out": out, "occupied_cells": int((grid.counts > 0).sum())}
     if feature.endswith("-gradient"):
-        base = feature[: -len("-gradient")]
-        if base not in pc.analysis.FEATURES:
-            raise _ConfigError(f"unknown gradient feature {base!r}")
-        hist = pc.feature_gradient_histograms(cubes, base, bins=bins)
+        hist = pc.feature_gradient_histograms(cubes, feature.removesuffix("-gradient"), bins=bins)
     elif feature in ("s0", "s1", "s2", "s3", "s1n", "s2n", "s3n"):
         hist = pc.stokes_histograms(cubes, feature, bins=bins)
     elif feature == "docp":
         hist = pc.docp_distribution(cubes, bins=bins)
-    elif feature in pc.analysis.FEATURES:
-        (hist, _), = pc.analysis._feature_histograms(cubes, [feature], bins)
     else:
-        raise _ConfigError(f"unknown stats feature {feature!r}")
+        (hist, _), = pc.analysis._feature_histograms(cubes, [feature], bins)
     pc.export_csv(hist, out)
     return {"out": out, "samples": hist.total,
             "support": [float(hist.edges[0]), float(hist.edges[-1])]}
 
 
-def cmd_sfp_stats(cfg, args):
+def cmd_sfp_stats(pc, cfg, args):
     import numpy as np
 
-    pc = _api()
     out = args.out
-    stack = pc.read_spsi(args.input)
-    if not isinstance(stack, pc.NormalMapStack):
-        raise _ConfigError(f"{args.input} does not hold a normal-map stack")
+    stack = _read(pc, args.input, pc.NormalMapStack, "a normal-map stack")
     report = pc.normal_spectral_stddev(stack, bins=cfg["stats"]["bins"])
     outputs = {}
     for name, hist in report.histograms.items():
@@ -462,16 +438,14 @@ def cmd_sfp_stats(cfg, args):
     }
 
 
-def cmd_roundtrip(cfg, args):
+def cmd_roundtrip(pc, cfg, args):
     import time
 
     import numpy as np
 
-    pc = _api()
-    seed = _require_seed(cfg, "the round-trip scene")
-    scene = _make_scene(pc, cfg, seed)
+    scene = _make_scene(pc, cfg)
     start = time.perf_counter()
-    raw = _simulate(pc, cfg, scene, seed)
+    raw = _simulate(pc, cfg, scene)
     cube = pc.reconstruct_image(raw, dop_tol=cfg["solver"]["dop_tol"])
     elapsed = time.perf_counter() - start
     report = pc.quality(scene, cube)
@@ -492,7 +466,7 @@ def cmd_roundtrip(cfg, args):
 
 
 class _Command(NamedTuple):
-    run: Callable
+    run: Callable  # run(pc, cfg, args): the package, the echoed config, the parsed flags
     help: str
     sections: tuple  # config sections the command reads; echoed with threads (and seed)
     flags: tuple  # (flag, config keys it sets, argparse keywords)
@@ -507,7 +481,7 @@ _OUT = _flag("--out", required=True, help="output path or prefix")
 _SEED = _flag("--seed", "seed", type=int, help="RNG seed (required for stochastic stages)")
 _BINS = _flag("--bins", "stats.bins", type=int)
 _CAMERA = (
-    _flag("--camera", "camera.kind", choices=["hyperspectral", "trichromatic"]),
+    _flag("--camera", "camera.kind", choices=_KINDS["camera"]),
     _flag("--height", "camera.height", type=int),
     _flag("--width", "camera.width", type=int),
     _flag("--channels", "camera.channels", type=int,
@@ -592,7 +566,7 @@ def main(argv=None) -> int:
                                + " ".join(unknown))
         cfg = _resolve_config(args)
         print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
-        summary = _COMMANDS[args.command].run(cfg, args)
+        summary = _COMMANDS[args.command].run(_api(), cfg, args)
         print(json.dumps({"summary": summary}, sort_keys=True))
         return EXIT_OK
     except _ConfigError as exc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError
-from .image import StokesImage
+from .image import ScalarCube, StokesImage
 
 __all__ = [
     "PcaCodebook",
@@ -208,8 +208,8 @@ def pca_decode(enc: PcaEncoding):
     """Rebuild the image: p_hat = c . b^T + mu, patches back in grid order.
 
     Remainder pixels not covered by any patch are flagged invalid.
-    Joint codebooks give a StokesImage; single-element codebooks give the
-    reconstructed (H, W, C) component plane.
+    Joint codebooks give a StokesImage; single-element codebooks give a
+    ScalarCube of the coded Stokes element.  Both carry the wavelengths.
     """
     cb = enc.codebook
     p, gh, gw = enc.patch_size, enc.grid_h, enc.grid_w
@@ -220,10 +220,10 @@ def pca_decode(enc: PcaEncoding):
     region = np.s_[: gh * p, : gw * p]  # the pixels the patches cover
     data = np.zeros((enc.height, enc.width, cb.channels, cb.components))
     data[region] = block.reshape(gh * p, gw * p, cb.channels, cb.components)
-    if cb.element is not None:
-        return data[..., 0]
     mask = np.zeros(data.shape[:3], dtype=bool)
     mask[region] = True
+    if cb.element is not None:
+        return ScalarCube(data[..., 0], enc.wavelengths, mask)
     return StokesImage(data, enc.wavelengths, mask)
 
 

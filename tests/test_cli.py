@@ -60,6 +60,14 @@ class TestRoundtrip:
         code, *_ = run_cli(capsys, "roundtrip", "--camera", "hyperspectral")
         assert code == 2
 
+    def test_config_file_seed_is_echoed_as_an_integer(self, capsys, tmp_path):
+        cfg_path = tmp_path / "seed.json"
+        cfg_path.write_text('{"seed": "3"}')
+        code, config, _, _ = run_cli(capsys, "roundtrip", "--config", str(cfg_path),
+                                     "--size", "8", "--channels", "2")
+        assert code == 0
+        assert config["seed"] == 3 and isinstance(config["seed"], int)
+
 
 class TestSimulateReconstruct:
     def test_pipeline_through_files(self, capsys, tmp_path):
@@ -235,19 +243,24 @@ class TestCodecCommands:
         assert not out.exists()
 
     @pytest.mark.parametrize("element", [0, 3])
-    def test_single_element_codebook_is_config_error(self, capsys, tmp_path, element):
+    def test_single_element_codebook_codes_that_element(self, capsys, tmp_path, element):
         cube_path = str(tmp_path / "cube.spsi")
-        img = write_cube(cube_path, h=8, w=8)
+        img = write_cube(cube_path, h=9, w=8)
+        codebook = polarcube.pca_fit_image(img, 2, 4, element=element)
         cb_path = str(tmp_path / "codebook.spsi")
-        write_spsi(cb_path, polarcube.pca_fit_image(img, 2, 4, element=element))
-        out = tmp_path / "decoded.spsi"
-        code, _, _, err = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
-                                  "--out", str(out))
-        assert code == 2
-        error = json.loads(err)
-        assert error["class"] == "config"
-        assert f"element {element}" in error["error"]
-        assert not out.exists()
+        write_spsi(cb_path, codebook)
+        out = str(tmp_path / "decoded.spsi")
+        code, _, summary, _ = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                      "--out", out)
+        assert code == 0
+        want = polarcube.pca_decode(polarcube.pca_encode(img, codebook))
+        got = read_spsi(out)
+        assert isinstance(got, polarcube.ScalarCube)
+        assert np.array_equal(got.data, want.data) and np.array_equal(got.mask, want.mask)
+        assert np.array_equal(got.wavelengths, img.wavelengths)
+        assert got.mask[:8].all() and not got.mask[8:].any()  # the last row has no patch
+        covered = img.data[:8, :, :, element]
+        assert summary["mse"] == pytest.approx(np.mean((got.data[:8] - covered) ** 2))
 
     @pytest.mark.parametrize("bases", [0, 17])
     def test_bases_outside_the_basis_is_config_error(self, capsys, tmp_path, bases):
@@ -338,15 +351,18 @@ def inputs(tmp_path_factory):
     d = tmp_path_factory.mktemp("inputs")
     f = {name: str(d / f"{name}.spsi") for name in (
         "cube", "raw", "raw2", "codebook", "codebook2", "model", "normals")}
-    f["tri"] = str(d / "tri.json")
+    for name, table in (("tri", {"camera": {"kind": "trichromatic"}}),
+                        ("pinhole", {"camera": {"kind": "pinhole"}}),
+                        ("checker", {"scene": {"kind": "checker"}}), ("seed_x", {"seed": "x"})):
+        f[name] = str(d / f"{name}.json")
+        with open(f[name], "w") as fh:
+            json.dump(table, fh)
     img = write_cube(f["cube"], h=8, w=8, c=2)
     write_spsi(f["codebook"], polarcube.pca_fit_image(img, 2, 8))
     write_spsi(f["codebook2"], polarcube.pca_fit_image(img, 2, 4))
     n = np.random.default_rng(8).normal(size=(6, 6, 3, 3))
     write_spsi(f["normals"], polarcube.NormalMapStack(n / np.linalg.norm(n, axis=-1,
                                                                               keepdims=True)))
-    with open(f["tri"], "w") as fh:
-        json.dump({"camera": {"kind": "trichromatic"}}, fh)
     with contextlib.redirect_stdout(io.StringIO()):
         for seed, raw in ((9, "raw"), (10, "raw2")):
             assert main(["simulate", "--seed", str(seed), "--height", "8", "--width", "8",
@@ -467,6 +483,20 @@ class TestDeclarations:
         ("reconstruct", ["{raw}", "--seed", "3"]),
         ("denoise", ["{raw}", "--burst", "{raw2}", "--median", "4"]),
         ("stats", ["{cube}", "--feature", "cop-gradient", "--bins", "50"]),
+        # a seed that something reads but nobody gave
+        ("simulate", ["--height", "8", "--width", "8"]),
+        ("simulate", ["--scene", "{cube}", "--noise", "0.01"]),
+        ("roundtrip", ["--size", "8"]),
+        ("inr-fit", ["{cube}", "--steps", "3"]),
+        ("simulate", ["--config", "{seed_x}"]),
+        # kinds, windows and features that do not exist
+        ("simulate", ["--config", "{pinhole}", "--seed", "1"]),
+        ("roundtrip", ["--config", "{checker}", "--seed", "1"]),
+        ("denoise", ["{raw}", "--median", "4"]),
+        ("denoise", ["{raw}", "--median", "0"]),
+        ("denoise", ["{raw}", "--median", "-1"]),
+        ("stats", ["{cube}", "--feature", "hue"]),
+        ("stats", ["{cube}", "--feature", "pol-unpol-gradient"]),
     ])
     def test_overridden_or_unoffered_flag_exits_2_before_the_echo(self, capsys, tmp_path,
                                                                    inputs, command, argv):
@@ -500,9 +530,11 @@ class TestDeclarations:
             assert config["seed"] == int(seed)
             written.append(out.read_bytes())
         assert written[0] != written[1]
+        out = tmp_path / "unseeded.spsi"
         code, config, _, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
                                      "--config", str(cfg_path), "--out", str(out))
-        assert code == 2 and config["seed"] is None  # the noise needs a seed
+        assert code == 2 and config is None  # the noise needs a seed
+        assert not out.exists()
 
     def test_cop_gradient_echoes_its_five_bins(self, capsys, tmp_path, inputs):
         cfg_path = tmp_path / "config.json"
@@ -584,12 +616,33 @@ class TestExitCodes:
         code, _, _, err = run_cli(capsys, "validate", "/nonexistent/cube.spsi")
         assert code == 3
 
-    def test_wrong_container_kind_is_config_error(self, capsys, tmp_path):
-        cube_path = str(tmp_path / "cube.spsi")
-        write_cube(cube_path, h=8, w=8, c=2)
-        code, *_ = run_cli(capsys, "reconstruct", cube_path,
-                           "--out", str(tmp_path / "x.spsi"))
+    @pytest.mark.parametrize("argv, wrong", [
+        (["simulate", "--scene", "{raw}", "--out", "o.spsi"], "raw"),
+        (["reconstruct", "{cube}", "--out", "o.spsi"], "cube"),
+        (["features", "{raw}", "--out", "o_"], "raw"),
+        (["decompose", "{raw}", "--out", "o_"], "raw"),
+        (["validate", "{raw}"], "raw"),
+        (["denoise", "{cube}", "--out", "o.spsi"], "cube"),
+        (["denoise", "{raw}", "--burst", "{cube}", "--out", "o.spsi"], "cube"),
+        (["pca-fit", "{raw}", "--out", "o.spsi"], "raw"),
+        (["pca-code", "{raw}", "--codebook", "{codebook}", "--out", "o.spsi"], "raw"),
+        (["pca-code", "{cube}", "--codebook", "{cube}", "--out", "o.spsi"], "cube"),
+        (["inr-fit", "{raw}", "--seed", "1", "--out", "o.spsi"], "raw"),
+        (["inr-code", "{cube}", "--out", "o.spsi"], "cube"),
+        (["inr-code", "{model}", "--reference", "{raw}", "--out", "o.spsi"], "raw"),
+        (["stats", "{raw}", "--feature", "s0", "--out", "o.csv"], "raw"),
+        (["stats", "{cube}", "{raw}", "--feature", "s0", "--out", "o.csv"], "raw"),
+        (["sfp-stats", "{cube}", "--out", "o_"], "cube"),
+    ])
+    def test_wrong_container_kind_is_config_error(self, capsys, tmp_path, monkeypatch,
+                                                  inputs, argv, wrong):
+        monkeypatch.chdir(tmp_path)
+        code, _, _, err = run_cli(capsys, *[a.format(**inputs) for a in argv])
         assert code == 2
+        error = json.loads(err)
+        assert error["class"] == "config"
+        assert error["error"].startswith(f"{inputs[wrong]} does not hold ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("POLARCUBE_THREADS", "1")

@@ -193,7 +193,9 @@ class TestEncodeDecode:
         assert codebook.components == 1
         enc = pca_encode(img, codebook)
         plane = pca_decode(enc)
-        assert plane.shape == (12, 12, 2)
+        assert plane.data.shape == plane.mask.shape == (12, 12, 2)
+        assert plane.mask.all()
+        assert np.array_equal(plane.wavelengths, img.wavelengths)
 
     def test_coefficients_are_decorrelated(self):
         img = small_cube(40, 40, 1, seed=5)
@@ -276,7 +278,7 @@ def covered_mse(img, codebook, k):
     if codebook.element is None:
         got, want = decoded.data[:rows, :cols], img.data[:rows, :cols]
     else:
-        got, want = decoded[:rows, :cols], img.data[:rows, :cols, :, codebook.element]
+        got, want = decoded.data[:rows, :cols], img.data[:rows, :cols, :, codebook.element]
     return enc, float(np.mean((got - want) ** 2)), float(np.mean(want**2))
 
 
