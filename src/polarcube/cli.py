@@ -1,24 +1,22 @@
 """Command-line frontend for the pipeline.
 
 Each subcommand is one declaration in ``_COMMANDS``: the config sections
-it reads and its flags, each with the config keys it sets.  The parser
-offers only the declared flags (plus ``--config`` and ``--threads`` on
-every command).  A command resolves its configuration (built-in
-defaults, then an optional JSON config file, then flags, flags winning),
-prints the sections it reads as one JSON line before doing any work, and
-ends with a JSON summary line.  ``_resolve_config`` decides every rule
-that the flags and the config file alone decide, before that first line:
-a flag that an input or another flag overrides, a missing or non-integer
-seed where something reads it, an unknown camera or scene kind, a
-``--median`` window that is not odd and positive, an unknown ``stats``
-feature.  An input of the wrong container kind can only be found by
-reading it (``_read``), after the first line.  A failure prints one JSON
-line on stderr and exits 2 for configuration problems (argument errors
-included), 3 for I/O problems, 4 for numerical failures.
-
-``--threads`` (or the POLARCUBE_THREADS environment variable) is echoed
-but does not take effect yet: importing this module already loads numpy,
-and with it BLAS, so the BLAS thread count cannot be pinned from here.
+it reads and its flags, each with the config keys it sets and, as its
+``type``, the one rule its value obeys (``_rule``).  The parser offers
+only the declared flags (plus ``--config`` and ``--threads``, which is
+echoed but not applied yet, on every command).  A command resolves its
+configuration (defaults, POLARCUBE_THREADS, an optional JSON config file,
+then flags, each winning over the ones before), prints the sections it
+reads as one JSON line before doing any work, and ends with a JSON
+summary line.  ``_resolve_config`` decides, before that first line, every
+rule that the flags and the config file alone decide: each flag's rule,
+on its text and on any value the config file or the environment gives a
+key it sets; overridden flags; a missing seed where something reads it;
+unknown kinds and ``stats`` features; a trichromatic size that the 4 x 4
+mosaic does not tile.  Keys that no flag sets, and inputs of the wrong
+container kind (``_read``), are checked after it.  ``_FAILURES`` maps a
+failure to one JSON line on stderr and exit 2 (config), 3 (I/O) or 4
+(numerical).
 """
 
 from __future__ import annotations
@@ -28,7 +26,10 @@ import copy
 import json
 import os
 import sys
+from math import inf
 from typing import Callable, NamedTuple
+
+from polarcube.errors import ContainerError, LabelSchemaError, PolarcubeError
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
 
@@ -91,12 +92,13 @@ _PLANES = ("pol-unpol", "poincare-s1s2", "poincare-s1s3")  # stats --feature bey
 
 
 def _resolve_config(args) -> dict:
-    """The configuration ``args.command`` reads: defaults, then the config file, then flags.
+    """The configuration ``args.command`` reads: defaults, env, the config file, then flags.
 
     Every rule that the flags and the config file alone decide raises here, before the echo.
     """
     command = _COMMANDS[args.command]
     cfg = copy.deepcopy(DEFAULTS)
+    cfg["threads"] = os.environ.get("POLARCUBE_THREADS") or None  # the config file wins
     if args.config:
         try:
             with open(args.config) as fh:
@@ -108,26 +110,22 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise _ConfigError("config file must hold a JSON object")
         _deep_update(cfg, loaded)
-    for flag, keys, _ in command.flags + _SHARED:
+    for flag, keys, kwargs in command.flags + _SHARED:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        if value is None:
-            continue
         for key in keys:
             section, _, name = key.rpartition(".")
-            (cfg[section] if section else cfg)[name] = value
-    if cfg["threads"] is None and os.environ.get("POLARCUBE_THREADS"):
-        try:
-            cfg["threads"] = int(os.environ["POLARCUBE_THREADS"])
-        except ValueError as exc:
-            raise _ConfigError("POLARCUBE_THREADS must be an integer") from exc
+            table = cfg[section] if section else cfg
+            if value is not None:  # argparse has applied the flag's rule to it
+                table[name] = value
+            elif table[name] is not None and "type" in kwargs:  # the config file's, or the env's
+                try:
+                    table[name] = kwargs["type"](table[name])
+                except argparse.ArgumentTypeError as exc:
+                    raise _ConfigError(f"{key} {exc}") from exc
     given = {dest for dest, value in vars(args).items() if value is not None}
     for flag, by in _OVERRIDDEN:
         if {flag, by} <= given:
             raise _ConfigError(f"--{flag} has no effect with --{by}")
-    if cfg["camera"]["kind"] == "trichromatic":
-        if "channels" in given:
-            raise _ConfigError("--channels has no effect on the trichromatic camera")
-        cfg["camera"]["channels"] = 3
     feature = getattr(args, "feature", None)
     if feature == "cop-gradient":
         if "bins" in given:
@@ -138,8 +136,6 @@ def _resolve_config(args) -> dict:
 
         if feature not in _PLANES and feature.removesuffix("-gradient") not in FEATURES:
             raise _ConfigError(f"unknown stats feature {feature!r}")
-    if getattr(args, "median", None) is not None and (args.median < 1 or args.median % 2 == 0):
-        raise _ConfigError(f"--median must be odd and >= 1, got {args.median}")
     sections = ["threads", *command.sections] + (["seed"] if hasattr(args, "seed") else [])
     if getattr(args, "scene", None):  # the input cube is the scene and sets its size
         sections.remove("scene")
@@ -149,15 +145,19 @@ def _resolve_config(args) -> dict:
             if "seed" in given:
                 raise _ConfigError("--seed has no effect on a noiseless capture of --scene")
             sections.remove("seed")
+    if "seed" in sections and cfg["seed"] is None:  # a synthetic scene, noise or a network
+        raise _ConfigError(f"polarcube {args.command} needs a seed (--seed or the config file)")
     for section, kinds in _KINDS.items():
         if section in sections and cfg[section]["kind"] not in kinds:
             raise _ConfigError(f"unknown {section} kind {cfg[section]['kind']!r}")
-    if "seed" in sections:  # a synthetic scene, noise or a network reads it
-        try:
-            cfg["seed"] = int(cfg["seed"])
-        except (TypeError, ValueError) as exc:
-            raise _ConfigError(f"polarcube {args.command} needs an integer seed (--seed or "
-                               f"the config file), got {cfg['seed']!r}") from exc
+    camera = cfg["camera"]
+    if "camera" in sections and camera["kind"] == "trichromatic":
+        if "channels" in given:
+            raise _ConfigError("--channels has no effect on the trichromatic camera")
+        if "channels" in camera:  # a synthetic scene, which the 4 x 4 mosaic tiles
+            camera["channels"] = 3
+            if camera["height"] % 4 or camera["width"] % 4:
+                raise _ConfigError("trichromatic height and width must be multiples of 4")
     return {key: cfg[key] for key in sections}
 
 
@@ -192,7 +192,7 @@ def _make_scene(pc, cfg):
     import numpy as np
 
     cam, scene = cfg["camera"], cfg["scene"]
-    shape = cam["height"], cam["width"], int(cam["channels"])
+    shape = cam["height"], cam["width"], cam["channels"]
     if scene["kind"] == "uniform":
         return pc.uniform_scene(*shape)
     make = pc.smooth_scene if scene["kind"] == "smooth" else pc.random_scene
@@ -334,25 +334,17 @@ def cmd_pca_fit(pc, cfg, args):
 
 
 def cmd_pca_code(pc, cfg, args):
-    from polarcube.pca import _patch_mse
-
     out = args.out
     cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     artifact = _read(pc, args.codebook, (pc.PcaCodebook, pc.PcaEncoding), "a codec basis")
     codebook = getattr(artifact, "codebook", artifact)  # an encoding's codebook
     if args.bases is not None:
-        if not 1 <= args.bases <= codebook.n_bases:
-            raise _ConfigError(f"--bases must be in 1..{codebook.n_bases}, got {args.bases}")
+        if args.bases > codebook.n_bases:
+            raise _ConfigError(f"--bases must be at most {codebook.n_bases}, got {args.bases}")
         codebook = pc.truncate_codebook(codebook, args.bases)
-    enc = pc.pca_encode(cube, codebook)
-    decoded = pc.pca_decode(enc)
-    pc.write_spsi(out, decoded)
-    return {
-        "out": out,
-        "mse": _patch_mse(pc.extract_patches(cube, enc.patch_size, enc.element), enc),
-        "bpp_coefficients": pc.bpp(enc.stored_bits(False), cube.width, cube.height),
-        "bpp_with_codebook": pc.bpp(enc.stored_bits(True), cube.width, cube.height),
-    }
+    pc.write_spsi(out, pc.pca_decode(pc.pca_encode(cube, codebook)))
+    curve = pc.pca_rate_curve(cube, codebook, [codebook.n_bases])  # one row, every basis
+    return {"out": out, **dict(zip(curve.columns[1:], curve.rows[0][1:]))}  # bpp and mse
 
 
 def cmd_inr_fit(pc, cfg, args):
@@ -423,19 +415,13 @@ def cmd_sfp_stats(pc, cfg, args):
     out = args.out
     stack = _read(pc, args.input, pc.NormalMapStack, "a normal-map stack")
     report = pc.normal_spectral_stddev(stack, bins=cfg["stats"]["bins"])
-    outputs = {}
-    for name, hist in report.histograms.items():
+    summary = {"outputs": {}}
+    for name, hist in report.histograms.items():  # std_x, ..., std_elevation
         path = f"{out}{name}.csv"
         pc.export_csv(hist, path)
-        outputs[name] = path
-    return {
-        "outputs": outputs,
-        "mean_std_x": float(np.mean(report.std_x)),
-        "mean_std_y": float(np.mean(report.std_y)),
-        "mean_std_z": float(np.mean(report.std_z)),
-        "mean_std_azimuth": float(np.mean(report.std_azimuth)),
-        "mean_std_elevation": float(np.mean(report.std_elevation)),
-    }
+        summary["outputs"][name] = path
+        summary[f"mean_{name}"] = float(np.mean(getattr(report, name)))
+    return summary
 
 
 def cmd_roundtrip(pc, cfg, args):
@@ -476,23 +462,41 @@ def _flag(name, *keys, **kwargs):
     return name, keys, kwargs
 
 
+def _rule(kind, ok, rule):
+    """A flag's ``type``: text converts to ``kind``; a config value must be one (3.5 is no int)."""
+
+    def check(value):
+        try:
+            number = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            number = None
+        if type(number) not in (int, kind) or not ok(number):  # bool is no number here
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return number
+
+    return check
+
+
+_COUNT = _rule(int, lambda n: n >= 1, "an integer >= 1")
+_NATURAL = _rule(int, lambda n: n >= 0, "an integer >= 0")
 _INPUT = _flag("input")
 _OUT = _flag("--out", required=True, help="output path or prefix")
-_SEED = _flag("--seed", "seed", type=int, help="RNG seed (required for stochastic stages)")
-_BINS = _flag("--bins", "stats.bins", type=int)
+_SEED = _flag("--seed", "seed", type=_NATURAL, help="RNG seed (required for stochastic stages)")
+_BINS = _flag("--bins", "stats.bins", type=_COUNT)
 _CAMERA = (
     _flag("--camera", "camera.kind", choices=_KINDS["camera"]),
-    _flag("--height", "camera.height", type=int),
-    _flag("--width", "camera.width", type=int),
-    _flag("--channels", "camera.channels", type=int,
+    _flag("--height", "camera.height", type=_COUNT),
+    _flag("--width", "camera.width", type=_COUNT),
+    _flag("--channels", "camera.channels", type=_COUNT,
           help="spectral channels (the trichromatic camera has 3)"),
-    _flag("--noise", "noise.sigma", type=float, help="Gaussian sigma"),
+    _flag("--noise", "noise.sigma", help="Gaussian sigma",
+          type=_rule(float, lambda x: 0 <= x < inf, "a finite number >= 0")),
     _SEED,
 )
 # On every command; the config file may hold every section, so one file serves a pipeline.
 _SHARED = (
     _flag("--config", help="JSON config file"),
-    _flag("--threads", "threads", type=int,
+    _flag("--threads", "threads", type=_COUNT,
           help="BLAS thread count (env POLARCUBE_THREADS as fallback); echoed, but not "
                "applied yet: numpy, and with it BLAS, is loaded before the flag is read"),
 )
@@ -509,19 +513,21 @@ _COMMANDS = {
                           ("solver", "stats"), (_INPUT, _BINS, _OUT)),
     "validate": _Command(cmd_validate, "validity census of a cube", ("solver",), (_INPUT,)),
     "denoise": _Command(cmd_denoise, "median filter or burst average", (), (
-        _INPUT, _flag("--median", type=int, help="odd window size (default 3)"),
+        _INPUT, _flag("--median", help="odd window size (default 3)",
+                      type=_rule(int, lambda n: n >= 1 and n % 2, "an odd integer >= 1")),
         _flag("--burst", nargs="*", help="further raw captures to average with"), _OUT)),
     "pca-fit": _Command(cmd_pca_fit, "fit a patch basis", ("pca",), (
-        _INPUT, _flag("--patch", "pca.patch_size", type=int),
-        _flag("--bases", "pca.bases", type=int), _OUT)),
+        _INPUT, _flag("--patch", "pca.patch_size", type=_COUNT),
+        _flag("--bases", "pca.bases", type=_COUNT), _OUT)),
     "pca-code": _Command(cmd_pca_code, "encode + decode through a basis", (), (
         _INPUT, _flag("--codebook", required=True),
-        _flag("--bases", type=int, help="truncate the basis to this count"), _OUT)),
+        _flag("--bases", type=_COUNT, help="truncate the basis to this count"), _OUT)),
     "inr-fit": _Command(cmd_inr_fit, "fit the coordinate network", ("inr",), (
-        _INPUT, _flag("--layers", "inr.layers", type=int),
-        _flag("--net-width", "inr.width", type=int), _flag("--steps", "inr.steps", type=int),
-        _flag("--lr", "inr.lr", type=float),
-        _flag("--batch", "inr.batch", type=int,
+        _INPUT, _flag("--net-width", "inr.width", type=_COUNT),
+        _flag("--layers", "inr.layers", type=_rule(int, lambda n: n >= 2, "an integer >= 2")),
+        _flag("--steps", "inr.steps", type=_NATURAL),
+        _flag("--lr", "inr.lr", type=_rule(float, lambda x: 0 < x < inf, "a finite number > 0")),
+        _flag("--batch", "inr.batch", type=_COUNT,
               help="coordinates per step, rounded down to whole pixels but at least one "
                    "pixel (default: all)"),
         _flag("--loss-csv", help="write the loss curve here"), _SEED, _OUT)),
@@ -537,7 +543,7 @@ _COMMANDS = {
                           (_INPUT, _BINS, _OUT)),
     "roundtrip": _Command(cmd_roundtrip, "simulate, reconstruct, and score in one go",
                           ("camera", "noise", "scene", "solver"), (
-        *_CAMERA, _flag("--size", "camera.height", "camera.width", type=int,
+        *_CAMERA, _flag("--size", "camera.height", "camera.width", type=_COUNT,
                         help="square scene size (sets height and width)"),
         _flag("--out", help="write the reconstructed cube here"))),
 }
@@ -546,6 +552,12 @@ _COMMANDS = {
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # reported as every other configuration error is
         raise _ConfigError(f"{self.prog}: {message}")
+
+
+# (exceptions, class, exit code): the first entry that matches reports a failure
+_FAILURES = (((_ConfigError,), "config", EXIT_CONFIG),
+             ((OSError, ContainerError, LabelSchemaError), "io", EXIT_IO),
+             ((PolarcubeError, ValueError, ArithmeticError), "numerical", EXIT_NUMERICAL))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,21 +581,11 @@ def main(argv=None) -> int:
         summary = _COMMANDS[args.command].run(_api(), cfg, args)
         print(json.dumps({"summary": summary}, sort_keys=True))
         return EXIT_OK
-    except _ConfigError as exc:
-        print(json.dumps({"error": str(exc), "class": "config"}), file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(json.dumps({"error": str(exc), "class": "io"}), file=sys.stderr)
-        return EXIT_IO
-    except Exception as exc:  # numerical / domain failures
-        from polarcube.errors import ContainerError, LabelSchemaError, PolarcubeError
-
-        if isinstance(exc, (ContainerError, LabelSchemaError)):
-            print(json.dumps({"error": str(exc), "class": "io"}), file=sys.stderr)
-            return EXIT_IO
-        if isinstance(exc, (PolarcubeError, ValueError, ArithmeticError)):
-            print(json.dumps({"error": str(exc), "class": "numerical"}), file=sys.stderr)
-            return EXIT_NUMERICAL
+    except Exception as exc:
+        for kinds, name, code in _FAILURES:
+            if isinstance(exc, kinds):
+                print(json.dumps({"error": str(exc), "class": name}), file=sys.stderr)
+                return code
         raise
 
 

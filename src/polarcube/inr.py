@@ -307,6 +307,8 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
     """
     if schedule not in ("cosine", "constant"):
         raise ValueError("schedule must be 'cosine' or 'constant'")
+    if steps < 0:
+        raise ValueError(f"steps must be >= 0, got {steps}")
     ys, xs = np.nonzero(img.mask.any(axis=2))
     if ys.size == 0:
         raise EmptySelectionError("image has no valid pixels to fit")

@@ -41,10 +41,6 @@ __all__ = [
 SATURATION_FRACTION = 0.998
 UNDEREXPOSURE_MULTIPLIER = 2.0
 
-#: ``median_filter`` copies at most this many window values at a time
-#: (2 MiB of float64), so its scratch memory does not grow with the frame.
-MEDIAN_BLOCK_VALUES = 1 << 18
-
 
 def solve_stokes(system: SystemMatrix, intensities: np.ndarray):
     """Least-squares Stokes estimate(s) from measured intensities.
@@ -154,8 +150,8 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
     """k x k median of one 2-D frame with edge replication; k must be odd.
 
     Each output pixel is the middle element of its sorted, edge-padded
-    k x k window, selected with a partial sort over blocks of rows; the
-    dtype is kept and the result owns its data.
+    k x k window, selected with a partial sort over row blocks on the block
+    pool; the dtype is kept and the result owns its data.
     """
     if k < 1 or k % 2 == 0:
         raise ValueError("median window size must be odd and >= 1")
@@ -167,14 +163,14 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
     padded = np.pad(frame, k // 2, mode="edge")
     windows = sliding_window_view(padded, (k, k))  # (H, W, k, k) view, no copy
     height, width = frame.shape
-    middle = k * k // 2
     out = np.empty_like(frame)
-    rows = max(1, MEDIAN_BLOCK_VALUES // (width * k * k))
-    for top in range(0, height, rows):
-        # The only copy of window values: a block of rows, partitioned in place.
-        block = np.array(windows[top : top + rows], order="C").reshape(-1, width, k * k)
-        block.partition(middle, axis=-1)
-        out[top : top + rows] = block[..., middle]
+
+    def block(lo, hi):  # the only copy of window values: a block of rows, partitioned in place
+        values = np.array(windows[lo:hi], order="C").reshape(-1, width, k * k)
+        values.partition(k * k // 2, axis=-1)
+        out[lo:hi] = values[..., k * k // 2]
+
+    _pool.blocks(block, height, width * k * k)
     return out
 
 

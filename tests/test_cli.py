@@ -141,7 +141,8 @@ class TestValidateAndStats:
         assert min(lows) >= -np.pi / 2 - 1e-9
         assert max(highs) <= np.pi / 2 + 1e-9
 
-    @pytest.mark.parametrize("feature", ["s1", "rho", "pol-unpol", "dolp-gradient"])
+    @pytest.mark.parametrize("feature", ["s1", "rho", "docp", "pol-unpol", "dolp-gradient",
+                                         "poincare-s1s2", "poincare-s1s3"])
     def test_stats_pools_every_input_file(self, capsys, tmp_path, feature):
         paths = [str(tmp_path / f"cube{k}.spsi") for k in range(3)]
         cubes = [write_cube(path, h=9 + k, seed=k) for k, path in enumerate(paths)]
@@ -155,6 +156,10 @@ class TestValidateAndStats:
             found = {"": polarcube.feature_gradient_histograms(cubes, "dolp")}
         elif feature == "s1":
             found = {"": polarcube.stokes_histograms(cubes, "s1")}
+        elif feature == "docp":
+            found = {"": polarcube.docp_distribution(cubes)}
+        elif feature.startswith("poincare-"):
+            found = {"": polarcube.poincare_density(cubes, plane=f"s1-{feature[-2:]}")}
         else:
             found = {"": polarcube.Histogram.from_samples(
                 np.concatenate([v[ok] for v, ok in (polarcube.feature_plane(c, feature)
@@ -353,7 +358,9 @@ def inputs(tmp_path_factory):
         "cube", "raw", "raw2", "codebook", "codebook2", "model", "normals")}
     for name, table in (("tri", {"camera": {"kind": "trichromatic"}}),
                         ("pinhole", {"camera": {"kind": "pinhole"}}),
-                        ("checker", {"scene": {"kind": "checker"}}), ("seed_x", {"seed": "x"})):
+                        ("checker", {"scene": {"kind": "checker"}}), ("seed_x", {"seed": "x"}),
+                        ("bins_half", {"stats": {"bins": 3.5}}),
+                        ("bins_many", {"stats": {"bins": "many"}}), ("threads_x", {"threads": "x"})):
         f[name] = str(d / f"{name}.json")
         with open(f[name], "w") as fh:
             json.dump(table, fh)
@@ -497,15 +504,57 @@ class TestDeclarations:
         ("denoise", ["{raw}", "--median", "-1"]),
         ("stats", ["{cube}", "--feature", "hue"]),
         ("stats", ["{cube}", "--feature", "pol-unpol-gradient"]),
+        # values outside their flag's rule, from the flag or the config file
+        ("features", ["{cube}", "--bins", "0"]),
+        ("pca-fit", ["{cube}", "--patch", "0"]),
+        ("inr-fit", ["{cube}", "--seed", "1", "--steps", "-1"]),
+        ("inr-fit", ["{cube}", "--seed", "1", "--lr", "-1"]),
+        ("inr-fit", ["{cube}", "--seed", "1", "--layers", "1"]),
+        ("simulate", ["--seed", "-1"]),
+        ("simulate", ["--seed", "1", "--height", "0"]),
+        ("roundtrip", ["--camera", "trichromatic", "--size", "6", "--seed", "1"]),
+        ("features", ["{cube}", "--config", "{bins_half}"]),
+        ("stats", ["{cube}", "--feature", "s0", "--config", "{bins_many}"]),
+        ("features", ["{cube}", "--config", "{threads_x}"]),
     ])
     def test_overridden_or_unoffered_flag_exits_2_before_the_echo(self, capsys, tmp_path,
                                                                    inputs, command, argv):
         out = tmp_path / "x.out"
-        code, config, _, _ = run_cli(capsys, command, *[a.format(**inputs) for a in argv],
-                                     "--out", str(out))
+        code, config, _, err = run_cli(capsys, command, *[a.format(**inputs) for a in argv],
+                                       "--out", str(out))
         assert code == 2
         assert config is None
-        assert not out.exists()
+        assert json.loads(err)["class"] == "config"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command, argv, table, key", [
+        ("features", ["{cube}", "--out", "o_"], {"stats": {"bins": 3.5}}, "stats.bins"),
+        ("stats", ["{cube}", "--feature", "s0", "--out", "o.csv"], {"stats": {"bins": True}},
+         "stats.bins"),
+        ("validate", ["{cube}"], {"threads": 0}, "threads"),
+        ("roundtrip", [], {"seed": -1}, "seed"),
+        ("roundtrip", ["--seed", "1"], {"camera": {"height": 0}}, "camera.height"),
+        ("roundtrip", ["--seed", "1"], {"noise": {"sigma": float("nan")}}, "noise.sigma"),
+        ("pca-fit", ["{cube}", "--out", "c.spsi"], {"pca": {"patch_size": "2.5"}},
+         "pca.patch_size"),
+        ("inr-fit", ["{cube}", "--seed", "1", "--out", "m.spsi"], {"inr": {"steps": -1}},
+         "inr.steps"),
+        ("inr-fit", ["{cube}", "--seed", "1", "--out", "m.spsi"], {"inr": {"lr": 0}}, "inr.lr"),
+    ])
+    def test_config_value_outside_its_flags_rule_names_the_key(self, capsys, tmp_path,
+                                                               monkeypatch, inputs, command,
+                                                               argv, table, key):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(table))
+        here = tmp_path / "run"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        code, config, _, err = run_cli(capsys, command, *[a.format(**inputs) for a in argv],
+                                       "--config", str(cfg_path))
+        assert code == 2 and config is None
+        error = json.loads(err)
+        assert error["class"] == "config" and error["error"].startswith(f"{key} must be ")
+        assert list(here.iterdir()) == []
 
     def test_scene_input_drops_the_synthetic_scene_from_the_echo(self, capsys, tmp_path,
                                                                   inputs):
@@ -653,6 +702,18 @@ class TestExitCodes:
         )
         assert code == 0
         assert config["threads"] == 1
+
+    @pytest.mark.parametrize("value", ["0", "x", "1.5"])
+    def test_threads_env_outside_its_rule_exits_2_before_the_echo(self, capsys, tmp_path,
+                                                                  monkeypatch, inputs, value):
+        monkeypatch.setenv("POLARCUBE_THREADS", value)
+        code, config, _, err = run_cli(capsys, "validate", inputs["cube"])
+        assert code == 2 and config is None
+        assert json.loads(err)["error"].startswith("threads must be ")
+        cfg_path = tmp_path / "threads.json"
+        cfg_path.write_text('{"threads": 2}')  # the config file wins over the environment
+        code, config, _, _ = run_cli(capsys, "validate", inputs["cube"], "--config", str(cfg_path))
+        assert code == 0 and config["threads"] == 2
 
     def test_entry_point_runs(self):
         result = subprocess.run(

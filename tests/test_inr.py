@@ -155,6 +155,13 @@ class TestTraining:
                 inr_train(model, img, steps=500, lr=1e12, schedule="constant")
         assert info.value.checkpoint is not None
 
+    def test_negative_step_count_rejected(self):
+        model = inr_init(2, 8, seed=0)
+        before = [w.copy() for w in model.weights]
+        with pytest.raises(ValueError, match="steps"):
+            inr_train(model, uniform_scene(4, 4, 1), steps=-1)
+        assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
+
     def test_masked_pixels_are_ignored(self):
         img = uniform_scene(8, 8, 1, stokes=(0.5, 0.0, 0.0, 0.0))
         img.data[0, 0, 0] = [100.0, 0, 0, 0]  # wild outlier, masked away

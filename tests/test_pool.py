@@ -20,6 +20,7 @@ from polarcube import (
     feature_gradient_histograms,
     feature_plane,
     is_valid,
+    median_filter,
     poincare_density,
     pol_unpol_histograms,
     quality,
@@ -171,6 +172,14 @@ class TestSameBitsForAnyWorkerCount:
             for key, value in vars(one).items():
                 assert_bits_equal(value, vars(other)[key])
         assert 0 < one.valid_fraction < 1
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_median_filter(self, hyper_raw, k):
+        frame = hyper_raw.frames[0]
+        with workers(1, block_values=frame.size * k * k):
+            whole = median_filter(frame, k)
+        for blocked in on_each(lambda: median_filter(frame, k)):  # one row a block
+            assert_bits_equal(blocked, whole)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_spsi_cube_round_trip(self, hyper_raw, tmp_path, dtype):

@@ -29,7 +29,7 @@ from polarcube import (
     solve_stokes,
     system_matrix,
 )
-from polarcube import _pool, reconstruct
+from polarcube import _pool
 
 RNG = np.random.default_rng(2024)
 
@@ -305,7 +305,7 @@ class TestMedianFilter:
     @pytest.mark.parametrize("k", [3, 5])
     def test_blocks_of_rows_match_oracle(self, monkeypatch, block_values, k):
         # Blocks of one row, of a few rows with a ragged last block, and whole.
-        monkeypatch.setattr(reconstruct, "MEDIAN_BLOCK_VALUES", block_values)
+        monkeypatch.setattr(_pool, "BLOCK_VALUES", block_values)
         frame = RNG.normal(size=(13, 11)).astype(np.float32)
         got = median_filter(frame, k)
         assert got.tobytes() == sort_median_oracle(frame, k).tobytes()
