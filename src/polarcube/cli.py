@@ -1,20 +1,21 @@
 """Command-line frontend for the pipeline.
 
-Each subcommand is one declaration in ``_COMMANDS``: the config sections
-it reads and its flags, each with the config keys it sets and, as its
-``type``, the one rule its value obeys (``_rule``).  The parser offers
-only the declared flags (plus ``--config`` and ``--threads``, which is
-echoed but not applied yet, on every command).  A command resolves its
-configuration (defaults, POLARCUBE_THREADS, an optional JSON config file,
-then flags, each winning over the ones before), prints the sections it
-reads as one JSON line before doing any work, and ends with a JSON
-summary line.  ``_resolve_config`` decides, before that first line, every
-rule that the flags and the config file alone decide: each flag's rule,
-on its text and on any value the config file or the environment gives a
-key it sets; overridden flags; a missing seed where something reads it;
-unknown kinds and ``stats`` features; a trichromatic size that the 4 x 4
-mosaic does not tile.  Keys that no flag sets, and inputs of the wrong
-container kind (``_read``), are checked after it.  ``_FAILURES`` maps a
+Each config key is one declaration in ``_KEYS``: its default and its one
+rule (``_rule``).  Each subcommand is one in ``_COMMANDS``: the config
+sections it reads and its flags, each with the keys it sets, whose rule
+is its ``type``.  The parser offers only the declared flags (plus
+``--config`` and ``--threads``, echoed but not applied yet, on every
+command).  A command resolves its configuration (defaults,
+POLARCUBE_THREADS, an optional JSON config file, then flags, each winning
+over the ones before), prints the sections it reads as one JSON line
+before doing any work, and ends with a JSON summary line.
+``_resolve_config`` decides, before that first line, every rule that the
+flags and the config file alone decide: each key's rule on its value,
+whatever its source and whether or not the command reads it; black below
+saturation; overridden flags; a missing seed where something reads it;
+unknown ``stats`` features; a trichromatic size that the 4 x 4 mosaic
+does not tile.  Inputs of the wrong container kind (``_read``) and rules
+that need numpy (ranks) are checked after it.  ``_FAILURES`` maps a
 failure to one JSON line on stderr and exit 2 (config), 3 (I/O) or 4
 (numerical).
 """
@@ -33,37 +34,53 @@ from polarcube.errors import ContainerError, LabelSchemaError, PolarcubeError
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
 
-DEFAULTS = {
-    "seed": None,
-    "threads": None,
-    "camera": {
-        "kind": "hyperspectral",
-        "height": 64,
-        "width": 64,
-        "channels": 21,
-        "qwp_angles_deg": [30.0, -45.0, 60.0, -90.0],
-        "lp_angle_deg": 0.0,
-        "exposure": 1.0,
-    },
-    "noise": {
-        "sigma": 0.0,
-        "shot_gain": 0.0,
-        "saturation": 1.0,
-        "black": 0.0,
-    },
-    "scene": {"kind": "smooth", "rho_max": 0.8},
-    "solver": {"dop_tol": 1e-3},
-    "pca": {"patch_size": 10, "bases": 40},
-    "inr": {
-        "layers": 4,
-        "width": 64,
-        "steps": 2000,
-        "lr": 1e-3,
-        "batch": None,
-        "k_spatial": 10,
-        "k_channel": 1,
-    },
-    "stats": {"bins": 201},
+
+def _rule(kind, ok, rule):
+    """A check returning its value, text converted to ``kind``; other values must be one."""
+    kinds = (int, float) if kind is float else (kind,)  # 3.5 is no int; bool is no number
+
+    def check(value):
+        try:
+            converted = kind(value) if isinstance(value, str) else value
+        except ValueError:
+            converted = None
+        if type(converted) not in kinds or not ok(converted):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
+        return converted
+
+    return check
+
+
+def _kind(*names):
+    return _rule(str, lambda name: name in names, "one of " + ", ".join(names))
+
+
+_COUNT = _rule(int, lambda n: n >= 1, "an integer >= 1")
+_NATURAL = _rule(int, lambda n: n >= 0, "an integer >= 0")
+_FINITE = _rule(float, lambda x: -inf < x < inf, "a finite number")
+_NONNEGATIVE = _rule(float, lambda x: 0 <= x < inf, "a finite number >= 0")
+_POSITIVE = _rule(float, lambda x: 0 < x < inf, "a finite number > 0")
+# Each config key once: its default and the one rule of every value it takes, from a flag,
+# the config file or the environment.  A None default leaves the key unset until one sets it.
+_KEYS = {
+    "seed": (None, _NATURAL), "threads": (None, _COUNT),
+    "camera.kind": ("hyperspectral", _kind("hyperspectral", "trichromatic")),
+    "camera.height": (64, _COUNT), "camera.width": (64, _COUNT), "camera.channels": (21, _COUNT),
+    "camera.qwp_angles_deg": ([30.0, -45.0, 60.0, -90.0], _rule(  # text: a list of characters
+        list, lambda xs: xs and all(type(x) in (int, float) and -inf < x < inf for x in xs),
+        "a non-empty list of finite numbers")),
+    "camera.lp_angle_deg": (0.0, _FINITE), "camera.exposure": (1.0, _POSITIVE),
+    "noise.sigma": (0.0, _NONNEGATIVE), "noise.shot_gain": (0.0, _NONNEGATIVE),
+    "noise.saturation": (1.0, _FINITE), "noise.black": (0.0, _FINITE),
+    "scene.kind": ("smooth", _kind("smooth", "random", "uniform")),
+    "scene.rho_max": (0.8, _rule(float, lambda x: 0 <= x < 1, "a number in [0, 1)")),
+    "solver.dop_tol": (1e-3, _FINITE),
+    "pca.patch_size": (10, _COUNT), "pca.bases": (40, _COUNT),
+    "inr.layers": (4, _rule(int, lambda n: n >= 2, "an integer >= 2")),
+    "inr.width": (64, _COUNT), "inr.steps": (2000, _NATURAL),
+    "inr.lr": (1e-3, _POSITIVE), "inr.batch": (None, _COUNT),
+    "inr.k_spatial": (10, _NATURAL), "inr.k_channel": (1, _NATURAL),
+    "stats.bins": (201, _COUNT),
 }
 
 
@@ -87,7 +104,6 @@ def _deep_update(base: dict, override: dict, path: str = ""):
 # (flag, what sets it instead): given together, they exit 2 before the echo
 _OVERRIDDEN = (("height", "scene"), ("width", "scene"), ("channels", "scene"),
                ("height", "size"), ("width", "size"), ("median", "burst"))
-_KINDS = {"camera": ("hyperspectral", "trichromatic"), "scene": ("smooth", "random", "uniform")}
 _PLANES = ("pol-unpol", "poincare-s1s2", "poincare-s1s3")  # stats --feature beyond FEATURES
 
 
@@ -97,7 +113,10 @@ def _resolve_config(args) -> dict:
     Every rule that the flags and the config file alone decide raises here, before the echo.
     """
     command = _COMMANDS[args.command]
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = {}
+    for key, (default, _) in _KEYS.items():
+        section, _, name = key.rpartition(".")
+        (cfg.setdefault(section, {}) if section else cfg)[name] = copy.deepcopy(default)
     cfg["threads"] = os.environ.get("POLARCUBE_THREADS") or None  # the config file wins
     if args.config:
         try:
@@ -110,18 +129,22 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise _ConfigError("config file must hold a JSON object")
         _deep_update(cfg, loaded)
-    for flag, keys, kwargs in command.flags + _SHARED:
+    flagged = {}  # a flag's value wins over the config file's and the environment's
+    for flag, keys, _ in command.flags + _SHARED:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
-        for key in keys:
-            section, _, name = key.rpartition(".")
-            table = cfg[section] if section else cfg
-            if value is not None:  # argparse has applied the flag's rule to it
-                table[name] = value
-            elif table[name] is not None and "type" in kwargs:  # the config file's, or the env's
-                try:
-                    table[name] = kwargs["type"](table[name])
-                except argparse.ArgumentTypeError as exc:
-                    raise _ConfigError(f"{key} {exc}") from exc
+        if value is not None:
+            flagged.update(dict.fromkeys(keys, value))
+    for key, (default, rule) in _KEYS.items():  # every value, whatever its source or section
+        section, _, name = key.rpartition(".")
+        table = cfg[section] if section else cfg
+        value = flagged.get(key, table[name])
+        if value is not None or default is not None:
+            try:
+                table[name] = rule(value)
+            except argparse.ArgumentTypeError as exc:
+                raise _ConfigError(f"{key} {exc}") from exc
+    if not cfg["noise"]["black"] < cfg["noise"]["saturation"]:
+        raise _ConfigError("noise.black must be below noise.saturation")
     given = {dest for dest, value in vars(args).items() if value is not None}
     for flag, by in _OVERRIDDEN:
         if {flag, by} <= given:
@@ -147,9 +170,6 @@ def _resolve_config(args) -> dict:
             sections.remove("seed")
     if "seed" in sections and cfg["seed"] is None:  # a synthetic scene, noise or a network
         raise _ConfigError(f"polarcube {args.command} needs a seed (--seed or the config file)")
-    for section, kinds in _KINDS.items():
-        if section in sections and cfg[section]["kind"] not in kinds:
-            raise _ConfigError(f"unknown {section} kind {cfg[section]['kind']!r}")
     camera = cfg["camera"]
     if "camera" in sections and camera["kind"] == "trichromatic":
         if "channels" in given:
@@ -459,44 +479,25 @@ class _Command(NamedTuple):
 
 
 def _flag(name, *keys, **kwargs):
+    if keys:  # the keys it sets share one rule: its type
+        kwargs["type"] = _KEYS[keys[0]][1]
     return name, keys, kwargs
 
 
-def _rule(kind, ok, rule):
-    """A flag's ``type``: text converts to ``kind``; a config value must be one (3.5 is no int)."""
-
-    def check(value):
-        try:
-            number = kind(value) if isinstance(value, str) else value
-        except ValueError:
-            number = None
-        if type(number) not in (int, kind) or not ok(number):  # bool is no number here
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {value!r}")
-        return number
-
-    return check
-
-
-_COUNT = _rule(int, lambda n: n >= 1, "an integer >= 1")
-_NATURAL = _rule(int, lambda n: n >= 0, "an integer >= 0")
 _INPUT = _flag("input")
 _OUT = _flag("--out", required=True, help="output path or prefix")
-_SEED = _flag("--seed", "seed", type=_NATURAL, help="RNG seed (required for stochastic stages)")
-_BINS = _flag("--bins", "stats.bins", type=_COUNT)
+_SEED = _flag("--seed", "seed", help="RNG seed (required for stochastic stages)")
+_BINS = _flag("--bins", "stats.bins")
 _CAMERA = (
-    _flag("--camera", "camera.kind", choices=_KINDS["camera"]),
-    _flag("--height", "camera.height", type=_COUNT),
-    _flag("--width", "camera.width", type=_COUNT),
-    _flag("--channels", "camera.channels", type=_COUNT,
+    _flag("--camera", "camera.kind", help="hyperspectral (default) or trichromatic"),
+    _flag("--height", "camera.height"), _flag("--width", "camera.width"),
+    _flag("--channels", "camera.channels",
           help="spectral channels (the trichromatic camera has 3)"),
-    _flag("--noise", "noise.sigma", help="Gaussian sigma",
-          type=_rule(float, lambda x: 0 <= x < inf, "a finite number >= 0")),
-    _SEED,
-)
+    _flag("--noise", "noise.sigma", help="Gaussian sigma"), _SEED)
 # On every command; the config file may hold every section, so one file serves a pipeline.
 _SHARED = (
     _flag("--config", help="JSON config file"),
-    _flag("--threads", "threads", type=_COUNT,
+    _flag("--threads", "threads",
           help="BLAS thread count (env POLARCUBE_THREADS as fallback); echoed, but not "
                "applied yet: numpy, and with it BLAS, is loaded before the flag is read"),
 )
@@ -517,17 +518,14 @@ _COMMANDS = {
                       type=_rule(int, lambda n: n >= 1 and n % 2, "an odd integer >= 1")),
         _flag("--burst", nargs="*", help="further raw captures to average with"), _OUT)),
     "pca-fit": _Command(cmd_pca_fit, "fit a patch basis", ("pca",), (
-        _INPUT, _flag("--patch", "pca.patch_size", type=_COUNT),
-        _flag("--bases", "pca.bases", type=_COUNT), _OUT)),
+        _INPUT, _flag("--patch", "pca.patch_size"), _flag("--bases", "pca.bases"), _OUT)),
     "pca-code": _Command(cmd_pca_code, "encode + decode through a basis", (), (
         _INPUT, _flag("--codebook", required=True),
         _flag("--bases", type=_COUNT, help="truncate the basis to this count"), _OUT)),
     "inr-fit": _Command(cmd_inr_fit, "fit the coordinate network", ("inr",), (
-        _INPUT, _flag("--net-width", "inr.width", type=_COUNT),
-        _flag("--layers", "inr.layers", type=_rule(int, lambda n: n >= 2, "an integer >= 2")),
-        _flag("--steps", "inr.steps", type=_NATURAL),
-        _flag("--lr", "inr.lr", type=_rule(float, lambda x: 0 < x < inf, "a finite number > 0")),
-        _flag("--batch", "inr.batch", type=_COUNT,
+        _INPUT, _flag("--net-width", "inr.width"), _flag("--layers", "inr.layers"),
+        _flag("--steps", "inr.steps"), _flag("--lr", "inr.lr"),
+        _flag("--batch", "inr.batch",
               help="coordinates per step, rounded down to whole pixels but at least one "
                    "pixel (default: all)"),
         _flag("--loss-csv", help="write the loss curve here"), _SEED, _OUT)),
@@ -543,7 +541,7 @@ _COMMANDS = {
                           (_INPUT, _BINS, _OUT)),
     "roundtrip": _Command(cmd_roundtrip, "simulate, reconstruct, and score in one go",
                           ("camera", "noise", "scene", "solver"), (
-        *_CAMERA, _flag("--size", "camera.height", "camera.width", type=_COUNT,
+        *_CAMERA, _flag("--size", "camera.height", "camera.width",
                         help="square scene size (sets height and width)"),
         _flag("--out", help="write the reconstructed cube here"))),
 }

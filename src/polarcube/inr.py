@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .errors import DimensionError, EmptySelectionError, TrainingDivergedError
 from .image import StokesImage
 
@@ -225,8 +226,9 @@ def inr_loss_and_grads(model: InrModel, coords, targets):
     return float(np.mean(diff * diff)), w_grads, b_grads
 
 
-def _grid_forward(model, tables, xs, ys, out, chunk):
-    """Fill ``out`` (P, C, 4) with the outputs at pixels (xs, ys), ``chunk`` at a time."""
+def _grid_forward(model, tables, xs, ys, out):
+    """Fill ``out`` (P, C, 4) with the outputs at pixels (xs, ys), one pool block at a time."""
+    chunk = max(1, _pool.BLOCK_VALUES // out.shape[1])
     for lo in range(0, xs.size, chunk):
         sel = slice(lo, lo + chunk)
         out[sel] = _forward(model, _pixels(tables, xs[sel], ys[sel]), tables[2])
@@ -343,8 +345,7 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
         optimizer.step(model.weights + model.biases, w_grads + b_grads, step_lr)
     elapsed = time.perf_counter() - start
 
-    out = _grid_forward(model, tables, xs, ys, np.empty_like(targets),
-                        max(1, 65536 // img.channels))
+    out = _grid_forward(model, tables, xs, ys, np.empty_like(targets))
     final_mse, _ = _masked_loss(out, targets, weights)
     peak = float(targets[..., 0][mask].max())
     final_psnr = np.inf if final_mse == 0 else float(10.0 * np.log10(peak**2 / final_mse))
@@ -366,14 +367,13 @@ def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
     return Curve(columns=["layers", "parameters", "bpp", "mse"], rows=rows)
 
 
-def inr_decode(model: InrModel, dims=None, wavelengths=None, chunk_rows: int = 64) -> StokesImage:
-    """Evaluate the network on a full (H, W, C) coordinate grid, ``chunk_rows`` rows at a time."""
+def inr_decode(model: InrModel, dims=None, wavelengths=None) -> StokesImage:
+    """Evaluate the network on a full (H, W, C) coordinate grid."""
     dims = model.grid_shape if dims is None else dims
     if dims is None:
         raise DimensionError("decode dims are required for an untrained model")
     h, w, c = dims
     ys, xs = np.divmod(np.arange(h * w), w)
     data = np.empty((h * w, c, 4))
-    _grid_forward(model, _tables(model, range(w), range(h), range(c)), xs, ys, data,
-                  max(1, chunk_rows * w))
+    _grid_forward(model, _tables(model, range(w), range(h), range(c)), xs, ys, data)
     return StokesImage(data.reshape(h, w, c, 4), wavelengths)

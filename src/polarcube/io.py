@@ -287,6 +287,8 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
         layout = MosaicLayout(*(r.array(16, t).reshape(4, 4) for t in ("u1", "<f8", "<f8", "<f8")))
     sat, black = r.unpack("dd")
     config = _read_configs(r)
+    if layout is not None and config.channel_configs != layout.capture_config().channel_configs:
+        raise ContainerError("raw capture configurations contradict its mosaic layout")
     frames = r.array(n_frames * height * width, _DTYPES[dtype_code]).reshape(
         n_frames, height, width
     )

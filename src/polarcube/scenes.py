@@ -37,6 +37,8 @@ def random_scene(
     of polarization in [0, rho_max] and a direction uniform on the
     Poincare sphere, so every vector satisfies rho <= rho_max < 1.
     """
+    if not 0.0 <= rho_max < 1.0:
+        raise ValueError(f"rho_max must lie in [0, 1), got {rho_max}")
     shape = (height, width, channels)
     s0 = rng.uniform(*s0_range, size=shape)
     rho = rng.uniform(0.0, rho_max, size=shape)
@@ -55,8 +57,10 @@ def smooth_scene(height, width, channels, rng, cycles=1.5, rho_max=0.8, waveleng
 
     Spatial content is limited to ``cycles`` periods across the image so
     that interpolation-based pipelines (mosaic demosaicing) stay accurate.
-    All vectors are valid with degree of polarization <= rho_max.
+    All vectors are valid with degree of polarization <= rho_max < 1.
     """
+    if not 0.0 <= rho_max < 1.0:
+        raise ValueError(f"rho_max must lie in [0, 1), got {rho_max}")
     y = np.linspace(0.0, 2.0 * np.pi * cycles, height)[:, None, None]
     x = np.linspace(0.0, 2.0 * np.pi * cycles, width)[None, :, None]
     ch = np.arange(channels)[None, None, :]

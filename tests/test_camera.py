@@ -63,6 +63,19 @@ class TestMeasureIntensity:
             measure_intensity(np.array([500.0, 520.0]), np.zeros((2, 4)), LP0, response)
 
 
+class TestScenes:
+    @pytest.mark.parametrize("make", [smooth_scene, random_scene])
+    @pytest.mark.parametrize("rho_max", [1.0, -0.1, float("nan")])
+    def test_rho_max_outside_0_to_1_is_refused(self, make, rho_max):
+        with pytest.raises(ValueError, match="rho_max must lie in"):
+            make(4, 4, 2, np.random.default_rng(3), rho_max=rho_max)
+
+    @pytest.mark.parametrize("make", [smooth_scene, random_scene])
+    def test_every_vector_stays_below_rho_max(self, make):
+        s = make(8, 8, 2, np.random.default_rng(3), rho_max=0.99).data
+        assert np.all(np.linalg.norm(s[..., 1:], axis=-1) <= 0.99 * s[..., 0] * (1 + 1e-12))
+
+
 class TestSimulateHyperspectral:
     def test_uniform_unpolarized_scene_gives_half_everywhere(self):
         scene = uniform_scene(8, 8, 5, wavelengths=450 + 10 * np.arange(5))

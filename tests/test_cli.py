@@ -1,5 +1,7 @@
+import ast
 import contextlib
 import csv
+import inspect
 import io
 import itertools
 import json
@@ -13,7 +15,8 @@ import pytest
 
 import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
-from polarcube.cli import _COMMANDS, main
+from polarcube import cli
+from polarcube.cli import _COMMANDS, _KEYS, _SHARED, main
 
 RNG = np.random.default_rng(612)
 
@@ -436,7 +439,33 @@ def _lookup(config, key):
     return config
 
 
+ROUNDTRIP = ("roundtrip", ["--seed", "1", "--size", "8", "--channels", "2"])
+
+
 class TestDeclarations:
+    def test_every_config_key_is_declared_once_with_a_default_its_rule_passes(
+            self, capsys, tmp_path):
+        source = ast.parse(inspect.getsource(cli))
+        table, = (node.value for node in source.body if isinstance(node, ast.Assign)
+                  and getattr(node.targets[0], "id", None) == "_KEYS")
+        declared = [key.value for key in table.keys]
+        assert sorted(declared) == sorted(set(declared)) == sorted(_KEYS)  # no key twice
+        every = {}
+        for key, (default, rule) in _KEYS.items():
+            assert default is None or rule(default) is default, key
+            section, _, name = key.rpartition(".")
+            (every.setdefault(section, {}) if section else every)[name] = default
+        for command in _COMMANDS.values():  # a keyed flag has its key's rule and no other
+            for flag, keys, kwargs in command.flags + _SHARED:
+                assert all(kwargs["type"] is _KEYS[key][1] for key in keys), flag
+        cfg_path = tmp_path / "every.json"
+        cfg_path.write_text(json.dumps(every))  # every key, at its default, from the file
+        argv = [*ROUNDTRIP[1], "--out", str(tmp_path / "o.spsi")]
+        code, config, _, _ = run_cli(capsys, "roundtrip", *argv)
+        assert code == 0
+        assert run_cli(capsys, "roundtrip", *argv, "--config", str(cfg_path))[:2] == (0, config)
+        assert {key for key, _ in _config_keys(config)} <= set(_KEYS)
+
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_every_offered_flag_is_echoed_or_changes_the_output(self, capsys, tmp_path,
                                                                  monkeypatch, inputs, command):
@@ -540,10 +569,29 @@ class TestDeclarations:
         ("inr-fit", ["{cube}", "--seed", "1", "--out", "m.spsi"], {"inr": {"steps": -1}},
          "inr.steps"),
         ("inr-fit", ["{cube}", "--seed", "1", "--out", "m.spsi"], {"inr": {"lr": 0}}, "inr.lr"),
+        # keys that no flag sets, in sections the command reads or not
+        (*ROUNDTRIP, {"camera": {"qwp_angles_deg": "x"}}, "camera.qwp_angles_deg"),
+        (*ROUNDTRIP, {"camera": {"qwp_angles_deg": []}}, "camera.qwp_angles_deg"),
+        (*ROUNDTRIP, {"camera": {"qwp_angles_deg": [30, None]}}, "camera.qwp_angles_deg"),
+        (*ROUNDTRIP, {"camera": {"lp_angle_deg": "north"}}, "camera.lp_angle_deg"),
+        (*ROUNDTRIP, {"camera": {"exposure": 0}}, "camera.exposure"),
+        (*ROUNDTRIP, {"noise": {"shot_gain": -1}}, "noise.shot_gain"),
+        (*ROUNDTRIP, {"noise": {"saturation": None}}, "noise.saturation"),
+        (*ROUNDTRIP, {"noise": {"black": 1.0}}, "noise.black"),  # not below the saturation
+        (*ROUNDTRIP, {"scene": {"rho_max": 2}}, "scene.rho_max"),
+        (*ROUNDTRIP, {"scene": {"rho_max": "most"}}, "scene.rho_max"),
+        (*ROUNDTRIP, {"camera": {"kind": "pinhole"}}, "camera.kind"),
+        (*ROUNDTRIP, {"solver": {"dop_tol": float("inf")}}, "solver.dop_tol"),
+        ("validate", ["{cube}"], {"scene": {"rho_max": -0.1}}, "scene.rho_max"),
+        ("validate", ["{cube}"], {"scene": {"kind": "checker"}}, "scene.kind"),
+        ("validate", ["{cube}"], {"inr": {"k_spatial": 1.5}}, "inr.k_spatial"),
+        ("validate", ["{cube}"], {"inr": {"k_channel": -1}}, "inr.k_channel"),
+        ("pca-code", ["{cube}", "--codebook", "{codebook}", "--out", "d.spsi"],
+         {"pca": {"bases": 0}}, "pca.bases"),
     ])
-    def test_config_value_outside_its_flags_rule_names_the_key(self, capsys, tmp_path,
-                                                               monkeypatch, inputs, command,
-                                                               argv, table, key):
+    def test_config_value_outside_its_keys_rule_names_the_key(self, capsys, tmp_path,
+                                                              monkeypatch, inputs, command,
+                                                              argv, table, key):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(table))
         here = tmp_path / "run"

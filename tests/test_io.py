@@ -200,6 +200,25 @@ class TestRawCaptureRoundTrip:
         assert np.array_equal(loaded.frames, raw.frames)
         assert loaded.config.configs_for(1) == raw.config.configs_for(1)
 
+    def test_mosaic_configurations_contradicting_the_layout_are_rejected(self, tmp_path):
+        raw = simulate_trichromatic(random_scene(16, 16, 3, np.random.default_rng(7)))
+        path = tmp_path / "mosaic.spsi"
+        write_spsi(path, raw)
+        blob = bytearray(path.read_bytes())
+        # the shared flag (B), the group count (I) and the red group's count (I) precede
+        # the red cells' configurations (ddd each, K ascending)
+        red = flag_offsets(raw, blob)["shared"][0] + 9
+        first, second = raw.config.configs_for(0)[:2]
+        assert struct.unpack_from("<6d", blob, red) == (*dataclasses.astuple(first),
+                                                         *dataclasses.astuple(second))
+        struct.pack_into("<6d", blob, red, *dataclasses.astuple(second),
+                         *dataclasses.astuple(first))
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="contradict its mosaic layout"):
+            read_spsi(path)
+        assert main(["reconstruct", str(path), "--out", str(tmp_path / "cube.spsi")]) == 3
+        assert not (tmp_path / "cube.spsi").exists()
+
 
 class TestCodecArtifacts:
     def test_codebook_roundtrip(self, tmp_path):
