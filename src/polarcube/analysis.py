@@ -9,6 +9,7 @@ per-image labels plus a LabelFilter.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -141,100 +142,6 @@ def _plane(s, mask, name):
     return values, valid
 
 
-def _blocked(images, chosen, sample, reduce, combine):
-    """``reduce(sample(img, lo, hi))`` over the row blocks of the chosen images, combined.
-
-    The accumulator behind every pooled statistic.  ``sample`` returns the
-    1-D sample streams of rows lo:hi, and ``reduce`` shrinks them inside
-    the block, in the block pool.  ``combine`` merges a list of results, in
-    block order, into one; it runs after each image, so memory holds one
-    image and its blocks' results.  A block spans ``BLOCK_VALUES // (W *
-    C)`` rows: the feature values of a row, not its Stokes values, so
-    per-block binning overhead stays small.  Each image is indexed once,
-    so a sequence that reads on indexing holds one image at a time.
-    """
-    total = []
-    for i in chosen:
-        total = [combine(total + _image_blocks(images[i], sample, reduce))]
-    return total[0]
-
-
-def _image_blocks(img, sample, reduce):
-    def block(lo, hi):
-        return reduce(sample(img, lo, hi))
-
-    h, w, c = img.mask.shape
-    # an image without rows still has its checks and dtypes
-    return _pool.blocks(block, h, w * c) or [block(0, 0)]
-
-
-def _extents(images, chosen, sample, sums=False):
-    """Per stream: sample count, min, max (inf and -inf without samples; NaN propagates), sum."""
-    def reduce(streams):
-        return [(v.size, v.min(), v.max(), v.sum() if sums else 0) if v.size
-                else (0, np.inf, -np.inf, 0) for v in streams]
-
-    def combine(results):
-        return [(sum(n), np.minimum.reduce(low), np.maximum.reduce(high), sum(total))
-                for n, low, high, total in (zip(*blocks) for blocks in zip(*results))]
-
-    return _blocked(images, chosen, sample, reduce, combine)
-
-
-def _binned(images, chosen, sample, bins, ranges, dtypes=None):
-    """Per stream: sample count and ``np.histogram(samples, bins, range)``, summed over blocks.
-
-    A block bins only the streams that have samples, so ``np.histogram``
-    raises its argument errors from a block, and a stream without samples
-    reaches ``_histogram``'s emptiness check, with ``(0, None)`` for its
-    counts and edges.  Streams whose blocks differ in dtype are binned
-    again in their common dtype, as a concatenation is.
-    """
-    if isinstance(bins, str):
-        raise ValueError(f"bins must be a count or a sequence of edges, not {bins!r}: "
-                         "a bin-width estimator needs every pooled sample at once")
-    ranges = [_widened(r) for r in ranges]
-
-    def reduce(streams):
-        if dtypes:
-            streams = [v.astype(t, copy=False) for v, t in zip(streams, dtypes)]
-        return [(v.size, {v.dtype}, *(np.histogram(v, bins, r) if v.size else (0, None)))
-                for v, r in zip(streams, ranges)]
-
-    def combine(results):
-        binned = []
-        for blocks in zip(*results):
-            n, kinds, counts, edges = zip(*blocks)
-            edges = [e for e in edges if e is not None] or [None]
-            binned.append((sum(n), set().union(*kinds), sum(counts), edges[0]))
-        return binned
-
-    binned = _blocked(images, chosen, sample, reduce, combine)
-    if any(len(kinds) > 1 for _, kinds, _, _ in binned):
-        return _binned(images, chosen, sample, bins, ranges,
-                       [np.result_type(*kinds) for _, kinds, _, _ in binned])
-    return [(n, counts, edges) for n, _, counts, edges in binned]
-
-
-def _widened(value_range):
-    if value_range[0] == value_range[1]:
-        return (value_range[0] - 1.0, value_range[1] + 1.0)
-    return value_range
-
-
-def _histogram(binned, empty, label, unit=""):
-    n, counts, edges = binned
-    if n == 0:
-        raise EmptySelectionError(empty)
-    return Histogram(edges, counts, label, unit)
-
-
-def _symmetric(low, high):
-    """(-peak, peak) for the peak |sample|, or (-1, 1) when it is not positive."""
-    peak = float(np.maximum(-low, high))
-    return (-peak, peak) if peak > 0 else (-1.0, 1.0)
-
-
 def _valid(*names):
     """Sampler of the valid values of each named feature, or of ``"pol"``."""
     def sample(img, lo, hi):
@@ -303,37 +210,193 @@ def aolp_gradient(psi: np.ndarray):
     return wrap_aolp_gradient(gx), wrap_aolp_gradient(gy)
 
 
+class _Stat(NamedTuple):
+    """One statistic: ``sample(img, lo, hi)`` gives the 1-D streams of rows lo:hi, one per label.
+
+    ``span`` is the range they share when the caller gives none: fixed, or
+    a rule on their lowest and highest samples; ``bins``, if set, goes with
+    it.  A ``grid`` counts its two streams in the cells of [-1, 1]^2.
+    """
+
+    sample: Callable
+    span: object
+    labels: tuple
+    unit: str = ""
+    empty: str = _NO_PIXELS  # the error of a stream without samples
+    bins: int | None = None
+    grid: bool = False
+
+
+def _min_max(low, high):
+    return float(low), float(high)
+
+
+def _peak(low, high):
+    """(-peak, peak) for the peak |sample|, or (-1, 1) when it is not positive."""
+    peak = float(np.maximum(-low, high))
+    return (-peak, peak) if peak > 0 else (-1.0, 1.0)
+
+
+def _top(low, high):
+    """(0, top) for the top sample, or (0, 1) when it is not positive."""
+    return 0.0, float(high) if high > 0 else 1.0
+
+
+def _plain(feature):
+    return _Stat(_valid(feature), _min_max, (feature,), empty=f"no samples for {feature} histogram")
+
+
+def _gradient(feature, direction="both"):
+    """Feature gradients: AoLP's wrapped over [-pi/2, pi/2], chirality's in 5 unit bins."""
+    _check_feature(feature)
+    span, bins = {"aolp": ((-np.pi / 2, np.pi / 2), None),
+                  "cop": ((-2.5, 2.5), 5)}.get(feature, (_peak, None))
+    return _Stat(_gradients(feature, direction), span, (f"grad_{feature}",),
+                 "rad" if feature == "aolp" else "", "no valid gradient samples after filtering",
+                 bins)
+
+
+# Every statistic that ``polarcube stats`` names, declared once.
+_STATS = {
+    "s0": _Stat(_valid("s0"), _min_max, ("s0",), "intensity"),
+    **{e: _Stat(_valid(e), _peak, (e,)) for e in STOKES_ELEMENTS[1:]},
+    **{e: _Stat(_valid(e), (-1.0, 1.0), (e,)) for e in NORMALIZED_ELEMENTS},
+    "dolp": _plain("dolp"),
+    "docp": _Stat(_valid("docp"), (0.0, 1.0), ("docp",)),
+    "aolp": _plain("aolp"), "cop": _plain("cop"), "rho": _plain("rho"),
+    **{f"{f}-gradient": _gradient(f) for f in FEATURES},
+    "pol-unpol": _Stat(_pol_unpol, _top, ("polarized", "unpolarized"), "intensity"),
+    **{f"poincare-s1{y}": _Stat(_valid("s1n", f"{y}n"), (-1.0, 1.0), ("s1_norm", f"{y}_norm"),
+                                grid=True) for y in ("s2", "s3")},
+}
+
+
+def _walk(images, chosen, stats, bins, means=False):
+    """``(result, mean)`` of each ``_Stat`` over the chosen images, all or none.
+
+    The one accumulator behind every pooled statistic.  When some range is
+    a rule, a first pass takes those streams' count, min, max (NaN
+    propagates) and, with ``means``, sum; a statistic without samples raises
+    there.  The second pass bins the streams with samples in each block (so
+    ``np.histogram`` raises from a block), or counts grid cells, again in
+    the common dtype of streams whose blocks differ, as a concatenation is.
+    """
+    spans, found = [s.span for s in stats], [None] * len(stats)
+    ranged = [k for k, s in enumerate(stats) if callable(s.span)]
+
+    def extents(img, lo, hi):
+        return [[(v.size, v.min(), v.max(), v.sum() if means else 0) if v.size
+                 else (0, np.inf, -np.inf, 0) for v in stats[k].sample(img, lo, hi)]
+                for k in ranged]
+
+    for k, streams in zip(ranged, _blocked(images, chosen, extents, _merge_extents)
+                          if ranged else ()):
+        counts, lows, highs, totals = zip(*streams)
+        if counts[0] == 0:
+            raise EmptySelectionError(stats[k].empty)
+        spans[k] = stats[k].span(min(lows), max(highs))
+        found[k] = float(totals[0] / counts[0]) if means else None
+    sizes = [s.bins or bins for s in stats]
+    for s, size in zip(stats, sizes):
+        if isinstance(size, str) and not s.grid:
+            raise ValueError(f"bins must be a count or a sequence of edges, not {size!r}: "
+                             "a bin-width estimator needs every pooled sample at once")
+    spans = [_widened(r) for r in spans]
+
+    def binned(dtypes):
+        def block(img, lo, hi):
+            return [_cells(*s.sample(img, lo, hi), size) if s.grid
+                    else _bin(s.sample(img, lo, hi), size, span, types)
+                    for s, size, span, types in zip(stats, sizes, spans, dtypes)]
+
+        def merge(results):
+            return [[sum(part) for part in zip(*blocks)] if s.grid else _merge_bins(blocks)
+                    for s, blocks in zip(stats, zip(*results))]
+
+        return _blocked(images, chosen, block, merge)
+
+    counted = binned([None] * len(stats))
+    kinds = [[] if s.grid else [k for _, k, _, _ in c] for s, c in zip(stats, counted)]
+    if any(len(k) > 1 for streams in kinds for k in streams):
+        counted = binned([[np.result_type(*k) for k in streams] for streams in kinds])
+    return [(_result(s, c, size), mean) for s, c, size, mean in zip(stats, counted, sizes, found)]
+
+
+def _blocked(images, chosen, block, combine):
+    """``block(img, lo, hi)`` over the row blocks of the chosen images, combined.
+
+    ``combine`` merges a list of results, in block order, into one after
+    each image, which is indexed once: a sequence that reads on indexing
+    holds one image at a time.  A block spans ``BLOCK_VALUES // (W * C)`` rows.
+    """
+    total = []
+    for i in chosen:
+        total = [combine(total + _image_blocks(images[i], block))]
+    return total[0]
+
+
+def _image_blocks(img, block):
+    h, w, c = img.mask.shape
+    # an image without rows still has its checks and dtypes
+    return _pool.blocks(lambda lo, hi: block(img, lo, hi), h, w * c) or [block(img, 0, 0)]
+
+
+def _merge_extents(results):
+    return [[(sum(n), np.minimum.reduce(low), np.maximum.reduce(high), sum(total))
+             for n, low, high, total in (zip(*blocks) for blocks in zip(*streams))]
+            for streams in zip(*results)]
+
+
+def _bin(streams, bins, span, dtypes):
+    """Per stream: count, dtype, and ``np.histogram`` counts and edges (0, None without samples)."""
+    if dtypes:
+        streams = [v.astype(t, copy=False) for v, t in zip(streams, dtypes)]
+    return [(v.size, {v.dtype}, *(np.histogram(v, bins, span) if v.size else (0, None)))
+            for v in streams]
+
+
+def _merge_bins(blocks):
+    return [(sum(n), set().union(*kinds), sum(counts),
+             next((e for e in edges if e is not None), None))
+            for n, kinds, counts, edges in (zip(*stream) for stream in zip(*blocks))]
+
+
+def _result(stat, counted, size):
+    if stat.grid:
+        n, inside, cells = counted
+        if n == 0 or inside == 0:
+            raise EmptySelectionError(stat.empty if n == 0 else
+                                      "no valid points inside the projected ball")
+        edges = np.linspace(-1.0, 1.0, size + 1)
+        return DensityGrid(edges, edges.copy(), cells.reshape(size, size).astype(float),
+                           *stat.labels)
+    if any(n == 0 for n, *_ in counted):
+        raise EmptySelectionError(stat.empty)
+    hists = tuple(Histogram(edges, counts, label, stat.unit)
+                  for (_, _, counts, edges), label in zip(counted, stat.labels))
+    return hists if len(hists) > 1 else hists[0]
+
+
+def _widened(value_range):
+    if value_range[0] == value_range[1]:
+        return (value_range[0] - 1.0, value_range[1] + 1.0)
+    return value_range
+
+
+def _one(images, chosen, stat, bins, value_range=None):
+    """A public statistic; a caller's range replaces the default range and its bins."""
+    if value_range is not None:
+        stat = stat._replace(span=value_range, bins=None)
+    (result, _), = _walk(images, chosen, [stat], bins)
+    return result
+
+
 def stokes_histograms(images, element, bins=DEFAULT_BINS, value_range=None,
                       labels=None, label_filter=None) -> Histogram:
     """Histogram of one Stokes element pooled over images and channels."""
     if element not in STOKES_ELEMENTS + NORMALIZED_ELEMENTS:
         raise ValueError(f"element must be one of {STOKES_ELEMENTS + NORMALIZED_ELEMENTS}")
-    chosen = _select(images, labels, label_filter)
-    sample = _valid(element)
-    if value_range is None and element in NORMALIZED_ELEMENTS:
-        value_range = (-1.0, 1.0)
-    elif value_range is None:
-        (n, low, high, _), = _extents(images, chosen, sample)
-        if n == 0:
-            raise EmptySelectionError(_NO_PIXELS)
-        value_range = (float(low), float(high)) if element == "s0" else _symmetric(low, high)
-    binned, = _binned(images, chosen, sample, bins, [value_range])
-    return _histogram(binned, _NO_PIXELS, element, "intensity" if element == "s0" else "")
-
-
-def _feature_histograms(images, names, bins, empty=_NO_PIXELS):
-    """Each named feature's histogram over its min..max and its mean, all or none.
-
-    The ``stats`` and ``features`` commands share this path.  The first
-    feature without valid values raises ``EmptySelectionError(empty.format(name))``.
-    """
-    chosen = _select(images, None, None)
-    sample = _valid(*names)
-    extents = _extents(images, chosen, sample, sums=True)
-    ranges = [(float(low), float(high)) if n else (0.0, 1.0) for n, low, high, _ in extents]
-    binned = _binned(images, chosen, sample, bins, ranges)
-    return [(_histogram(b, empty.format(name), name), float(total / max(n, 1)))
-            for name, (n, _, _, total), b in zip(names, extents, binned)]
+    return _one(images, _select(images, labels, label_filter), _STATS[element], bins, value_range)
 
 
 def feature_gradient_histograms(images, feature, bins=DEFAULT_BINS, direction="both",
@@ -346,36 +409,15 @@ def feature_gradient_histograms(images, feature, bins=DEFAULT_BINS, direction="b
     """
     if direction not in ("both", "x", "y"):
         raise ValueError("direction must be 'both', 'x' or 'y'")
-    chosen = _select(images, labels, label_filter)
-    _check_feature(feature)
-    sample = _gradients(feature, direction)
-    empty = "no valid gradient samples after filtering"
-    if value_range is None and feature == "aolp":
-        value_range = (-np.pi / 2, np.pi / 2)
-    elif value_range is None and feature == "cop":
-        value_range, bins = (-2.5, 2.5), 5
-    elif value_range is None:
-        (n, low, high, _), = _extents(images, chosen, sample)
-        if n == 0:
-            raise EmptySelectionError(empty)
-        value_range = _symmetric(low, high)
-    binned, = _binned(images, chosen, sample, bins, [value_range])
-    return _histogram(binned, empty, f"grad_{feature}", "rad" if feature == "aolp" else "")
+    return _one(images, _select(images, labels, label_filter), _gradient(feature, direction),
+                bins, value_range)
 
 
 def pol_unpol_histograms(images, bins=DEFAULT_BINS, value_range=None,
                          labels=None, label_filter=None):
     """Histograms of the polarized (P) and unpolarized (U = s0 - P) parts."""
-    chosen = _select(images, labels, label_filter)
-    if value_range is None:
-        (n, _, pol_top, _), (_, _, unpol_top, _) = _extents(images, chosen, _pol_unpol)
-        if n == 0:
-            raise EmptySelectionError(_NO_PIXELS)
-        top = float(max(pol_top, unpol_top))
-        value_range = (0.0, top if top > 0 else 1.0)
-    pol, unpol = _binned(images, chosen, _pol_unpol, bins, [value_range] * 2)
-    return (_histogram(pol, _NO_PIXELS, "polarized", "intensity"),
-            _histogram(unpol, _NO_PIXELS, "unpolarized", "intensity"))
+    return _one(images, _select(images, labels, label_filter), _STATS["pol-unpol"], bins,
+                value_range)
 
 
 def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
@@ -383,18 +425,13 @@ def poincare_density(images, plane="s1-s2", grid=DEFAULT_BINS,
     """Normalized 2-D density of Poincare-ball projections on [-1, 1]^2."""
     if plane not in ("s1-s2", "s1-s3"):
         raise ValueError("plane must be 's1-s2' or 's1-s3'")
-    chosen = _select(images, labels, label_filter)
-    sample = _valid("s1n", "s2n" if plane == "s1-s2" else "s3n")
-    n, inside, cells = _blocked(images, chosen, sample, lambda xy: _cells(*xy, grid),
-                                lambda results: [sum(part) for part in zip(*results)])
-    if n == 0:
-        raise EmptySelectionError(_NO_PIXELS)
-    if inside == 0:
-        raise EmptySelectionError("no valid points inside the projected ball")
-    edges = np.linspace(-1.0, 1.0, grid + 1)
-    counts = cells.reshape(grid, grid).astype(float)
-    return DensityGrid(edges, edges.copy(), counts, "s1_norm",
-                       "s2_norm" if plane == "s1-s2" else "s3_norm")
+    return _one(images, _select(images, labels, label_filter),
+                _STATS["poincare-" + plane.replace("-", "")], grid)
+
+
+def docp_distribution(images, bins=DEFAULT_BINS, labels=None, label_filter=None) -> Histogram:
+    """Histogram of the degree of circular polarization over [0, 1]."""
+    return _one(images, _select(images, labels, label_filter), _STATS["docp"], bins)
 
 
 def _cells(x, y, grid):
@@ -422,13 +459,6 @@ def _unit_bins(values, edges):
     index[values < edges[index]] -= 1
     index[(values >= edges[index + 1]) & (index != n - 1)] += 1
     return index
-
-
-def docp_distribution(images, bins=DEFAULT_BINS, labels=None, label_filter=None) -> Histogram:
-    """Histogram of the degree of circular polarization over [0, 1]."""
-    chosen = _select(images, labels, label_filter)
-    binned, = _binned(images, chosen, _valid("docp"), bins, [(0.0, 1.0)])
-    return _histogram(binned, _NO_PIXELS, "docp")
 
 
 @dataclass

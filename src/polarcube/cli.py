@@ -3,21 +3,15 @@
 Each config key is one declaration in ``_KEYS``: its default and its one
 rule (``_rule``).  Each subcommand is one in ``_COMMANDS``: the config
 sections it reads and its flags, each with the keys it sets, whose rule
-is its ``type``.  The parser offers only the declared flags (plus
-``--config`` and ``--threads``, echoed but not applied yet, on every
-command).  A command resolves its configuration (defaults,
-POLARCUBE_THREADS, an optional JSON config file, then flags, each winning
-over the ones before), prints the sections it reads as one JSON line
-before doing any work, and ends with a JSON summary line.
-``_resolve_config`` decides, before that first line, every rule that the
-flags and the config file alone decide: each key's rule on its value,
-whatever its source and whether or not the command reads it; black below
-saturation; overridden flags; a missing seed where something reads it;
-unknown ``stats`` features; a trichromatic size that the 4 x 4 mosaic
-does not tile.  Inputs of the wrong container kind (``_read``) and rules
-that need numpy (ranks) are checked after it.  ``_FAILURES`` maps a
-failure to one JSON line on stderr and exit 2 (config), 3 (I/O) or 4
-(numerical).
+is its ``type``; ``stats`` names come from ``analysis._STATS``.  A command
+resolves its configuration (defaults, POLARCUBE_THREADS, an optional JSON
+config file, then flags, each winning over the ones before), echoes the
+sections it reads as one JSON line before any work, and ends with a JSON
+summary line.  ``_resolve_config`` raises, before the echo, every error
+that the flags and the config file alone decide.  Inputs of the wrong
+container kind (``_read``) and ranks are checked after it.  ``_FAILURES``
+maps a failure to one JSON line on stderr and exit 2 (config), 3 (I/O) or
+4 (numerical).
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ import sys
 from math import inf
 from typing import Callable, NamedTuple
 
+from polarcube.analysis import _STATS
 from polarcube.errors import ContainerError, LabelSchemaError, PolarcubeError
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
@@ -104,7 +99,6 @@ def _deep_update(base: dict, override: dict, path: str = ""):
 # (flag, what sets it instead): given together, they exit 2 before the echo
 _OVERRIDDEN = (("height", "scene"), ("width", "scene"), ("channels", "scene"),
                ("height", "size"), ("width", "size"), ("median", "burst"))
-_PLANES = ("pol-unpol", "poincare-s1s2", "poincare-s1s3")  # stats --feature beyond FEATURES
 
 
 def _resolve_config(args) -> dict:
@@ -149,16 +143,15 @@ def _resolve_config(args) -> dict:
     for flag, by in _OVERRIDDEN:
         if {flag, by} <= given:
             raise _ConfigError(f"--{flag} has no effect with --{by}")
-    feature = getattr(args, "feature", None)
-    if feature == "cop-gradient":
-        if "bins" in given:
-            raise _ConfigError("--bins has no effect on cop-gradient, which has 5 unit bins")
-        cfg["stats"]["bins"] = 5
-    if feature is not None:
-        from polarcube.analysis import FEATURES
-
-        if feature not in _PLANES and feature.removesuffix("-gradient") not in FEATURES:
-            raise _ConfigError(f"unknown stats feature {feature!r}")
+    names = getattr(args, "feature", None) or []
+    for k, name in enumerate(names):  # each one of _STATS, which argparse checked
+        if name in names[:k]:
+            raise _ConfigError(f"--feature {name} is given twice")
+        if _STATS[name].bins and "bins" in given:
+            raise _ConfigError(f"--bins has no effect on {name}, "
+                               f"which has {_STATS[name].bins} fixed bins")
+    if names and all(_STATS[name].bins for name in names):  # nothing reads stats.bins
+        cfg["stats"]["bins"] = _STATS[names[0]].bins
     sections = ["threads", *command.sections] + (["seed"] if hasattr(args, "seed") else [])
     if getattr(args, "scene", None):  # the input cube is the scene and sets its size
         sections.remove("scene")
@@ -170,8 +163,11 @@ def _resolve_config(args) -> dict:
             sections.remove("seed")
     if "seed" in sections and cfg["seed"] is None:  # a synthetic scene, noise or a network
         raise _ConfigError(f"polarcube {args.command} needs a seed (--seed or the config file)")
+    if "noise" in sections and not _noisy(cfg):  # no noise model reads the levels
+        del cfg["noise"]["saturation"], cfg["noise"]["black"]
     camera = cfg["camera"]
     if "camera" in sections and camera["kind"] == "trichromatic":
+        del camera["qwp_angles_deg"], camera["lp_angle_deg"]  # the mosaic has its own optics
         if "channels" in given:
             raise _ConfigError("--channels has no effect on the trichromatic camera")
         if "channels" in camera:  # a synthetic scene, which the 4 x 4 mosaic tiles
@@ -195,17 +191,11 @@ def _read(pc, path, kind, what):
     return obj
 
 
-class _Cubes:
-    """The Stokes cubes in ``paths``, each read when indexed, so statistics hold one at a time."""
-
-    def __init__(self, pc, paths):
-        self.pc, self.paths = pc, paths
-
-    def __len__(self):
-        return len(self.paths)
+class _Cubes(list):
+    """The Stokes cubes at these paths, each read when indexed, so statistics hold one at a time."""
 
     def __getitem__(self, i):
-        return _read(self.pc, self.paths[i], self.pc.StokesImage, "a Stokes cube")
+        return _read(_api(), super().__getitem__(i), _api().StokesImage, "a Stokes cube")
 
 
 def _make_scene(pc, cfg):
@@ -227,13 +217,9 @@ def _noise_model(pc, cfg):
     n = cfg["noise"]
     if not _noisy(cfg):
         return None
-    return pc.NoiseModel(
-        gaussian_sigma=n["sigma"],
-        shot_gain=n["shot_gain"],
-        saturation_level=n["saturation"],
-        black_level=n["black"],
-        rng_seed=cfg["seed"],
-    )
+    return pc.NoiseModel(gaussian_sigma=n["sigma"], shot_gain=n["shot_gain"],
+                         saturation_level=n["saturation"], black_level=n["black"],
+                         rng_seed=cfg["seed"])
 
 
 def _simulate(pc, cfg, scene):
@@ -243,13 +229,9 @@ def _simulate(pc, cfg, scene):
     noise = _noise_model(pc, cfg)
     if cam["kind"] == "trichromatic":
         return pc.simulate_trichromatic(scene, noise=noise, exposure=cam["exposure"])
-    return pc.simulate_hyperspectral(
-        scene,
-        np.deg2rad(cam["qwp_angles_deg"]),
-        lp_angle=float(np.deg2rad(cam["lp_angle_deg"])),
-        noise=noise,
-        exposure=cam["exposure"],
-    )
+    return pc.simulate_hyperspectral(scene, np.deg2rad(cam["qwp_angles_deg"]),
+                                     lp_angle=float(np.deg2rad(cam["lp_angle_deg"])),
+                                     noise=noise, exposure=cam["exposure"])
 
 
 # ---------------------------------------------------------------------------
@@ -276,17 +258,15 @@ def cmd_reconstruct(pc, cfg, args):
 
 
 def cmd_features(pc, cfg, args):
-    out = args.out
     names = ("rho", "dolp", "docp", "aolp", "cop")
     cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
     # every histogram before any file: a feature that fails leaves no CSV behind
-    found = pc.analysis._feature_histograms([cube], names, cfg["stats"]["bins"],
-                                            "no samples for {} histogram")
-    summary = {}
-    for feature, (hist, mean) in zip(names, found):
-        path = f"{out}{feature}.csv"
-        pc.export_csv(hist, path)
-        summary[feature] = {"mean": mean, "csv": path}
+    found = pc.analysis._walk([cube], [0], [pc.analysis._plain(name) for name in names],
+                              cfg["stats"]["bins"], means=True)
+    summary = {name: {"mean": mean, "csv": f"{args.out}{name}.csv"}
+               for name, (_, mean) in zip(names, found)}
+    for name, (hist, _) in zip(names, found):
+        pc.export_csv(hist, summary[name]["csv"])
     return summary
 
 
@@ -305,11 +285,9 @@ def cmd_decompose(pc, cfg, args):
     pc.write_spsi(f"{out}unpolarized.spsi", pc.ScalarCube(unpol, cube.wavelengths, valid))
     pc.export_csv(hist_p, f"{out}polarized_hist.csv")
     pc.export_csv(hist_u, f"{out}unpolarized_hist.csv")
-    return {
-        "polarized_mean": float(np.mean(pol[valid])),
-        "unpolarized_mean": float(np.mean(unpol[valid])),
-        "outputs": [f"{out}polarized.spsi", f"{out}unpolarized.spsi"],
-    }
+    return {"polarized_mean": float(np.mean(pol[valid])),
+            "unpolarized_mean": float(np.mean(unpol[valid])),
+            "outputs": [f"{out}polarized.spsi", f"{out}unpolarized.spsi"]}
 
 
 def cmd_validate(pc, cfg, args):
@@ -395,38 +373,31 @@ def cmd_inr_code(pc, cfg, args):
         cube = _read(pc, args.reference, pc.StokesImage, "a Stokes cube")
         decoded.wavelengths = cube.wavelengths
         report = pc.quality(cube, decoded)
-        summary["psnr"] = report.psnr
-        summary["mse"] = report.mse
+        summary.update(psnr=report.psnr, mse=report.mse)
     pc.write_spsi(out, decoded)
     return summary
 
 
 def cmd_stats(pc, cfg, args):
-    out = args.out
-    cubes = _Cubes(pc, [args.input] + (args.extra or []))
-    bins = cfg["stats"]["bins"]
-    feature = args.feature
-    if feature == "pol-unpol":
-        hist_p, hist_u = pc.pol_unpol_histograms(cubes, bins=bins)
-        pc.export_csv(hist_p, f"{out}polarized.csv")
-        pc.export_csv(hist_u, f"{out}unpolarized.csv")
-        return {"outputs": [f"{out}polarized.csv", f"{out}unpolarized.csv"]}
-    if feature in ("poincare-s1s2", "poincare-s1s3"):
-        plane = "s1-s2" if feature.endswith("s1s2") else "s1-s3"
-        grid = pc.poincare_density(cubes, plane=plane, grid=bins)
-        pc.export_csv(grid, out)
-        return {"out": out, "occupied_cells": int((grid.counts > 0).sum())}
-    if feature.endswith("-gradient"):
-        hist = pc.feature_gradient_histograms(cubes, feature.removesuffix("-gradient"), bins=bins)
-    elif feature in ("s0", "s1", "s2", "s3", "s1n", "s2n", "s3n"):
-        hist = pc.stokes_histograms(cubes, feature, bins=bins)
-    elif feature == "docp":
-        hist = pc.docp_distribution(cubes, bins=bins)
-    else:
-        (hist, _), = pc.analysis._feature_histograms(cubes, [feature], bins)
-    pc.export_csv(hist, out)
-    return {"out": out, "samples": hist.total,
-            "support": [float(hist.edges[0]), float(hist.edges[-1])]}
+    names, out = args.feature, args.out
+    cubes = _Cubes([args.input] + (args.extra or []))
+    # every statistic before any file: one that fails leaves no CSV behind
+    found = pc.analysis._walk(cubes, range(len(cubes)), [_STATS[name] for name in names],
+                              cfg["stats"]["bins"])
+    summary = {}
+    for name, (result, _) in zip(names, found):
+        if isinstance(result, tuple):  # one CSV per histogram, named by its label
+            summary[name] = {"outputs": [f"{out}{part.label}.csv" for part in result]}
+            for part, path in zip(result, summary[name]["outputs"]):
+                pc.export_csv(part, path)
+            continue
+        path = f"{out}{name}.csv" if len(names) > 1 else out
+        pc.export_csv(result, path)
+        summary[name] = ({"out": path, "occupied_cells": int((result.counts > 0).sum())}
+                         if isinstance(result, pc.DensityGrid) else
+                         {"out": path, "samples": result.total,
+                          "support": [float(result.edges[0]), float(result.edges[-1])]})
+    return summary if len(names) > 1 else summary[names[0]]
 
 
 def cmd_sfp_stats(pc, cfg, args):
@@ -458,13 +429,8 @@ def cmd_roundtrip(pc, cfg, args):
     max_rel = float(np.max(np.abs(cube.data - scene.data)) / scene.data[..., 0].max())
     if args.out:
         pc.write_spsi(args.out, cube)
-    return {
-        "max_rel_error": max_rel,
-        "mse": report.mse,
-        "psnr": report.psnr,
-        "valid_fraction": report.valid_fraction,
-        "seconds": elapsed,
-    }
+    return {"max_rel_error": max_rel, "mse": report.mse, "psnr": report.psnr,
+            "valid_fraction": report.valid_fraction, "seconds": elapsed}
 
 
 # ---------------------------------------------------------------------------
@@ -533,9 +499,8 @@ _COMMANDS = {
         _INPUT, _flag("--reference", help="cube to score the decode against"), _OUT)),
     "stats": _Command(cmd_stats, "dataset statistics to CSV", ("stats",), (
         _INPUT, _flag("extra", nargs="*", help="additional cubes to pool"),
-        _flag("--feature", required=True,
-              help="s0..s3, s1n..s3n, dolp, docp, aolp, cop, rho, "
-                   "<feature>-gradient, pol-unpol, poincare-s1s2, poincare-s1s3"),
+        _flag("--feature", required=True, action="append", choices=_STATS, metavar="NAME",
+              help="a statistic, one flag per name: " + ", ".join(_STATS)),
         _BINS, _OUT)),
     "sfp-stats": _Command(cmd_sfp_stats, "spectral spread of normal maps", ("stats",),
                           (_INPUT, _BINS, _OUT)),

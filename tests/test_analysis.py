@@ -30,7 +30,7 @@ from polarcube import (
     uniform_scene,
 )
 from polarcube import _pool
-from polarcube.analysis import FEATURES, Histogram, wrap_aolp_gradient
+from polarcube.analysis import _STATS, FEATURES, Histogram, _walk, wrap_aolp_gradient
 
 RNG = np.random.default_rng(55)
 
@@ -691,6 +691,22 @@ class TestStreaming:
         with pool_settings(1, 1 << 16):
             got = outcome(lambda: call(lazy))
         assert got == outcome(lambda: call(images))
+        assert lazy.peak == 1
+        assert lazy.reads == passes * len(images)
+
+    @pytest.mark.parametrize("names, passes", [
+        (["s1n", "docp", "aolp-gradient", "poincare-s1s2"], 1),  # fixed ranges
+        (["s0", "pol-unpol"], 2),
+        (list(_STATS), 2),
+    ])
+    def test_one_walk_reads_each_image_at_most_twice(self, names, passes):
+        images, _ = oracle_dataset(False)
+        lazy = OneAtATime(images)
+        stats = [_STATS[name] for name in names]
+        with pool_settings(1, 1 << 16):
+            got = outcome(lambda: [r for r, _ in _walk(lazy, range(3), stats, 31)])
+            assert got == outcome(lambda: [_walk(images, range(3), [stat], 31)[0][0]
+                                           for stat in stats])
         assert lazy.peak == 1
         assert lazy.reads == passes * len(images)
 

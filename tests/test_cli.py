@@ -15,7 +15,7 @@ import pytest
 
 import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
-from polarcube import cli
+from polarcube import _pool, cli
 from polarcube.cli import _COMMANDS, _KEYS, _SHARED, main
 
 RNG = np.random.default_rng(612)
@@ -31,6 +31,29 @@ def run_cli(capsys, *argv):
     config = json.loads(lines[0])["config"] if lines else None
     summary = json.loads(lines[-1]).get("summary") if code == 0 else None
     return code, config, summary, captured.err
+
+
+def write_circular_cube(tmp_path):
+    """No linear part anywhere: rho, dolp and docp have samples, aolp has none."""
+    data = np.zeros((8, 8, 2, 4))
+    data[..., 0], data[..., 3] = 1.0, RNG.uniform(-0.5, 0.5, (8, 8, 2))
+    cube_path = str(tmp_path / "circular.spsi")
+    write_spsi(cube_path, polarcube.StokesImage(data))
+    return cube_path
+
+
+@contextlib.contextmanager
+def workers(n, block_values=64):
+    """Run the block pool with ``n`` threads (1: inline) and small blocks."""
+    saved = _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES
+    _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = n, None, block_values
+    try:
+        yield
+    finally:
+        if _pool._tasks is not None:  # stop this pool's threads
+            for _ in range(n):
+                _pool._tasks.put(None)
+        _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = saved
 
 
 def write_cube(path, h=16, w=16, c=3, seed=5):
@@ -145,11 +168,35 @@ class TestValidateAndStats:
         assert max(highs) <= np.pi / 2 + 1e-9
 
     @pytest.mark.parametrize("feature", ["s1", "rho", "docp", "pol-unpol", "dolp-gradient",
-                                         "poincare-s1s2", "poincare-s1s3"])
+                                         "poincare-s1s2", "poincare-s1s3",
+                                         "s0 aolp pol-unpol cop-gradient poincare-s1s3 docp"])
     def test_stats_pools_every_input_file(self, capsys, tmp_path, feature):
         paths = [str(tmp_path / f"cube{k}.spsi") for k in range(3)]
         cubes = [write_cube(path, h=9 + k, seed=k) for k, path in enumerate(paths)]
         out = str(tmp_path / "got_")
+        if " " in feature:  # one walk: each name writes what its single-name command writes
+            names = feature.split()
+            flags = [arg for name in names for arg in ("--feature", name)]
+            for n in (1, 2):
+                with workers(n):
+                    code, _, summary, _ = run_cli(capsys, "stats", *paths, *flags,
+                                                  "--out", str(tmp_path / f"got{n}_"))
+                assert code == 0 and sorted(summary) == sorted(names)
+                for name in names:
+                    alone = f"alone_{name}_"
+                    code, _, want, _ = run_cli(capsys, "stats", *paths, "--feature", name,
+                                               "--out", str(tmp_path / alone))
+                    assert code == 0
+                    pairs = ([(f"got{n}_{part}.csv", f"{alone}{part}.csv")
+                              for part in ("polarized", "unpolarized")] if name == "pol-unpol"
+                             else [(f"got{n}_{name}.csv", alone)])
+                    for got, single in pairs:
+                        assert (tmp_path / got).read_bytes() == (tmp_path / single).read_bytes()
+                    got = {key: value for key, value in summary[name].items()
+                           if key not in ("out", "outputs")}
+                    assert got == {key: value for key, value in want.items()
+                                   if key not in ("out", "outputs")}
+            return
         code, *_ = run_cli(capsys, "stats", *paths, "--feature", feature, "--out", out)
         assert code == 0
         if feature == "pol-unpol":
@@ -190,15 +237,19 @@ class TestValidateAndStats:
         assert pol.data.shape == unpol.data.shape
 
     def test_features_writes_no_csv_when_a_feature_fails(self, capsys, tmp_path):
-        # no linear part anywhere: rho, dolp and docp have samples, aolp has none
-        data = np.zeros((8, 8, 2, 4))
-        data[..., 0], data[..., 3] = 1.0, RNG.uniform(-0.5, 0.5, (8, 8, 2))
-        cube_path = str(tmp_path / "circular.spsi")
-        write_spsi(cube_path, polarcube.StokesImage(data))
+        cube_path = write_circular_cube(tmp_path)
         code, _, _, err = run_cli(capsys, "features", cube_path, "--out", str(tmp_path / "feat_"))
         assert code == 4
         assert "aolp" in json.loads(err)["error"]
         assert not list(tmp_path.glob("feat_*.csv"))
+
+    def test_stats_writes_no_csv_when_a_statistic_fails(self, capsys, tmp_path):
+        cube_path = write_circular_cube(tmp_path)
+        code, config, _, err = run_cli(capsys, "stats", cube_path, "--feature", "rho",
+                                       "--feature", "aolp", "--out", str(tmp_path / "st_"))
+        assert code == 4 and config is not None  # after the echo, in the walk
+        assert "aolp" in json.loads(err)["error"]
+        assert not list(tmp_path.glob("st_*"))
 
     def test_decompose_histograms_pool_the_valid_pixels(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
@@ -519,6 +570,8 @@ class TestDeclarations:
         ("reconstruct", ["{raw}", "--seed", "3"]),
         ("denoise", ["{raw}", "--burst", "{raw2}", "--median", "4"]),
         ("stats", ["{cube}", "--feature", "cop-gradient", "--bins", "50"]),
+        ("stats", ["{cube}", "--feature", "s0", "--feature", "cop-gradient", "--bins", "50"]),
+        ("stats", ["{cube}", "--feature", "s0", "--feature", "rho", "--feature", "s0"]),
         # a seed that something reads but nobody gave
         ("simulate", ["--height", "8", "--width", "8"]),
         ("simulate", ["--scene", "{cube}", "--noise", "0.01"]),
@@ -533,6 +586,7 @@ class TestDeclarations:
         ("denoise", ["{raw}", "--median", "-1"]),
         ("stats", ["{cube}", "--feature", "hue"]),
         ("stats", ["{cube}", "--feature", "pol-unpol-gradient"]),
+        ("stats", ["{cube}", "--feature", "s0", "--feature", "hue"]),
         # values outside their flag's rule, from the flag or the config file
         ("features", ["{cube}", "--bins", "0"]),
         ("pca-fit", ["{cube}", "--patch", "0"]),
@@ -613,6 +667,39 @@ class TestDeclarations:
         assert not {"height", "width", "channels"} & set(config["camera"])
         assert (summary["height"], summary["width"], summary["frames"]) == (8, 8, 8)
 
+    def test_trichromatic_camera_drops_the_retarder_angles_from_the_echo(self, capsys, tmp_path):
+        cfg_path = tmp_path / "angles.json"
+        cfg_path.write_text('{"camera": {"qwp_angles_deg": [0, 45, 90, 135], "lp_angle_deg": 30}}')
+        argv = ["--camera", "trichromatic", "--seed", "1"]
+        runs = []
+        for extra in ([], ["--config", str(cfg_path)]):
+            out = tmp_path / f"mosaic{len(runs)}.spsi"
+            code, config, _, _ = run_cli(capsys, "simulate", *argv, "--height", "16", "--width",
+                                         "16", "--out", str(out), *extra)
+            assert code == 0
+            assert not {"qwp_angles_deg", "lp_angle_deg"} & set(config["camera"])
+            code, echo, summary, _ = run_cli(capsys, "roundtrip", *argv, "--size", "16", *extra)
+            assert code == 0
+            summary.pop("seconds")
+            runs.append((config, out.read_bytes(), echo, summary))
+        assert runs[0] == runs[1]  # nothing the trichromatic camera reads changed
+
+    def test_noiseless_capture_drops_the_noise_levels_from_the_echo(self, capsys, tmp_path):
+        cfg_path = tmp_path / "levels.json"
+        cfg_path.write_text('{"noise": {"saturation": 0.3, "black": 0.1}}')
+        runs = []
+        for extra in ([], ["--config", str(cfg_path)]):
+            code, config, summary, _ = run_cli(capsys, "roundtrip", *ROUNDTRIP[1], *extra)
+            assert code == 0
+            assert set(config["noise"]) == {"sigma", "shot_gain"}
+            summary.pop("seconds")
+            runs.append((config, summary))
+        assert runs[0] == runs[1] and runs[0][1]["valid_fraction"] == 1.0
+        code, config, _, _ = run_cli(capsys, "roundtrip", *ROUNDTRIP[1], "--noise", "0.01",
+                                     "--config", str(cfg_path))
+        assert code == 0  # noise reads them
+        assert (config["noise"]["saturation"], config["noise"]["black"]) == (0.3, 0.1)
+
     def test_scene_input_echoes_the_seed_that_its_noise_reads(self, capsys, tmp_path, inputs):
         cfg_path = tmp_path / "noisy.json"
         cfg_path.write_text('{"noise": {"sigma": 0.01}}')
@@ -643,6 +730,16 @@ class TestDeclarations:
         assert config["stats"]["bins"] == 5
         with open(out) as fh:
             assert len(list(csv.DictReader(fh))) == 5
+        # among other names, the echo holds the bins that they read
+        out = tmp_path / "several_"
+        code, config, _, _ = run_cli(capsys, "stats", inputs["cube"], "--feature", "cop-gradient",
+                                     "--feature", "s0", "--config", str(cfg_path),
+                                     "--out", str(out))
+        assert code == 0
+        assert config["stats"]["bins"] == 50
+        for name, rows in (("cop-gradient", 5), ("s0", 50)):
+            with open(f"{out}{name}.csv") as fh:
+                assert len(list(csv.DictReader(fh))) == rows
 
     def test_pca_code_ignores_the_pca_section(self, capsys, tmp_path, inputs):
         cfg_path = tmp_path / "config.json"
