@@ -215,7 +215,8 @@ class _Stat(NamedTuple):
 
     ``span`` is the range they share when the caller gives none: fixed, or
     a rule on their lowest and highest samples; ``bins``, if set, goes with
-    it.  A ``grid`` counts its two streams in the cells of [-1, 1]^2.
+    it.  A ``grid`` counts its two streams in the cells of [-1, 1]^2.  A
+    ``name`` starts each of its empty-selection errors.
     """
 
     sample: Callable
@@ -225,6 +226,11 @@ class _Stat(NamedTuple):
     empty: str = _NO_PIXELS  # the error of a stream without samples
     bins: int | None = None
     grid: bool = False
+    name: str = ""
+
+    def empty_error(self, message=None):
+        message = message or self.empty
+        return EmptySelectionError(f"{self.name}: {message}" if self.name else message)
 
 
 def _min_max(low, high):
@@ -293,7 +299,7 @@ def _walk(images, chosen, stats, bins, means=False):
                           if ranged else ()):
         counts, lows, highs, totals = zip(*streams)
         if counts[0] == 0:
-            raise EmptySelectionError(stats[k].empty)
+            raise stats[k].empty_error()
         spans[k] = stats[k].span(min(lows), max(highs))
         found[k] = float(totals[0] / counts[0]) if means else None
     sizes = [s.bins or bins for s in stats]
@@ -365,13 +371,12 @@ def _result(stat, counted, size):
     if stat.grid:
         n, inside, cells = counted
         if n == 0 or inside == 0:
-            raise EmptySelectionError(stat.empty if n == 0 else
-                                      "no valid points inside the projected ball")
+            raise stat.empty_error(None if n == 0 else "no valid points inside the projected ball")
         edges = np.linspace(-1.0, 1.0, size + 1)
         return DensityGrid(edges, edges.copy(), cells.reshape(size, size).astype(float),
                            *stat.labels)
     if any(n == 0 for n, *_ in counted):
-        raise EmptySelectionError(stat.empty)
+        raise stat.empty_error()
     hists = tuple(Histogram(edges, counts, label, stat.unit)
                   for (_, _, counts, edges), label in zip(counted, stat.labels))
     return hists if len(hists) > 1 else hists[0]

@@ -15,7 +15,7 @@ and the reconstruction module inverts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,7 +185,10 @@ class CaptureConfig:
             self._check_channels(len(self.channel_configs))
 
     def _check_channels(self, n_channels):
-        """Reject a per-channel calibration that has not one matrix per channel."""
+        """Reject per-channel configuration lists or calibrations other than one per channel."""
+        if not self.shared and len(self.channel_configs) != n_channels:
+            raise ConfigurationError(f"{len(self.channel_configs)} configuration lists"
+                                     f" for {n_channels} channels")
         if np.ndim(self.calibration) == 3 and len(self.calibration) != n_channels:
             raise ConfigurationError(f"calibration has {len(self.calibration)} matrices"
                                      f" for {n_channels} channels")
@@ -217,8 +220,6 @@ class CaptureConfig:
     @classmethod
     def hyperspectral(cls, qwp_angles, lp_angle=0.0, calibration=None, exposure=1.0):
         qwp_angles = np.atleast_1d(np.asarray(qwp_angles, dtype=float))
-        if qwp_angles.size == 0:
-            raise ConfigurationError("QWP angle list is empty")
         configs = [
             MeasurementConfig(retarder_angle=a, retardance=np.pi / 2, polarizer_angle=lp_angle)
             for a in qwp_angles
@@ -415,9 +416,13 @@ def _add_noise(frame, model, stream, out=None):
 class RawCapture:
     """Intensity frames plus everything needed to invert them.
 
-    ``frames`` is (N, H, W); ``tags[k] = (channel, config index)`` for
-    sequential captures, None for a single mosaic frame (then ``layout``
-    is set).  Saturation/black levels record the clipping applied.
+    ``frames`` is (N, H, W).  A sequential capture has ``tags[k] =
+    (channel, config index)`` of frame k, naming each configuration of
+    channels 0..C-1 exactly once, with one configuration list per channel
+    unless one list is shared.  A mosaic capture has a ``layout`` instead:
+    one frame, sides divisible by 4, and the layout's configurations.
+    Saturation/black levels record the clipping applied.  Construction
+    refuses anything else, so every capture can be written and inverted.
     """
 
     frames: np.ndarray
@@ -434,10 +439,24 @@ class RawCapture:
             raise DimensionError(f"frames must be (N, H, W), got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("frame intensities must be finite")
-        if self.tags is not None:
-            if len(self.tags) != self.frames.shape[0]:
-                raise DimensionError("one (channel, config) tag per frame required")
-            self.config._check_channels(len({c for c, _ in self.tags}))
+        if (self.tags is None) == (self.layout is None):
+            raise DimensionError("a capture has frame tags or a mosaic layout, not both or neither")
+        if self.layout is not None:
+            if self.frames.shape[0] != 1 or self.height % 4 or self.width % 4:
+                raise DimensionError("a mosaic capture is one frame with sides divisible by 4,"
+                                     f" got {self.frames.shape}")
+            if self.config.channel_configs != self.layout.capture_config().channel_configs:
+                raise ConfigurationError("raw capture configurations contradict its mosaic layout")
+            return
+        channels = len({c for c, _ in self.tags})
+        self.config._check_channels(channels)
+        want = {(c, i) for c in range(channels) for i in range(len(self.config.configs_for(c)))}
+        got = set(self.tags)
+        if not len(got) == len(self.tags) == self.frames.shape[0] or got != want:
+            raise DimensionError(
+                f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames must name each"
+                f" configuration of channels 0..C-1 once: {len(self.tags) - len(got)} repeated,"
+                f" missing {sorted(want - got)[:4]}, unknown {sorted(got - want)[:4]}")
 
     @property
     def height(self) -> int:
@@ -545,8 +564,6 @@ def simulate_trichromatic(
         layout = MosaicLayout.default()
     if scene.channels != 3:
         raise DimensionError("trichromatic simulation expects a 3-channel scene")
-    if scene.height % 4 or scene.width % 4:
-        raise DimensionError("scene dimensions must be divisible by 4")
     config = layout.capture_config(calibration, exposure)
 
     frame = np.empty((scene.height, scene.width))

@@ -300,6 +300,13 @@ def cmd_validate(pc, cfg, args):
             "nonfinite_valid": int((cube.mask & ~np.isfinite(cube.data).all(axis=-1)).sum())}
 
 
+def _setup(raw):
+    """All of a capture but its frames, as JSON: what every input of a burst shares."""
+    fields = (raw.config, raw.tags, raw.layout, raw.wavelengths, raw.saturation_level,
+              raw.black_level)
+    return json.dumps(fields, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
+
+
 def cmd_denoise(pc, cfg, args):
     from dataclasses import replace
 
@@ -309,6 +316,10 @@ def cmd_denoise(pc, cfg, args):
     raws = [_read(pc, path, pc.RawCapture, "a raw capture")
             for path in [args.input] + (args.burst or [])]
     if args.burst:
+        for path, raw in zip(args.burst, raws[1:]):  # frames of one setup, or no average
+            if _setup(raw) != _setup(raws[0]):
+                raise _ConfigError(f"{path} differs from {args.input} in its configurations,"
+                                   " calibration, exposure, tags or layout, wavelengths or levels")
         frames = pc.burst_average([r.frames for r in raws])
         pc.write_spsi(out, replace(raws[0], frames=frames))
         return {"out": out, "averaged": len(raws)}
@@ -382,8 +393,8 @@ def cmd_stats(pc, cfg, args):
     names, out = args.feature, args.out
     cubes = _Cubes([args.input] + (args.extra or []))
     # every statistic before any file: one that fails leaves no CSV behind
-    found = pc.analysis._walk(cubes, range(len(cubes)), [_STATS[name] for name in names],
-                              cfg["stats"]["bins"])
+    stats = [_STATS[name]._replace(name=name if len(names) > 1 else "") for name in names]
+    found = pc.analysis._walk(cubes, range(len(cubes)), stats, cfg["stats"]["bins"])
     summary = {}
     for name, (result, _) in zip(names, found):
         if isinstance(result, tuple):  # one CSV per histogram, named by its label
@@ -482,7 +493,8 @@ _COMMANDS = {
     "denoise": _Command(cmd_denoise, "median filter or burst average", (), (
         _INPUT, _flag("--median", help="odd window size (default 3)",
                       type=_rule(int, lambda n: n >= 1 and n % 2, "an odd integer >= 1")),
-        _flag("--burst", nargs="*", help="further raw captures to average with"), _OUT)),
+        _flag("--burst", nargs="+", help="further raw captures of the same setup to average"),
+        _OUT)),
     "pca-fit": _Command(cmd_pca_fit, "fit a patch basis", ("pca",), (
         _INPUT, _flag("--patch", "pca.patch_size"), _flag("--bases", "pca.bases"), _OUT)),
     "pca-code": _Command(cmd_pca_code, "encode + decode through a basis", (), (

@@ -11,6 +11,19 @@ from .errors import DimensionError
 __all__ = ["StokesImage", "ScalarCube", "NormalMapStack"]
 
 
+def _check_table_and_mask(cube, shape):
+    """Make a cube's wavelength table float and its mask boolean (all True if None), or raise
+    unless they fit the cube's (H, W, C) ``shape``."""
+    if cube.wavelengths is not None:
+        cube.wavelengths = np.asarray(cube.wavelengths, dtype=float)
+        if cube.wavelengths.shape != shape[2:]:
+            raise DimensionError(f"wavelength table has {cube.wavelengths.shape},"
+                                 f" expected {shape[2:]}")
+    cube.mask = np.ones(shape, dtype=bool) if cube.mask is None else np.asarray(cube.mask, bool)
+    if cube.mask.shape != shape:
+        raise DimensionError(f"mask shape {cube.mask.shape} does not match data {shape}")
+
+
 @dataclass
 class StokesImage:
     """A height x width x channels x 4 Stokes cube with a validity mask.
@@ -33,20 +46,7 @@ class StokesImage:
         self.data = np.asarray(self.data)
         if self.data.ndim != 4 or self.data.shape[-1] != 4:
             raise DimensionError(f"Stokes cube must be (H, W, C, 4), got {self.data.shape}")
-        if self.wavelengths is not None:
-            self.wavelengths = np.asarray(self.wavelengths, dtype=float)
-            if self.wavelengths.shape != (self.channels,):
-                raise DimensionError(
-                    f"wavelength table has {self.wavelengths.shape}, expected ({self.channels},)"
-                )
-        if self.mask is None:
-            self.mask = np.ones(self.data.shape[:3], dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.data.shape[:3]:
-                raise DimensionError(
-                    f"mask shape {self.mask.shape} does not match data {self.data.shape[:3]}"
-                )
+        _check_table_and_mask(self, self.data.shape[:3])
 
     @property
     def height(self) -> int:
@@ -84,16 +84,7 @@ class ScalarCube:
         self.data = np.asarray(self.data)
         if self.data.ndim != 3:
             raise DimensionError(f"scalar cube must be (H, W, C), got {self.data.shape}")
-        if self.wavelengths is not None:
-            self.wavelengths = np.asarray(self.wavelengths, dtype=float)
-            if self.wavelengths.shape != (self.data.shape[2],):
-                raise DimensionError("wavelength table does not match channel count")
-        if self.mask is None:
-            self.mask = np.ones(self.data.shape, dtype=bool)
-        else:
-            self.mask = np.asarray(self.mask, dtype=bool)
-            if self.mask.shape != self.data.shape:
-                raise DimensionError("mask shape does not match data")
+        _check_table_and_mask(self, self.data.shape)
 
 
 @dataclass

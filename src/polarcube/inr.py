@@ -15,7 +15,7 @@ masked channels weigh 0 in the loss.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,13 @@ class InrModel:
     ``layers`` counts the ReLU-activated hidden blocks across both
     stages (the linear output head is extra); the first ``layers // 2``
     blocks form the spatial stage.  ``grid_shape`` = (H, W, C) records
-    the coordinate normalization ranges.
+    the coordinate normalization ranges.  Construction checks ``layers`` >= 2,
+    one weight and one bias per block and head in the shapes that the
+    hyper-parameters give, and grid dimensions >= 1.
     """
 
-    weights: list = field(default_factory=list)
-    biases: list = field(default_factory=list)
+    weights: list
+    biases: list
     layers: int = 8
     hidden_width: int = 256
     k_spatial: int = 10
@@ -74,17 +76,23 @@ class InrModel:
     grid_shape: tuple | None = None
     dtype: np.dtype = np.float64
 
+    def __post_init__(self):
+        if self.layers < 2:
+            raise ValueError("need at least 2 hidden blocks (one per stage)")
+        if not len(self.weights) == len(self.biases) == self.layers + 1:  # then list the shapes
+            raise DimensionError(f"network tensor count: {len(self.weights)} weights and"
+                                 f" {len(self.biases)} biases for {self.layers} layers")
+        want = [(s, s[1:]) for s in _weight_shapes(self.layers, self.hidden_width,
+                                                    self.k_spatial, self.k_channel)]
+        if [(np.shape(w), np.shape(b)) for w, b in zip(self.weights, self.biases)] != want:
+            raise DimensionError("network (weight, bias) shapes contradict its hyper-parameters,"
+                                 f" which give {want}")
+        if self.grid_shape is not None and min(self.grid_shape) < 1:
+            raise DimensionError(f"network grid {self.grid_shape} has a dimension below 1")
+
     @property
     def spatial_blocks(self) -> int:
         return self.layers // 2
-
-    @property
-    def spatial_input_dim(self) -> int:
-        return 2 * (2 * self.k_spatial + 3)
-
-    @property
-    def channel_encoding_dim(self) -> int:
-        return 2 * self.k_channel + 3
 
     def copy_params(self):
         return [w.copy() for w in self.weights], [b.copy() for b in self.biases]
@@ -94,28 +102,25 @@ def parameter_count(model: InrModel) -> int:
     return sum(w.size for w in model.weights) + sum(b.size for b in model.biases)
 
 
-def _weight_shapes(model: InrModel) -> list:
+def _weight_shapes(layers, width, k_spatial, k_channel) -> list:
     """(fan_in, fan_out) of every weight: spatial blocks, spectral blocks, head."""
-    w, s = model.hidden_width, model.spatial_blocks
-    return ([(model.spatial_input_dim, w)] + [(w, w)] * (s - 1)
-            + [(w + model.channel_encoding_dim, w)] + [(w, w)] * (model.layers - s - 1)
-            + [(w, 4)])
+    s = layers // 2
+    return ([(2 * (2 * k_spatial + 3), width)] + [(width, width)] * (s - 1)
+            + [(width + 2 * k_channel + 3, width)] + [(width, width)] * (layers - s - 1)
+            + [(width, 4)])
 
 
 def inr_init(layers: int = 8, hidden_width: int = 256, seed: int = 0, k_spatial: int = 10,
              k_channel: int = 1, grid_shape=None, dtype=np.float64) -> InrModel:
     """Fresh model with symmetric uniform init scaled by 1/sqrt(fan_in)."""
-    if layers < 2:
-        raise ValueError("need at least 2 hidden blocks (one per stage)")
-    model = InrModel(layers=layers, hidden_width=hidden_width, k_spatial=k_spatial,
-                     k_channel=k_channel, dtype=np.dtype(dtype),
-                     grid_shape=tuple(grid_shape) if grid_shape is not None else None)
-    rng = np.random.default_rng(seed)
-    for fan_in, fan_out in _weight_shapes(model):
+    dtype, rng = np.dtype(dtype), np.random.default_rng(seed)
+    weights, biases = [], []
+    for fan_in, fan_out in _weight_shapes(layers, hidden_width, k_spatial, k_channel):
         bound = np.sqrt(6.0 / fan_in)
-        model.weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(model.dtype))
-        model.biases.append(np.zeros(fan_out, dtype=model.dtype))
-    return model
+        weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
+        biases.append(np.zeros(fan_out, dtype=dtype))
+    return InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
+                    None if grid_shape is None else tuple(grid_shape), dtype)
 
 
 def _tables(model: InrModel, xs, ys, cs):
@@ -132,7 +137,7 @@ def _tables(model: InrModel, xs, ys, cs):
 
 
 def _pixels(tables, xs, ys):
-    """Spatial-stage inputs (P, spatial_input_dim) of pixels at columns xs, rows ys."""
+    """Spatial-stage inputs (P, 2 (2 k_spatial + 3)) of pixels at columns xs, rows ys."""
     return np.concatenate([tables[0][xs], tables[1][ys]], axis=1)
 
 

@@ -33,7 +33,7 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -41,7 +41,7 @@ from . import _pool
 from .camera import CaptureConfig, MeasurementConfig, MosaicLayout, RawCapture
 from .errors import ContainerError, LabelSchemaError
 from .image import NormalMapStack, ScalarCube, StokesImage
-from .inr import InrModel, _weight_shapes
+from .inr import InrModel
 from .labels import LabelSet
 from .pca import PcaCodebook, PcaEncoding
 
@@ -241,17 +241,12 @@ def _read_configs(r: _Reader) -> CaptureConfig:
     groups = []
     for _ in range(n_groups):
         (n_cfg,) = r.unpack("I")
-        group = []
-        for _ in range(n_cfg):
-            a, d, p = r.unpack("ddd")
-            group.append(MeasurementConfig(a, d, p))
-        groups.append(group)
+        groups.append([MeasurementConfig(*r.unpack("ddd")) for _ in range(n_cfg)])
     cal_kind = r.flag(2)  # 0 none, 1 one matrix, 2 one per channel
     calibration = None
     if cal_kind:
         (n_cal,) = r.unpack("I")
-        flat = r.array(n_cal * 16, "<f8")
-        calibration = flat.reshape(n_cal, 4, 4)
+        calibration = r.array(n_cal * 16, "<f8").reshape(n_cal, 4, 4)
         if cal_kind == 1:
             calibration = calibration[0]
     configs = groups[0] if shared else groups
@@ -264,15 +259,12 @@ def _write_raw(raw: RawCapture) -> list:
     w = _header(KIND_RAW, raw.width, raw.height, channels, 1, code, raw.wavelengths)
     w.pack("I", raw.frames.shape[0])
     w.pack("B", 0 if raw.tags is None else 1)
-    if raw.tags is not None:
-        for c, i in raw.tags:
-            w.pack("II", c, i)
+    for c, i in raw.tags or []:
+        w.pack("II", c, i)
     w.pack("B", 0 if raw.layout is None else 1)
     if raw.layout is not None:
-        w.array(raw.layout.colors, "<u1")
-        w.array(raw.layout.polarizer_angles, "<f8")
-        w.array(raw.layout.retarder_angles, "<f8")
-        w.array(raw.layout.retardances, "<f8")
+        for table, dtype in zip(astuple(raw.layout), ("<u1", "<f8", "<f8", "<f8")):
+            w.array(table, dtype)
     w.pack("dd", raw.saturation_level, raw.black_level)
     _write_configs(w, raw.config)
     w.array(raw.frames, _DTYPES[code])
@@ -287,14 +279,10 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
         layout = MosaicLayout(*(r.array(16, t).reshape(4, 4) for t in ("u1", "<f8", "<f8", "<f8")))
     sat, black = r.unpack("dd")
     config = _read_configs(r)
-    if layout is not None and config.channel_configs != layout.capture_config().channel_configs:
-        raise ContainerError("raw capture configurations contradict its mosaic layout")
-    frames = r.array(n_frames * height * width, _DTYPES[dtype_code]).reshape(
-        n_frames, height, width
-    )
+    frames = r.array(n_frames * height * width, _DTYPES[dtype_code])
     r.done()
-    return RawCapture(frames, config, tags=tags, layout=layout, wavelengths=wavelengths,
-                      saturation_level=sat, black_level=black)
+    return RawCapture(frames.reshape(n_frames, height, width), config, tags=tags, layout=layout,
+                      wavelengths=wavelengths, saturation_level=sat, black_level=black)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +378,10 @@ def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
     biases = [r.array(fo, dtype) for _, fo in shapes]
     r.done()
     grid = (height, width, channels)
-    model = InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
-                     grid if has_grid else None, dtype)
-    if n_tensors != layers + 1:
-        raise ContainerError(f"network tensor count {n_tensors} contradicts {layers} layers")
-    if shapes != _weight_shapes(model):
-        raise ContainerError(f"network weight shapes {shapes} contradict its hyper-parameters")
-    if (0 in grid) if has_grid else any(grid):
-        raise ContainerError(f"network grid {grid} contradicts its grid flag {has_grid}")
-    return model
+    if not has_grid and any(grid):
+        raise ContainerError(f"network grid {grid} contradicts its grid flag 0")
+    return InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
+                    grid if has_grid else None, dtype)
 
 
 # ---------------------------------------------------------------------------

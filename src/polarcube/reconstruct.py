@@ -74,22 +74,6 @@ def _bad_pixel_mask(samples, raw: RawCapture):
     return saturated | underexposed
 
 
-def _frame_indices(raw: RawCapture) -> list[list[int]]:
-    """Per channel, the frame index of each configuration, from the tags."""
-    if raw.tags is None:
-        raise DimensionError("sequential capture requires (channel, config) tags")
-    channels = sorted({c for c, _ in raw.tags})
-    if channels != list(range(len(channels))):
-        raise ConfigurationError("frame tags must cover channels 0..C-1")
-    frame_of = {(c, i): k for k, (c, i) in enumerate(raw.tags)}
-    indices = [[frame_of.get((c, i)) for i in range(len(raw.config.configs_for(c)))]
-               for c in channels]
-    for c, frames in enumerate(indices):
-        if None in frames:
-            raise DimensionError(f"channel {c} is missing frames")
-    return indices
-
-
 def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> StokesImage:
     """Invert a capture into a Stokes cube with a validity mask.
 
@@ -99,22 +83,23 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
     frames, a sequential capture's own or a mosaic's 16 demosaiced
     segment planes: per block of rows, one gather and one stacked product
     for all channels of equal row count.  A bad raw mosaic sample taints
-    every pixel its interpolation reaches.
+    every pixel its interpolation reaches.  ``RawCapture`` refuses tags or
+    a layout that do not name each configuration once, so each channel's
+    frames are a lookup here.
     """
     samples, bad = raw.frames, None  # a sequential capture's blocks flag their own samples
-    if raw.layout is None:
-        indices = _frame_indices(raw)
+    if raw.layout is None:  # per channel, the frame of each configuration
+        frame_of = {tag: k for k, tag in enumerate(raw.tags)}
+        indices = [[frame_of[c, i] for i in range(len(raw.config.configs_for(c)))]
+                   for c in range(len({c for c, _ in raw.tags}))]
     else:
         indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
         bad = demosaic_footprint(_bad_pixel_mask(samples[0], raw))
         samples = demosaic(mosaic_split(samples[0]))
 
     groups = {}  # per row count m: the channels, their frame indices and 4 x m pseudo-inverses
-    for c, idx in enumerate(indices):
-        system = system_matrix(raw.config, c)
-        if len(idx) != system.m:
-            raise DimensionError(f"channel {c} has {len(idx)} samples for {system.m} rows")
-        groups.setdefault(system.m, []).append((c, idx, system.pinv))
+    for c, idx in enumerate(indices):  # a channel's frames are its system's rows
+        groups.setdefault(len(idx), []).append((c, idx, system_matrix(raw.config, c).pinv))
     # All channels as a slice: a basic-index copy into ``data`` beats a fancy one.
     groups = [(list(chans) if len(chans) < len(indices) else slice(None), np.array(idx),
                np.stack(pinvs)) for chans, idx, pinvs in (zip(*g) for g in groups.values())]

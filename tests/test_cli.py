@@ -251,6 +251,21 @@ class TestValidateAndStats:
         assert "aolp" in json.loads(err)["error"]
         assert not list(tmp_path.glob("st_*"))
 
+    @pytest.mark.parametrize("names,failing", [
+        (["s0", "pol-unpol"], "s0"), (["pol-unpol", "s0"], "pol-unpol"),
+        (["poincare-s1s2", "docp"], "poincare-s1s2"), (["s0"], None)])
+    def test_empty_selection_error_names_its_statistic(self, capsys, tmp_path, names, failing):
+        cube_path = str(tmp_path / "empty.spsi")
+        write_spsi(cube_path, polarcube.StokesImage(np.ones((4, 4, 2, 4)),
+                                                    mask=np.zeros((4, 4, 2), bool)))
+        flags = [arg for name in names for arg in ("--feature", name)]
+        code, _, _, err = run_cli(capsys, "stats", cube_path, *flags, "--out",
+                                  str(tmp_path / "st_"))
+        assert code == 4
+        message = "no valid pixels after filtering"  # a single name keeps its message
+        assert json.loads(err)["error"] == (f"{failing}: {message}" if failing else message)
+        assert not list(tmp_path.glob("st_*"))
+
     def test_decompose_histograms_pool_the_valid_pixels(self, capsys, tmp_path):
         cube_path = str(tmp_path / "cube.spsi")
         img = random_scene(8, 8, 2, np.random.default_rng(9))
@@ -397,6 +412,40 @@ class TestDenoise:
                                       "--out", str(tmp_path / "x.spsi"))
         assert code == 0
         assert summary["averaged"] == 2
+
+    def test_burst_without_a_capture_exits_2_before_the_echo(self, capsys, tmp_path):
+        raw_path = str(tmp_path / "raw.spsi")
+        run_cli(capsys, "simulate", "--seed", "9", "--height", "8", "--width", "8",
+                "--channels", "2", "--out", raw_path)
+        code, config, _, err = run_cli(capsys, "denoise", raw_path, "--burst",
+                                       "--out", str(tmp_path / "d.spsi"))
+        assert code == 2 and config is None
+        assert json.loads(err)["class"] == "config"
+        assert not (tmp_path / "d.spsi").exists()
+
+    @pytest.mark.parametrize("other", [
+        ["--channels", "2", "--noise", "0.05", "--config", "qwp.json"],  # other QWP angles
+        ["--channels", "2", "--noise", "0.05", "--config", "exposure.json"],
+        ["--channels", "2"],  # noiseless: levels -inf and inf, not 0 and 1
+        ["--camera", "trichromatic", "--noise", "0.05"],  # a mosaic layout, not tags
+    ])
+    def test_burst_of_another_setup_exits_2_after_the_echo(self, capsys, tmp_path,
+                                                           monkeypatch, other):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "qwp.json").write_text('{"camera": {"qwp_angles_deg": [10, -35, 70, -80]}}')
+        (tmp_path / "exposure.json").write_text('{"camera": {"exposure": 2.0}}')
+        for seed, path, flags in ((9, "raw.spsi", ["--channels", "2", "--noise", "0.05"]),
+                                  (10, "other.spsi", other)):
+            code, *_ = run_cli(capsys, "simulate", "--seed", str(seed), "--height", "8",
+                               "--width", "8", *flags, "--out", path)
+            assert code == 0
+        code, config, _, err = run_cli(capsys, "denoise", "raw.spsi", "--burst", "other.spsi",
+                                       "--out", "d.spsi")
+        assert code == 2 and config == {"threads": None}  # after the echo
+        error = json.loads(err)
+        assert error["class"] == "config"
+        assert error["error"].startswith("other.spsi differs from raw.spsi in its configurations")
+        assert not (tmp_path / "d.spsi").exists()
 
     def test_median_window_checked_before_input_is_read(self, capsys, tmp_path):
         code, *_ = run_cli(capsys, "denoise", str(tmp_path / "missing.spsi"),

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcube import (
+    DimensionError,
     EmptySelectionError,
+    InrModel,
     TrainingDivergedError,
     inr,
     inr_decode,
@@ -80,6 +82,16 @@ class TestModel:
     def test_too_few_layers_rejected(self):
         with pytest.raises(ValueError):
             inr_init(1, 8, seed=0)
+
+    def test_model_checks_its_tensors(self):
+        model = inr_init(3, 8, seed=9)
+        with pytest.raises(TypeError):  # no weights, no model
+            InrModel()
+        with pytest.raises(DimensionError, match="tensor count"):
+            InrModel(model.weights[:-1], model.biases[:-1], 3, 8)
+        with pytest.raises(DimensionError, match="shapes"):  # a bias one entry short
+            InrModel(model.weights, model.biases[:-1] + [np.zeros(3)], 3, 8)
+        assert InrModel(model.weights, model.biases, 3, 8).weights is model.weights
 
 
 class TestGradients:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import errno
+import json
 import os
 import struct
 import tempfile
@@ -12,8 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcube import (
+    CaptureConfig,
+    ConfigurationError,
     ContainerError,
     Curve,
+    DimensionError,
+    InrModel,
     LabelSchemaError,
     LabelSet,
     MosaicLayout,
@@ -678,6 +683,157 @@ class TestContainerProperties:
                         fh.write(damaged)
                     with pytest.raises(ContainerError):
                         read_spsi(path)
+
+
+def unchecked(cls, fields):
+    """An instance of ``cls`` holding ``fields`` whose constructor never ran."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def broken(case):
+    """(class, fields) of a broken capture or network, by case name."""
+    rng = np.random.default_rng(23)
+    raw = simulate_hyperspectral(random_scene(8, 8, 2, rng, wavelengths=[500.0, 600.0]),
+                                 default_qwp_angles())
+    mosaic = simulate_trichromatic(random_scene(8, 8, 3, rng))
+    if case == "extra (0, 0) frame":  # a second frame of (0, 0), unlike the first
+        return RawCapture, dict(vars(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
+                                tags=raw.tags + [(0, 0)])
+    if case == "extra (0, 9) frame":
+        return RawCapture, dict(vars(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
+                                tags=raw.tags + [(0, 9)])
+    if case == "missing frame":
+        return RawCapture, dict(vars(raw), frames=raw.frames[:-1], tags=raw.tags[:-1])
+    if case == "neither tags nor layout":
+        return RawCapture, dict(vars(raw), tags=None)
+    if case == "tags and a layout":
+        return RawCapture, dict(vars(mosaic), tags=[(0, 0)])
+    if case == "two-frame mosaic":
+        return RawCapture, dict(vars(mosaic), frames=np.concatenate([mosaic.frames] * 2))
+    if case == "swapped red configurations":
+        red, green, blue = (list(group) for group in mosaic.config.channel_configs)
+        red[:2] = red[1], red[0]
+        return RawCapture, dict(vars(mosaic), config=CaptureConfig([red, green, blue]))
+    if case == "configurations for 2 of 3 channels":
+        three = simulate_hyperspectral(random_scene(4, 4, 3, rng), default_qwp_angles())
+        lists = [three.config.configs_for(0)] * 2
+        return RawCapture, dict(vars(three), config=CaptureConfig(lists))
+    model = inr_init(2, 8, seed=1, k_spatial=1, grid_shape=(2, 2, 1))
+    if case == "first weight of 4 columns":
+        return InrModel, dict(vars(model), weights=[model.weights[0][:, :4]] + model.weights[1:])
+    assert case == "zero grid dimension"
+    return InrModel, dict(vars(model), grid_shape=(0, 4, 2))
+
+
+class TestInvariantsHaveOneHome:
+    # (case, match at construction, match when read): the constructor refuses each
+    # object, so no container of it is written; its container, written all the same,
+    # is refused when read.
+    CASES = [
+        ("extra (0, 0) frame", "1 repeated", "invariants.*1 repeated"),
+        ("extra (0, 9) frame", r"unknown \[\(0, 9\)\]", r"unknown \[\(0, 9\)\]"),
+        ("missing frame", r"missing \[\(1, 3\)\]", r"missing \[\(1, 3\)\]"),
+        ("neither tags nor layout", "not both or neither", "not both or neither"),
+        ("tags and a layout", "not both or neither", "not both or neither"),
+        ("two-frame mosaic", "one frame", "one frame"),
+        ("swapped red configurations", "contradict its mosaic layout",
+         "contradict its mosaic layout"),
+        ("configurations for 2 of 3 channels", "2 configuration lists for 3",
+         "2 configuration lists for 3"),
+        ("first weight of 4 columns", "shapes", "payload size mismatch: 32 trailing bytes"),
+        ("zero grid dimension", "grid", "grid"),
+    ]
+
+    @pytest.mark.parametrize("case,built,read", CASES)
+    def test_refused_when_built_and_when_read(self, tmp_path, capsys, case, built, read):
+        cls, fields = broken(case)
+        with pytest.raises((DimensionError, ConfigurationError), match=built):
+            cls(**fields)
+        path = tmp_path / "broken.spsi"
+        write_spsi(path, unchecked(cls, fields))  # the writer itself checks nothing
+        with pytest.raises(ContainerError, match=read):
+            read_spsi(path)
+        if cls is RawCapture:
+            out = tmp_path / "cube.spsi"
+            assert main(["reconstruct", str(path), "--out", str(out)]) == 3
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and json.loads(err[0])["class"] == "io"
+            assert not out.exists()
+
+    def test_inr_init_refuses_a_zero_grid_dimension(self):
+        with pytest.raises(DimensionError, match="grid"):
+            inr_init(2, 8, seed=1, k_spatial=1, grid_shape=(0, 4, 2))
+
+
+@st.composite
+def tag_edits(draw):
+    """A sequential capture, its frames in a drawn order, and one drawn edit of a tag."""
+    channels, m = draw(st.integers(1, 3)), draw(st.integers(4, 6))
+    angles = np.concatenate([default_qwp_angles(), np.deg2rad([10.0, 75.0])[: m - 4]])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scene = random_scene(draw(st.integers(1, 3)), draw(st.integers(1, 3)), channels, rng)
+    raw = simulate_hyperspectral(scene, angles)
+    order = list(draw(st.permutations(range(channels * m))))
+    raw = RawCapture(raw.frames[order], raw.config, tags=[raw.tags[k] for k in order])
+    edit = draw(st.sampled_from(["drop", "duplicate", "config past", "channel past"]))
+    return raw, edit, draw(st.integers(0, channels * m - 1)), draw(st.integers(0, 3))
+
+
+def edit_tags(raw, edit, k, past):
+    """The frames and tags of ``raw`` after one edit of frame k's tag."""
+    frames, tags = raw.frames, list(raw.tags)
+    if edit == "drop":
+        return np.delete(frames, k, axis=0), tags[:k] + tags[k + 1:]
+    if edit == "duplicate":
+        return np.concatenate([frames, frames[k:k + 1]]), tags + [tags[k]]
+    c, i = tags[k]
+    if edit == "config past":  # an index past the channel's configuration list
+        tags[k] = (c, len(raw.config.configs_for(c)) + past)
+    else:  # a channel number past C - 1
+        tags[k] = (len({t[0] for t in tags}) + past, i)
+    return frames, tags
+
+
+def patch_tags(blob, raw, edit, k, past):
+    """``blob``, the container of ``raw``, with the same edit made in its bytes."""
+    count = HEADER.size + 4 * struct.unpack_from("<H", blob, 16)[0]  # frame count (I)
+    tags, n, size = count + 5, len(raw.tags), raw.frames[0].nbytes  # tag flag (B), (II) each
+    frame = len(blob) - (n - k) * size  # the frames close the container
+    edited = edit_tags(raw, edit, k, past)[1]
+    blob = bytearray(blob)
+    if edit == "drop":
+        del blob[frame:frame + size]
+        del blob[tags + 8 * k:tags + 8 * k + 8]
+    elif edit == "duplicate":
+        blob += blob[frame:frame + size]
+        blob[tags + 8 * n:tags + 8 * n] = blob[tags + 8 * k:tags + 8 * k + 8]
+    else:
+        struct.pack_into("<II", blob, tags + 8 * k, *edited[k])
+    struct.pack_into("<I", blob, count, len(edited))
+    return bytes(blob)
+
+
+class TestTagEdits:
+    @settings(max_examples=60, deadline=None)
+    @given(drawn=tag_edits())
+    def test_one_tag_edit_is_refused_when_built_and_when_read(self, drawn):
+        raw, edit, k, past = drawn
+        frames, tags = edit_tags(raw, edit, k, past)
+        with pytest.raises(DimensionError, match="frame tags"):
+            RawCapture(frames, raw.config, tags=tags)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "raw.spsi")
+            write_spsi(path, raw)
+            with open(path, "rb") as fh:
+                blob = patch_tags(fh.read(), raw, edit, k, past)
+            fields = dict(vars(raw), frames=frames, tags=tags)
+            assert blob == reference_serialisation(unchecked(RawCapture, fields))
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            with pytest.raises(ContainerError, match="frame tags"):
+                read_spsi(path)
 
 
 class TestLabels:

@@ -205,10 +205,8 @@ class TestReconstructImage:
     def test_missing_frames_rejected(self):
         scene = random_scene(4, 4, 2, RNG, wavelengths=[500.0, 600.0])
         raw = simulate_hyperspectral(scene, default_qwp_angles())
-        raw.frames = raw.frames[:-1]
-        raw.tags = raw.tags[:-1]
-        with pytest.raises(DimensionError):
-            reconstruct_image(raw)
+        with pytest.raises(DimensionError, match=r"missing \[\(1, 3\)\]"):
+            RawCapture(raw.frames[:-1], raw.config, tags=raw.tags[:-1])
 
 
 class TestBurstAverage:
