@@ -441,22 +441,27 @@ class RawCapture:
             raise ValueError("frame intensities must be finite")
         if (self.tags is None) == (self.layout is None):
             raise DimensionError("a capture has frame tags or a mosaic layout, not both or neither")
+        channels = 3 if self.layout is not None else len({c for c, _ in self.tags})
         if self.layout is not None:
             if self.frames.shape[0] != 1 or self.height % 4 or self.width % 4:
                 raise DimensionError("a mosaic capture is one frame with sides divisible by 4,"
                                      f" got {self.frames.shape}")
             if self.config.channel_configs != self.layout.capture_config().channel_configs:
                 raise ConfigurationError("raw capture configurations contradict its mosaic layout")
-            return
-        channels = len({c for c, _ in self.tags})
-        self.config._check_channels(channels)
-        want = {(c, i) for c in range(channels) for i in range(len(self.config.configs_for(c)))}
-        got = set(self.tags)
-        if not len(got) == len(self.tags) == self.frames.shape[0] or got != want:
-            raise DimensionError(
-                f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames must name each"
-                f" configuration of channels 0..C-1 once: {len(self.tags) - len(got)} repeated,"
-                f" missing {sorted(want - got)[:4]}, unknown {sorted(got - want)[:4]}")
+        else:
+            self.config._check_channels(channels)
+            want = {(c, i) for c in range(channels)
+                    for i in range(len(self.config.configs_for(c)))}
+            got = set(self.tags)
+            if not len(got) == len(self.tags) == self.frames.shape[0] or got != want:
+                raise DimensionError(
+                    f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames must name"
+                    f" each configuration of channels 0..C-1 once: {len(self.tags) - len(got)}"
+                    f" repeated, missing {sorted(want - got)[:4]},"
+                    f" unknown {sorted(got - want)[:4]}")
+        if self.wavelengths is not None and np.shape(self.wavelengths) != (channels,):
+            raise DimensionError(f"wavelength table has {np.shape(self.wavelengths)},"
+                                 f" expected ({channels},)")
 
     @property
     def height(self) -> int:
@@ -534,22 +539,11 @@ def simulate_hyperspectral(
         np.matmul(rows, planar, out=frames[:, :, lo * w:hi * w])
 
     _pool.blocks(integrate, h, w * n_channels * (4 + rows.shape[1]))
-    frames = frames.reshape(-1, h, w)
     tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
-
-    sat, black = np.inf, -np.inf
-    if noise is not None:
-        def noisy(lo, hi):
-            for k in range(lo, hi):
-                _add_noise(frames[k], noise, k, out=frames[k])
-
-        _pool.blocks(noisy, len(frames), frames[0].size)
-        sat, black = noise.saturation_level, noise.black_level
     wl = None
     if scene.wavelengths is not None and responses is None:
         wl = scene.wavelengths.copy()
-    return RawCapture(frames, config, tags=tags, wavelengths=wl,
-                      saturation_level=sat, black_level=black)
+    return _capture(frames.reshape(-1, h, w), config, noise, tags=tags, wavelengths=wl)
 
 
 def simulate_trichromatic(
@@ -572,13 +566,21 @@ def simulate_trichromatic(
         for (k, _), row in zip(layout.cells_for_color(color), rows):
             i, j = divmod(k, 4)
             frame[i::4, j::4] = scene.data[i::4, j::4, color, :] @ row
+    return _capture(frame[None], config, noise, layout=layout)
 
+
+def _capture(frames, config, noise, **placement):
+    """The capture of noiseless ``frames``: frame k takes ``noise`` with stream k, in place
+    on the block pool, and the capture records the noise model's clipping levels."""
     sat, black = np.inf, -np.inf
     if noise is not None:
-        frame = add_noise(frame, noise, stream=0)
+        def noisy(lo, hi):
+            for k in range(lo, hi):
+                _add_noise(frames[k], noise, k, out=frames[k])
+
+        _pool.blocks(noisy, len(frames), frames[0].size)
         sat, black = noise.saturation_level, noise.black_level
-    return RawCapture(frame[None], config, layout=layout,
-                      saturation_level=sat, black_level=black)
+    return RawCapture(frames, config, saturation_level=sat, black_level=black, **placement)
 
 
 # ---------------------------------------------------------------------------

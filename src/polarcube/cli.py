@@ -21,6 +21,7 @@ import copy
 import json
 import os
 import sys
+from dataclasses import fields, replace
 from math import inf
 from typing import Callable, NamedTuple
 
@@ -302,14 +303,11 @@ def cmd_validate(pc, cfg, args):
 
 def _setup(raw):
     """All of a capture but its frames, as JSON: what every input of a burst shares."""
-    fields = (raw.config, raw.tags, raw.layout, raw.wavelengths, raw.saturation_level,
-              raw.black_level)
-    return json.dumps(fields, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
+    setup = [getattr(raw, field.name) for field in fields(raw) if field.name != "frames"]
+    return json.dumps(setup, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
 
 
 def cmd_denoise(pc, cfg, args):
-    from dataclasses import replace
-
     import numpy as np
 
     out = args.out

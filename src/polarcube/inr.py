@@ -251,31 +251,23 @@ def _masked_loss(out, targets, weights):
 
 
 class _Adam:
-    """Bias-corrected first/second-moment optimizer.
-
-    A step rounds as ``p -= lr * (m / c1) / (np.sqrt(v / c2) + eps)`` does but
-    allocates nothing after the first: ``scratch`` is in the parameter's dtype,
-    ``update`` in that of ``lr * p`` (float64 for float32 weights and a numpy float64 rate).
-    """
+    """Bias-corrected first/second-moment optimizer."""
 
     def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m, self.v, self.scratch = ([np.zeros_like(p) for p in params] for _ in range(3))
-        self.update, self.t = None, 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
         c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
-        if self.update is None:
-            self.update = [np.empty(p.shape, np.result_type(lr, p)) for p in params]
-        for p, g, m, v, s, u in zip(params, grads, self.m, self.v, self.scratch, self.update):
+        for p, g, m, v in zip(params, grads, self.m, self.v):
             m *= self.beta1
-            m += np.multiply(g, 1.0 - self.beta1, out=s)
+            m += (1.0 - self.beta1) * g
             v *= self.beta2
-            v += np.multiply(np.multiply(g, g, out=s), 1.0 - self.beta2, out=s)
-            np.sqrt(np.divide(v, c2, out=s), out=s)
-            s += self.eps
-            p -= np.divide(np.multiply(np.divide(m, c1, out=u), lr, out=u), s, out=u)
+            v += (1.0 - self.beta2) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
 @dataclass

@@ -33,11 +33,10 @@ import json
 import os
 import struct
 import tempfile
-from dataclasses import astuple, dataclass
+from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
 
-from . import _pool
 from .camera import CaptureConfig, MeasurementConfig, MosaicLayout, RawCapture
 from .errors import ContainerError, LabelSchemaError
 from .image import NormalMapStack, ScalarCube, StokesImage
@@ -51,7 +50,6 @@ __all__ = [
     "KIND_INR",
     "KIND_PCA",
     "KIND_RAW",
-    "cube_payload_bytes",
     "export_csv",
     "read_labels",
     "read_spsi",
@@ -63,20 +61,12 @@ MAGIC = b"SPSI"
 VERSION = 2
 KIND_CUBE, KIND_RAW, KIND_PCA, KIND_INR = 0, 1, 2, 3
 
-_HEADER = struct.Struct("<4sHHIIHHB")
+_HEADER = "4sHHIIHHB"  # magic, version, kind, width, height, channels, components, dtype
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
 def _dtype_code(dtype) -> int:
     return 1 if np.dtype(dtype) == np.float64 else 0
-
-
-def cube_payload_bytes(width, height, channels, components, dtype_code=0) -> tuple[int, int]:
-    """(data bytes, mask bytes) a cube header implies."""
-    values = width * height * channels * components
-    data_bytes = values * _DTYPES[dtype_code].itemsize
-    mask_bytes = (width * height * channels + 7) // 8
-    return data_bytes, mask_bytes
 
 
 class _Writer:
@@ -156,7 +146,7 @@ def _atomic_write(path, *chunks):
 
 def _header(kind, width, height, channels, components, dtype_code, wavelengths):
     w = _Writer()
-    w.pack("4sHHIIHHB", MAGIC, VERSION, kind, width, height, channels, components, dtype_code)
+    w.pack(_HEADER, MAGIC, VERSION, kind, width, height, channels, components, dtype_code)
     table = np.zeros(channels, dtype="<f4")
     if wavelengths is not None:
         table[:] = np.asarray(wavelengths, dtype="<f4")
@@ -196,13 +186,8 @@ def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wave
     r.done()
     if r.version == 1:  # channel-major data, (C, H, W) mask
         planes = data.reshape(channels, components, height, width)
+        data = np.ascontiguousarray(planes.transpose(2, 3, 0, 1))
         mask = mask.reshape(channels, height, width).transpose(1, 2, 0)
-        data = np.empty((height, width, channels, components), dtype)
-
-        def rows(lo, hi):
-            data[lo:hi] = planes[:, :, lo:hi].transpose(2, 3, 0, 1)
-
-        _pool.blocks(rows, height, data[:1].size)
     data = data.reshape(height, width, channels, components)
     mask = mask.reshape(height, width, channels)
     if components == 4:
@@ -246,6 +231,8 @@ def _read_configs(r: _Reader) -> CaptureConfig:
     calibration = None
     if cal_kind:
         (n_cal,) = r.unpack("I")
+        if cal_kind == 1 and n_cal != 1:
+            raise ContainerError(f"shared calibration holds {n_cal} matrices, not 1")
         calibration = r.array(n_cal * 16, "<f8").reshape(n_cal, 4, 4)
         if cal_kind == 1:
             calibration = calibration[0]
@@ -423,9 +410,7 @@ def read_spsi(path):
     """
     with open(path, "rb") as fh:
         r = _Reader(fh)
-        magic, version, kind, width, height, channels, components, dtype_code = r.unpack(
-            "4sHHIIHHB"
-        )
+        magic, version, kind, width, height, channels, components, dtype_code = r.unpack(_HEADER)
         if magic != MAGIC:
             raise ContainerError(f"bad magic {magic!r}")
         if version not in (1, VERSION):
@@ -449,19 +434,9 @@ def read_spsi(path):
 # ---------------------------------------------------------------------------
 # label sidecars
 
-_LABEL_FIELDS = ("environment", "illumination", "capture_time", "scene_type")
-
-
 def write_labels(path, labels: LabelSet, notes: str = "", rig: str = ""):
     """Write the label sidecar as deterministic JSON."""
-    doc = {
-        "environment": labels.environment,
-        "illumination": labels.illumination,
-        "capture_time": labels.capture_time,
-        "scene_type": labels.scene_type,
-        "notes": notes,
-        "rig": rig,
-    }
+    doc = dict(asdict(labels), notes=notes, rig=rig)
     _atomic_write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
 
 
@@ -474,11 +449,11 @@ def read_labels(path) -> LabelSet:
             raise LabelSchemaError(f"label sidecar is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise LabelSchemaError("label sidecar must be a JSON object")
-    for field in _LABEL_FIELDS:
-        if field not in doc:
-            raise LabelSchemaError(f"label sidecar is missing required field {field!r}")
-    return LabelSet(doc["environment"], doc["illumination"], doc["capture_time"],
-                    doc["scene_type"])
+    names = [field.name for field in fields(LabelSet)]
+    for name in names:
+        if name not in doc:
+            raise LabelSchemaError(f"label sidecar is missing required field {name!r}")
+    return LabelSet(**{name: doc[name] for name in names})
 
 
 # ---------------------------------------------------------------------------

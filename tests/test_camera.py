@@ -284,6 +284,17 @@ class TestNoise:
         assert got.tobytes() == want.tobytes()
         assert (got == 0.05).any() and (got == 0.9).any()
 
+    def test_both_cameras_noise_frame_k_with_stream_k(self):
+        model = NoiseModel(gaussian_sigma=0.03, shot_gain=0.01, saturation_level=0.9,
+                           black_level=0.05, rng_seed=13)
+        hyper = (random_scene(8, 8, 2, RNG, wavelengths=[500.0, 600.0]), default_qwp_angles())
+        rgb = (random_scene(8, 8, 3, RNG),)
+        for simulate, args in ((simulate_hyperspectral, hyper), (simulate_trichromatic, rgb)):
+            clean, noisy = simulate(*args).frames, simulate(*args, noise=model)
+            want = [add_noise(frame, model, stream=k) for k, frame in enumerate(clean)]
+            assert noisy.frames.tobytes() == np.stack(want).tobytes()
+            assert (noisy.saturation_level, noisy.black_level) == (0.9, 0.05)
+
     def test_invalid_model_rejected(self):
         with pytest.raises(ValueError):
             NoiseModel(gaussian_sigma=-0.1)

@@ -46,7 +46,6 @@ from polarcube import (
     write_spsi,
 )
 from polarcube.cli import main
-from polarcube.io import cube_payload_bytes
 
 RNG = np.random.default_rng(404)
 
@@ -175,11 +174,6 @@ class TestContainerErrors:
         assert info.value.errno == errno.ENOSPC
         assert [p.name for p in tmp_path.iterdir()] == ["cube.spsi"]
         assert path.read_bytes() == before
-
-    def test_header_payload_arithmetic(self):
-        data_bytes, mask_bytes = cube_payload_bytes(612, 512, 21, 4, dtype_code=0)
-        assert data_bytes == 612 * 512 * 21 * 4 * 4
-        assert mask_bytes == (612 * 512 * 21 + 7) // 8
 
 
 class TestRawCaptureRoundTrip:
@@ -577,6 +571,21 @@ class TestPresenceFlags:
         with pytest.raises(ContainerError, match="flag byte 3"):
             read_spsi(patched(tmp_path, raw, at, "<B", 3))
 
+    def test_shared_calibration_of_two_matrices_is_rejected(self, tmp_path):
+        scene = random_scene(2, 2, 1, np.random.default_rng(7), wavelengths=[550.0])
+        raw = simulate_hyperspectral(scene, default_qwp_angles(), calibration=np.eye(4))
+        path = tmp_path / "raw.spsi"
+        write_spsi(path, raw)
+        blob = bytearray(path.read_bytes())
+        # a count of 2 (I) and a second 4 x 4 f8 matrix before the frames
+        at = len(blob) - raw.frames.nbytes - 128 - 4
+        assert struct.unpack_from("<BI", blob, at - 1) == (1, 1)
+        struct.pack_into("<I", blob, at, 2)
+        blob[at + 4 + 128:at + 4 + 128] = np.eye(4).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match="shared calibration holds 2 matrices"):
+            read_spsi(path)
+
     @pytest.mark.parametrize("n", [1, 5])
     def test_calibration_count_other_than_channel_count_is_rejected(self, tmp_path, n):
         scene = random_scene(4, 4, 3, np.random.default_rng(7), wavelengths=[500.0, 550.0, 600.0])
@@ -704,6 +713,8 @@ def broken(case):
     if case == "extra (0, 9) frame":
         return RawCapture, dict(vars(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
                                 tags=raw.tags + [(0, 9)])
+    if case == "one wavelength for 2 channels":
+        return RawCapture, dict(vars(raw), wavelengths=np.array([500.0]))
     if case == "missing frame":
         return RawCapture, dict(vars(raw), frames=raw.frames[:-1], tags=raw.tags[:-1])
     if case == "neither tags nor layout":
@@ -735,6 +746,8 @@ class TestInvariantsHaveOneHome:
         ("extra (0, 0) frame", "1 repeated", "invariants.*1 repeated"),
         ("extra (0, 9) frame", r"unknown \[\(0, 9\)\]", r"unknown \[\(0, 9\)\]"),
         ("missing frame", r"missing \[\(1, 3\)\]", r"missing \[\(1, 3\)\]"),
+        ("one wavelength for 2 channels", r"wavelength table has \(1,\), expected \(2,\)",
+         r"invariants: wavelength table has \(1,\), expected \(2,\)"),
         ("neither tags nor layout", "not both or neither", "not both or neither"),
         ("tags and a layout", "not both or neither", "not both or neither"),
         ("two-frame mosaic", "one frame", "one frame"),
