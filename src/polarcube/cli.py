@@ -25,8 +25,8 @@ from dataclasses import fields, replace
 from math import inf
 from typing import Callable, NamedTuple
 
+import polarcube as pc
 from polarcube.analysis import _STATS
-from polarcube.errors import ContainerError, LabelSchemaError, PolarcubeError
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
 
@@ -178,13 +178,7 @@ def _resolve_config(args) -> dict:
     return {key: cfg[key] for key in sections}
 
 
-def _api():
-    import polarcube
-
-    return polarcube
-
-
-def _read(pc, path, kind, what):
+def _read(path, kind, what):
     """The container at ``path``, which must be a ``kind`` (a config error naming ``what``)."""
     obj = pc.read_spsi(path)
     if not isinstance(obj, kind):
@@ -196,10 +190,10 @@ class _Cubes(list):
     """The Stokes cubes at these paths, each read when indexed, so statistics hold one at a time."""
 
     def __getitem__(self, i):
-        return _read(_api(), super().__getitem__(i), _api().StokesImage, "a Stokes cube")
+        return _read(super().__getitem__(i), pc.StokesImage, "a Stokes cube")
 
 
-def _make_scene(pc, cfg):
+def _make_scene(cfg):
     import numpy as np
 
     cam, scene = cfg["camera"], cfg["scene"]
@@ -214,7 +208,7 @@ def _noisy(cfg):
     return cfg["noise"]["sigma"] != 0.0 or cfg["noise"]["shot_gain"] != 0.0
 
 
-def _noise_model(pc, cfg):
+def _noise_model(cfg):
     n = cfg["noise"]
     if not _noisy(cfg):
         return None
@@ -223,11 +217,11 @@ def _noise_model(pc, cfg):
                          rng_seed=cfg["seed"])
 
 
-def _simulate(pc, cfg, scene):
+def _simulate(cfg, scene):
     import numpy as np
 
     cam = cfg["camera"]
-    noise = _noise_model(pc, cfg)
+    noise = _noise_model(cfg)
     if cam["kind"] == "trichromatic":
         return pc.simulate_trichromatic(scene, noise=noise, exposure=cam["exposure"])
     return pc.simulate_hyperspectral(scene, np.deg2rad(cam["qwp_angles_deg"]),
@@ -239,28 +233,28 @@ def _simulate(pc, cfg, scene):
 # subcommands
 
 
-def cmd_simulate(pc, cfg, args):
+def cmd_simulate(cfg, args):
     out = args.out
-    scene = (_read(pc, args.scene, pc.StokesImage, "a Stokes cube") if args.scene
-             else _make_scene(pc, cfg))
-    raw = _simulate(pc, cfg, scene)
+    scene = (_read(args.scene, pc.StokesImage, "a Stokes cube") if args.scene
+             else _make_scene(cfg))
+    raw = _simulate(cfg, scene)
     pc.write_spsi(out, raw)
     return {"frames": int(raw.frames.shape[0]), "height": raw.height,
             "width": raw.width, "out": out}
 
 
-def cmd_reconstruct(pc, cfg, args):
+def cmd_reconstruct(cfg, args):
     out = args.out
-    raw = _read(pc, args.input, pc.RawCapture, "a raw capture")
+    raw = _read(args.input, pc.RawCapture, "a raw capture")
     cube = pc.reconstruct_image(raw, dop_tol=cfg["solver"]["dop_tol"])
     pc.write_spsi(out, cube)
     return {"out": out, "valid_fraction": cube.valid_fraction(),
             "channels": cube.channels}
 
 
-def cmd_features(pc, cfg, args):
+def cmd_features(cfg, args):
     names = ("rho", "dolp", "docp", "aolp", "cop")
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     # every histogram before any file: a feature that fails leaves no CSV behind
     found = pc.analysis._walk([cube], [0], [pc.analysis._plain(name) for name in names],
                               cfg["stats"]["bins"], means=True)
@@ -271,11 +265,11 @@ def cmd_features(pc, cfg, args):
     return summary
 
 
-def cmd_decompose(pc, cfg, args):
+def cmd_decompose(cfg, args):
     import numpy as np
 
     out = args.out
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     tol = cfg["solver"]["dop_tol"]
     valid = cube.mask & pc.is_valid(cube.data, tol)
     pol, unpol = np.zeros(valid.shape), np.zeros(valid.shape)
@@ -291,10 +285,10 @@ def cmd_decompose(pc, cfg, args):
             "outputs": [f"{out}polarized.spsi", f"{out}unpolarized.spsi"]}
 
 
-def cmd_validate(pc, cfg, args):
+def cmd_validate(cfg, args):
     import numpy as np
 
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     ok = cube.mask & pc.is_valid(cube.data, cfg["solver"]["dop_tol"])
     return {"valid_fraction": float(ok.sum()) / ok.size,
             "masked_fraction": 1.0 - cube.valid_fraction(),
@@ -307,11 +301,11 @@ def _setup(raw):
     return json.dumps(setup, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
 
 
-def cmd_denoise(pc, cfg, args):
+def cmd_denoise(cfg, args):
     import numpy as np
 
     out = args.out
-    raws = [_read(pc, path, pc.RawCapture, "a raw capture")
+    raws = [_read(path, pc.RawCapture, "a raw capture")
             for path in [args.input] + (args.burst or [])]
     if args.burst:
         for path, raw in zip(args.burst, raws[1:]):  # frames of one setup, or no average
@@ -319,6 +313,8 @@ def cmd_denoise(pc, cfg, args):
                 raise _ConfigError(f"{path} differs from {args.input} in its configurations,"
                                    " calibration, exposure, tags or layout, wavelengths or levels")
         frames = pc.burst_average([r.frames for r in raws])
+        for raw in raws:  # a mean over a flagged sample may pass the threshold: keep it flagged
+            np.copyto(frames, raw.frames, where=pc.reconstruct._bad_pixel_mask(raw.frames, raw))
         pc.write_spsi(out, replace(raws[0], frames=frames))
         return {"out": out, "averaged": len(raws)}
     k = 3 if args.median is None else args.median
@@ -330,9 +326,9 @@ def cmd_denoise(pc, cfg, args):
     return {"out": out, "median_window": k}
 
 
-def cmd_pca_fit(pc, cfg, args):
+def cmd_pca_fit(cfg, args):
     out = args.out
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     codebook = pc.pca_fit_image(cube, cfg["pca"]["patch_size"], cfg["pca"]["bases"])
     pc.write_spsi(out, codebook)
     spectrum = pc.variance_spectrum(codebook)
@@ -340,10 +336,10 @@ def cmd_pca_fit(pc, cfg, args):
             "top_variance_fraction": float(spectrum[0])}
 
 
-def cmd_pca_code(pc, cfg, args):
+def cmd_pca_code(cfg, args):
     out = args.out
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
-    artifact = _read(pc, args.codebook, (pc.PcaCodebook, pc.PcaEncoding), "a codec basis")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
+    artifact = _read(args.codebook, (pc.PcaCodebook, pc.PcaEncoding), "a codec basis")
     codebook = getattr(artifact, "codebook", artifact)  # an encoding's codebook
     if args.bases is not None:
         if args.bases > codebook.n_bases:
@@ -354,9 +350,9 @@ def cmd_pca_code(pc, cfg, args):
     return {"out": out, **dict(zip(curve.columns[1:], curve.rows[0][1:]))}  # bpp and mse
 
 
-def cmd_inr_fit(pc, cfg, args):
+def cmd_inr_fit(cfg, args):
     out = args.out
-    cube = _read(pc, args.input, pc.StokesImage, "a Stokes cube")
+    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     inr, seed = cfg["inr"], cfg["seed"]
     model = pc.inr_init(inr["layers"], inr["width"], seed,
                         k_spatial=inr["k_spatial"], k_channel=inr["k_channel"])
@@ -372,14 +368,14 @@ def cmd_inr_fit(pc, cfg, args):
             "steps": report.steps, "parameters": pc.parameter_count(model)}
 
 
-def cmd_inr_code(pc, cfg, args):
+def cmd_inr_code(cfg, args):
     out = args.out
-    model = _read(pc, args.input, pc.InrModel, "a network artifact")
+    model = _read(args.input, pc.InrModel, "a network artifact")
     decoded = pc.inr_decode(model)
     summary = {"out": out, "height": decoded.height, "width": decoded.width,
                "channels": decoded.channels}
     if args.reference:
-        cube = _read(pc, args.reference, pc.StokesImage, "a Stokes cube")
+        cube = _read(args.reference, pc.StokesImage, "a Stokes cube")
         decoded.wavelengths = cube.wavelengths
         report = pc.quality(cube, decoded)
         summary.update(psnr=report.psnr, mse=report.mse)
@@ -387,7 +383,7 @@ def cmd_inr_code(pc, cfg, args):
     return summary
 
 
-def cmd_stats(pc, cfg, args):
+def cmd_stats(cfg, args):
     names, out = args.feature, args.out
     cubes = _Cubes([args.input] + (args.extra or []))
     # every statistic before any file: one that fails leaves no CSV behind
@@ -409,11 +405,11 @@ def cmd_stats(pc, cfg, args):
     return summary if len(names) > 1 else summary[names[0]]
 
 
-def cmd_sfp_stats(pc, cfg, args):
+def cmd_sfp_stats(cfg, args):
     import numpy as np
 
     out = args.out
-    stack = _read(pc, args.input, pc.NormalMapStack, "a normal-map stack")
+    stack = _read(args.input, pc.NormalMapStack, "a normal-map stack")
     report = pc.normal_spectral_stddev(stack, bins=cfg["stats"]["bins"])
     summary = {"outputs": {}}
     for name, hist in report.histograms.items():  # std_x, ..., std_elevation
@@ -424,14 +420,14 @@ def cmd_sfp_stats(pc, cfg, args):
     return summary
 
 
-def cmd_roundtrip(pc, cfg, args):
+def cmd_roundtrip(cfg, args):
     import time
 
     import numpy as np
 
-    scene = _make_scene(pc, cfg)
+    scene = _make_scene(cfg)
     start = time.perf_counter()
-    raw = _simulate(pc, cfg, scene)
+    raw = _simulate(cfg, scene)
     cube = pc.reconstruct_image(raw, dop_tol=cfg["solver"]["dop_tol"])
     elapsed = time.perf_counter() - start
     report = pc.quality(scene, cube)
@@ -447,7 +443,7 @@ def cmd_roundtrip(pc, cfg, args):
 
 
 class _Command(NamedTuple):
-    run: Callable  # run(pc, cfg, args): the package, the echoed config, the parsed flags
+    run: Callable  # run(cfg, args): the echoed config and the parsed flags
     help: str
     sections: tuple  # config sections the command reads; echoed with threads (and seed)
     flags: tuple  # (flag, config keys it sets, argparse keywords)
@@ -529,8 +525,8 @@ class _Parser(argparse.ArgumentParser):
 
 # (exceptions, class, exit code): the first entry that matches reports a failure
 _FAILURES = (((_ConfigError,), "config", EXIT_CONFIG),
-             ((OSError, ContainerError, LabelSchemaError), "io", EXIT_IO),
-             ((PolarcubeError, ValueError, ArithmeticError), "numerical", EXIT_NUMERICAL))
+             ((OSError, pc.ContainerError, pc.LabelSchemaError), "io", EXIT_IO),
+             ((pc.PolarcubeError, ValueError, ArithmeticError), "numerical", EXIT_NUMERICAL))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -551,7 +547,7 @@ def main(argv=None) -> int:
                                + " ".join(unknown))
         cfg = _resolve_config(args)
         print(json.dumps({"config": cfg}, sort_keys=True), flush=True)
-        summary = _COMMANDS[args.command].run(_api(), cfg, args)
+        summary = _COMMANDS[args.command].run(cfg, args)
         print(json.dumps({"summary": summary}, sort_keys=True))
         return EXIT_OK
     except Exception as exc:

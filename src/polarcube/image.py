@@ -63,10 +63,6 @@ class StokesImage:
     def valid_fraction(self) -> float:
         return float(np.count_nonzero(self.mask)) / self.mask.size
 
-    def valid_vectors(self) -> np.ndarray:
-        """All valid Stokes vectors flattened to (N, 4)."""
-        return self.data[self.mask]
-
     def copy(self) -> "StokesImage":
         wl = None if self.wavelengths is None else self.wavelengths.copy()
         return StokesImage(self.data.copy(), wl, self.mask.copy())

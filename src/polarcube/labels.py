@@ -9,9 +9,12 @@ from .errors import LabelSchemaError
 
 __all__ = ["ENVIRONMENTS", "ILLUMINATIONS", "SCENE_TYPES", "LabelFilter", "LabelSet"]
 
-ENVIRONMENTS = frozenset({"indoor", "outdoor"})
-ILLUMINATIONS = frozenset({"sunlight", "cloudy", "white", "incandescent"})
-SCENE_TYPES = frozenset({"object", "scene"})
+# Each enumerated annotation once: its LabelSet field and the values it takes.  The
+# LabelFilter field that selects it is the plural, the field name with an "s".
+_ENUMERATED = {"environment": frozenset({"indoor", "outdoor"}),
+               "illumination": frozenset({"sunlight", "cloudy", "white", "incandescent"}),
+               "scene_type": frozenset({"object", "scene"})}
+ENVIRONMENTS, ILLUMINATIONS, SCENE_TYPES = _ENUMERATED.values()
 
 
 @dataclass(frozen=True)
@@ -24,15 +27,10 @@ class LabelSet:
     scene_type: str
 
     def __post_init__(self):
-        if self.environment not in ENVIRONMENTS:
-            raise LabelSchemaError(f"environment must be one of {sorted(ENVIRONMENTS)}, "
-                                   f"got {self.environment!r}")
-        if self.illumination not in ILLUMINATIONS:
-            raise LabelSchemaError(f"illumination must be one of {sorted(ILLUMINATIONS)}, "
-                                   f"got {self.illumination!r}")
-        if self.scene_type not in SCENE_TYPES:
-            raise LabelSchemaError(f"scene_type must be one of {sorted(SCENE_TYPES)}, "
-                                   f"got {self.scene_type!r}")
+        for name, allowed in _ENUMERATED.items():
+            value = getattr(self, name)
+            if not isinstance(value, str) or value not in allowed:  # a JSON list is no label
+                raise LabelSchemaError(f"{name} must be one of {sorted(allowed)}, got {value!r}")
         try:
             datetime.fromisoformat(self.capture_time)
         except (TypeError, ValueError):
@@ -51,10 +49,8 @@ class LabelFilter:
     def matches(self, labels: LabelSet | None) -> bool:
         if labels is None:
             return True
-        if self.environments is not None and labels.environment not in self.environments:
-            return False
-        if self.illuminations is not None and labels.illumination not in self.illuminations:
-            return False
-        if self.scene_types is not None and labels.scene_type not in self.scene_types:
-            return False
+        for name in _ENUMERATED:
+            wanted = getattr(self, f"{name}s")
+            if wanted is not None and getattr(labels, name) not in wanted:
+                return False
         return True

@@ -1,4 +1,3 @@
-import contextlib
 import weakref
 
 import numpy as np
@@ -29,8 +28,9 @@ from polarcube import (
     stokes_histograms,
     uniform_scene,
 )
-from polarcube import _pool
 from polarcube.analysis import _STATS, FEATURES, Histogram, _walk, wrap_aolp_gradient
+
+from conftest import pool_settings
 
 RNG = np.random.default_rng(55)
 
@@ -716,19 +716,6 @@ class TestStreaming:
         stokes_histograms(lazy, "s2n", labels=labels,
                           label_filter=LabelFilter(environments=frozenset({"indoor"})))
         assert lazy.reads == 1
-
-
-@contextlib.contextmanager
-def pool_settings(workers, block_values):
-    saved = _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES
-    _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = workers, None, block_values
-    try:
-        yield
-    finally:
-        if _pool._tasks is not None:  # stop this pool's threads
-            for _ in range(workers):
-                _pool._tasks.put(None)
-        _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = saved
 
 
 ALL_STATISTICS = (

@@ -15,8 +15,11 @@ import pytest
 
 import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
-from polarcube import _pool, cli
+from polarcube import cli
 from polarcube.cli import _COMMANDS, _KEYS, _SHARED, main
+from polarcube.reconstruct import _bad_pixel_mask
+
+from conftest import pool_settings
 
 RNG = np.random.default_rng(612)
 
@@ -40,20 +43,6 @@ def write_circular_cube(tmp_path):
     cube_path = str(tmp_path / "circular.spsi")
     write_spsi(cube_path, polarcube.StokesImage(data))
     return cube_path
-
-
-@contextlib.contextmanager
-def workers(n, block_values=64):
-    """Run the block pool with ``n`` threads (1: inline) and small blocks."""
-    saved = _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES
-    _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = n, None, block_values
-    try:
-        yield
-    finally:
-        if _pool._tasks is not None:  # stop this pool's threads
-            for _ in range(n):
-                _pool._tasks.put(None)
-        _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = saved
 
 
 def write_cube(path, h=16, w=16, c=3, seed=5):
@@ -178,7 +167,7 @@ class TestValidateAndStats:
             names = feature.split()
             flags = [arg for name in names for arg in ("--feature", name)]
             for n in (1, 2):
-                with workers(n):
+                with pool_settings(n, 64):  # small blocks
                     code, _, summary, _ = run_cli(capsys, "stats", *paths, *flags,
                                                   "--out", str(tmp_path / f"got{n}_"))
                 assert code == 0 and sorted(summary) == sorted(names)
@@ -423,21 +412,26 @@ class TestDenoise:
         assert json.loads(err)["class"] == "config"
         assert not (tmp_path / "d.spsi").exists()
 
-    @pytest.mark.parametrize("other", [
-        ["--channels", "2", "--noise", "0.05", "--config", "qwp.json"],  # other QWP angles
-        ["--channels", "2", "--noise", "0.05", "--config", "exposure.json"],
-        ["--channels", "2"],  # noiseless: levels -inf and inf, not 0 and 1
-        ["--camera", "trichromatic", "--noise", "0.05"],  # a mosaic layout, not tags
-    ])
+    SIZE = ["--height", "8", "--width", "8"]
+    NOISY = [*SIZE, "--channels", "2", "--noise", "0.05"]
+
+    @pytest.mark.parametrize("first, other", [
+        (NOISY, [*NOISY, "--config", "qwp.json"]),  # other QWP angles
+        (NOISY, [*NOISY, "--config", "exposure.json"]),
+        (NOISY, [*SIZE, "--channels", "2"]),  # noiseless: levels -inf and inf, not 0 and 1
+        (NOISY, ["--camera", "trichromatic", *SIZE, "--noise", "0.05"]),  # a layout, not tags
+        # equal cubes but for their wavelength tables
+        (["--scene", "a.spsi", "--noise", "0.05"], ["--scene", "b.spsi", "--noise", "0.05"]),
+    ], ids=["qwp", "exposure", "noiseless", "mosaic", "wavelengths"])
     def test_burst_of_another_setup_exits_2_after_the_echo(self, capsys, tmp_path,
-                                                           monkeypatch, other):
+                                                           monkeypatch, first, other):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "qwp.json").write_text('{"camera": {"qwp_angles_deg": [10, -35, 70, -80]}}')
         (tmp_path / "exposure.json").write_text('{"camera": {"exposure": 2.0}}')
-        for seed, path, flags in ((9, "raw.spsi", ["--channels", "2", "--noise", "0.05"]),
-                                  (10, "other.spsi", other)):
-            code, *_ = run_cli(capsys, "simulate", "--seed", str(seed), "--height", "8",
-                               "--width", "8", *flags, "--out", path)
+        cube = write_cube("a.spsi", h=8, w=8, c=2)
+        write_spsi("b.spsi", polarcube.StokesImage(cube.data, cube.wavelengths + 100.0))
+        for seed, path, flags in ((9, "raw.spsi", first), (10, "other.spsi", other)):
+            code, *_ = run_cli(capsys, "simulate", "--seed", str(seed), *flags, "--out", path)
             assert code == 0
         code, config, _, err = run_cli(capsys, "denoise", "raw.spsi", "--burst", "other.spsi",
                                        "--out", "d.spsi")
@@ -446,6 +440,29 @@ class TestDenoise:
         assert error["class"] == "config"
         assert error["error"].startswith("other.spsi differs from raw.spsi in its configurations")
         assert not (tmp_path / "d.spsi").exists()
+
+    def test_burst_keeps_every_clipped_sample_flagged(self, capsys, tmp_path, monkeypatch):
+        # an average over a clipped sample can fall below the clipping threshold
+        monkeypatch.chdir(tmp_path)
+        write_spsi("scene.spsi", polarcube.smooth_scene(16, 16, 3, np.random.default_rng(3)))
+        (tmp_path / "clip.json").write_text('{"noise": {"saturation": 0.5}}')
+        paths = [f"raw{seed}.spsi" for seed in range(4)]
+        for seed, path in enumerate(paths):
+            code, *_ = run_cli(capsys, "simulate", "--scene", "scene.spsi", "--seed", str(seed),
+                               "--noise", "0.02", "--config", "clip.json", "--out", path)
+            assert code == 0
+        code, *_ = run_cli(capsys, "denoise", paths[0], "--burst", *paths[1:],
+                           "--out", "burst.spsi")
+        assert code == 0
+        code, *_ = run_cli(capsys, "reconstruct", "burst.spsi", "--out", "cube.spsi")
+        assert code == 0
+        flagged = np.zeros((16, 16, 3), bool)  # (pixel, channel) entries an input flags
+        for path in paths:
+            raw = read_spsi(path)
+            for bad, (c, _) in zip(_bad_pixel_mask(raw.frames, raw), raw.tags):
+                flagged[..., c] |= bad
+        assert flagged.any()
+        assert not (read_spsi("cube.spsi").mask & flagged).any()
 
     def test_median_window_checked_before_input_is_read(self, capsys, tmp_path):
         code, *_ = run_cli(capsys, "denoise", str(tmp_path / "missing.spsi"),

@@ -874,6 +874,18 @@ class TestLabels:
         with pytest.raises(LabelSchemaError, match="scene_type"):
             read_labels(path)
 
+    @pytest.mark.parametrize("field, value", [
+        ("environment", ["indoor"]), ("illumination", {"white": True}), ("scene_type", 1),
+        ("capture_time", ["2023-06-01T10:00:00"]),
+    ])
+    def test_non_text_value_rejected(self, tmp_path, field, value):
+        doc = {"environment": "indoor", "illumination": "white",
+               "capture_time": "2023-06-01T10:00:00", "scene_type": "object", field: value}
+        path = tmp_path / "labels.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(LabelSchemaError, match=field):
+            read_labels(path)
+
     def test_bad_timestamp_rejected(self):
         with pytest.raises(LabelSchemaError, match="capture_time"):
             LabelSet("indoor", "white", "yesterday-ish", "object")

@@ -1,6 +1,5 @@
 """The blocked, multi-threaded per-pixel stages: identical bits for any worker count."""
 
-import contextlib
 import os
 import subprocess
 import sys
@@ -37,31 +36,19 @@ from polarcube import _pool
 from polarcube.reconstruct import SATURATION_FRACTION, UNDEREXPOSURE_MULTIPLIER
 from polarcube.stokes import _KERNEL_NAMES, _kernel
 
+from conftest import pool_settings
+
 # Small blocks, so the small inputs below span many blocks.
 SMALL_BLOCK_VALUES = 1 << 8
 TIMEOUT_S = 30.0
 NOISE = NoiseModel(gaussian_sigma=0.02, shot_gain=1e-3, saturation_level=0.45, rng_seed=3)
 
 
-@contextlib.contextmanager
-def workers(n, block_values=SMALL_BLOCK_VALUES):
-    """Run the pool with ``n`` threads (1: inline) and ``block_values``-sized blocks."""
-    saved = _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES
-    _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = n, None, block_values
-    try:
-        yield
-    finally:
-        if _pool._tasks is not None:  # stop this pool's threads
-            for _ in range(n):
-                _pool._tasks.put(None)
-        _pool.WORKERS, _pool._tasks, _pool.BLOCK_VALUES = saved
-
-
 def on_each(fn, counts=(1, 2, 3)):
     """``fn()`` once per worker count: inline, and on pools of 2 and 3 threads."""
     results = []
     for n in counts:
-        with workers(n):
+        with pool_settings(n, SMALL_BLOCK_VALUES):
             results.append(fn())
     return results
 
@@ -97,7 +84,7 @@ class TestSameBitsForAnyWorkerCount:
         def frames():
             return simulate_hyperspectral(scene, default_qwp_angles(), noise=noise).frames
 
-        with workers(1, block_values=scene.data.size * 10):
+        with pool_settings(1, scene.data.size * 10):
             whole = frames()
         for blocked in on_each(frames):  # several row blocks each
             assert_bits_equal(blocked, whole)
@@ -143,9 +130,9 @@ class TestSameBitsForAnyWorkerCount:
         # The per-vector formulas do not depend on where blocks start.
         cube = reconstruct_image(hyper_raw)
         for name in _KERNEL_NAMES:
-            with workers(3):
+            with pool_settings(3, SMALL_BLOCK_VALUES):
                 blocked = _kernel(cube.data, name, cube.mask)
-            with workers(1, block_values=cube.data.size):
+            with pool_settings(1, cube.data.size):
                 whole = _kernel(cube.data, name, cube.mask)
             assert_bits_equal(blocked[0], whole[0])
             assert_bits_equal(blocked[1], whole[1])
@@ -176,7 +163,7 @@ class TestSameBitsForAnyWorkerCount:
     @pytest.mark.parametrize("k", [3, 5])
     def test_median_filter(self, hyper_raw, k):
         frame = hyper_raw.frames[0]
-        with workers(1, block_values=frame.size * k * k):
+        with pool_settings(1, frame.size * k * k):
             whole = median_filter(frame, k)
         for blocked in on_each(lambda: median_filter(frame, k)):  # one row a block
             assert_bits_equal(blocked, whole)
@@ -216,7 +203,7 @@ class TestDispatch:
         def mark(lo, hi):
             hits[lo:hi] += 1
 
-        with workers(3, block_values=70):
+        with pool_settings(3, 70):
             _pool.blocks(mark, len(hits), 1)
         assert (hits == 1).all()
 
@@ -269,7 +256,7 @@ class TestDispatch:
         def nested(lo, hi):  # from a pool thread, the inner job runs inline
             return lo, _pool.blocks(span, 30, 1)
 
-        with workers(n, block_values=10):
+        with pool_settings(n, 10):
             assert _pool.blocks(span, 95, 1) == [(lo, min(lo + 10, 95))
                                                  for lo in range(0, 95, 10)]
             inner = [(0, 10), (10, 20), (20, 30)]
@@ -288,7 +275,7 @@ class TestDispatch:
                 raise KeyError("block 70")
             return lo
 
-        with workers(n, block_values=10):
+        with pool_settings(n, 10):
             with pytest.raises(ZeroDivisionError, match="block 30"):
                 _pool.blocks(fail_twice, 100, 1)
 
@@ -300,7 +287,7 @@ class TestDispatch:
                 raise ZeroDivisionError("block 50")
             done.append(lo)
 
-        with workers(3, block_values=10):
+        with pool_settings(3, 10):
             with pytest.raises(ZeroDivisionError, match="block 50"):
                 _pool.blocks(fail_in_one, 100, 1)
         assert sorted(done) == [lo for lo in range(0, 100, 10) if lo != 50]
@@ -314,7 +301,7 @@ class TestDispatch:
         def touch(lo, hi, data=data):
             data[lo:hi] += 1
 
-        with workers(3, block_values=10):
+        with pool_settings(3, 10):
             _pool.blocks(touch, len(data), 1)
             assert (data == 1).all()
             del touch, data
@@ -325,7 +312,7 @@ class TestDispatch:
 
     def test_single_block_runs_inline(self):
         threads = []
-        with workers(3):
+        with pool_settings(3, SMALL_BLOCK_VALUES):
             _pool.blocks(lambda lo, hi: threads.append(threading.current_thread()), 5, 1)
             assert _pool._tasks is None
         assert threads == [threading.current_thread()]
@@ -338,7 +325,7 @@ class TestDispatch:
 class TestNoRows:
     def test_blocks_of_nothing(self):
         calls = []
-        with workers(3):
+        with pool_settings(3, SMALL_BLOCK_VALUES):
             _pool.blocks(lambda lo, hi: calls.append((lo, hi)), 0, 0)
         assert calls == []
 
