@@ -93,6 +93,7 @@ from .pca import (
 from .reconstruct import (
     QualityReport,
     burst_average,
+    denoise,
     median_filter,
     quality,
     reconstruct_image,

@@ -20,8 +20,8 @@ import argparse
 import copy
 import json
 import os
+import re
 import sys
-from dataclasses import fields, replace
 from math import inf
 from typing import Callable, NamedTuple
 
@@ -295,35 +295,16 @@ def cmd_validate(cfg, args):
             "nonfinite_valid": int((cube.mask & ~np.isfinite(cube.data).all(axis=-1)).sum())}
 
 
-def _setup(raw):
-    """All of a capture but its frames, as JSON: what every input of a burst shares."""
-    setup = [getattr(raw, field.name) for field in fields(raw) if field.name != "frames"]
-    return json.dumps(setup, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
-
-
 def cmd_denoise(cfg, args):
-    import numpy as np
-
-    out = args.out
-    raws = [_read(path, pc.RawCapture, "a raw capture")
-            for path in [args.input] + (args.burst or [])]
-    if args.burst:
-        for path, raw in zip(args.burst, raws[1:]):  # frames of one setup, or no average
-            if _setup(raw) != _setup(raws[0]):
-                raise _ConfigError(f"{path} differs from {args.input} in its configurations,"
-                                   " calibration, exposure, tags or layout, wavelengths or levels")
-        frames = pc.burst_average([r.frames for r in raws])
-        for raw in raws:  # a mean over a flagged sample may pass the threshold: keep it flagged
-            np.copyto(frames, raw.frames, where=pc.reconstruct._bad_pixel_mask(raw.frames, raw))
-        pc.write_spsi(out, replace(raws[0], frames=frames))
-        return {"out": out, "averaged": len(raws)}
-    k = 3 if args.median is None else args.median
-    raw, = raws
-    frames = np.empty_like(raw.frames)
-    for out_frame, frame in zip(frames, raw.frames):
-        out_frame[...] = pc.median_filter(frame, k)
-    pc.write_spsi(out, replace(raw, frames=frames))
-    return {"out": out, "median_window": k}
+    out, paths = args.out, [args.input] + (args.burst or [])
+    median = None if args.burst else 3 if args.median is None else args.median
+    raws = [_read(path, pc.RawCapture, "a raw capture") for path in paths]
+    try:
+        raw = pc.denoise(raws, median)
+    except pc.ConfigurationError as exc:  # a burst input of another setup, named by its path
+        raise _ConfigError(re.sub(r"capture (\d+)", lambda m: paths[int(m[1])], str(exc)))
+    pc.write_spsi(out, raw)
+    return {"out": out, **({"averaged": len(raws)} if args.burst else {"median_window": median})}
 
 
 def cmd_pca_fit(cfg, args):

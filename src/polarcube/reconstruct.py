@@ -9,7 +9,8 @@ of equal m share one stacked product per block of rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -20,6 +21,7 @@ from .camera import (
     SystemMatrix,
     demosaic,
     demosaic_footprint,
+    mosaic_merge,
     mosaic_split,
     system_matrix,
 )
@@ -30,14 +32,15 @@ from .stokes import DEFAULT_DOP_TOL, _within_bound
 __all__ = [
     "QualityReport",
     "burst_average",
+    "denoise",
     "median_filter",
     "quality",
     "reconstruct_image",
     "solve_stokes",
 ]
 
-#: A frame pixel at or above this fraction of the saturation level is
-#: treated as saturated; one at or below ``2 * black_level`` as underexposed.
+#: A frame pixel at or above this fraction of the saturation level, or the level, is
+#: saturated; one at or below ``2 * black_level``, or the level, underexposed.
 SATURATION_FRACTION = 0.998
 UNDEREXPOSURE_MULTIPLIER = 2.0
 
@@ -69,8 +72,8 @@ def _solve(pinvs, samples):
 
 
 def _bad_pixel_mask(samples, raw: RawCapture):
-    saturated = samples >= SATURATION_FRACTION * raw.saturation_level
-    underexposed = samples <= UNDEREXPOSURE_MULTIPLIER * raw.black_level
+    saturated = samples >= min(raw.saturation_level, SATURATION_FRACTION * raw.saturation_level)
+    underexposed = samples <= max(raw.black_level, UNDEREXPOSURE_MULTIPLIER * raw.black_level)
     return saturated | underexposed
 
 
@@ -157,6 +160,36 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
 
     _pool.blocks(block, height, width * k * k)
     return out
+
+
+def _setup(raw):
+    """All of a capture but its frames, as JSON: what every input of a burst shares."""
+    setup = [getattr(raw, field.name) for field in fields(raw) if field.name != "frames"]
+    return json.dumps(setup, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
+
+
+def denoise(raws, median=None) -> RawCapture:
+    """The mean of captures of one setup, then, if ``median`` is given, its k x k median.
+
+    A capture whose setup, all but its frames, is not the first one's raises
+    ``ConfigurationError``; one capture is its own mean, bit for bit.  A mosaic is filtered per
+    segment plane, so no window mixes analyzers or colours.  A sample an input flags keeps that
+    input's value, so ``reconstruct_image`` masks each entry it reaches.  That is enough for a
+    median: a clipped sample keeps its rank in its window, so an unclipped median is the median
+    of the true values, and a clipped one is flagged.
+    """
+    for k, raw in enumerate(raws[1:], 1):
+        if _setup(raw) != _setup(raws[0]):
+            raise ConfigurationError(f"capture {k} differs from capture 0 in its configurations, "
+                                     "calibration, exposure, tags or layout, wavelengths or levels")
+    frames = burst_average([raw.frames for raw in raws])
+    if median is not None:  # each frame, or each segment plane of a mosaic
+        mosaic = raws[0].layout is not None
+        planes = [median_filter(p, median) for p in (mosaic_split(frames[0]) if mosaic else frames)]
+        frames = mosaic_merge(planes)[None] if mosaic else np.stack(planes)
+    for raw in raws:
+        np.copyto(frames, raw.frames, where=_bad_pixel_mask(raw.frames, raw))
+    return replace(raws[0], frames=frames)
 
 
 @dataclass

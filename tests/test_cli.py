@@ -17,9 +17,8 @@ import polarcube
 from polarcube import random_scene, read_spsi, write_spsi
 from polarcube import cli
 from polarcube.cli import _COMMANDS, _KEYS, _SHARED, main
-from polarcube.reconstruct import _bad_pixel_mask
 
-from conftest import pool_settings
+from conftest import flagged_entries, pool_settings
 
 RNG = np.random.default_rng(612)
 
@@ -441,26 +440,28 @@ class TestDenoise:
         assert error["error"].startswith("other.spsi differs from raw.spsi in its configurations")
         assert not (tmp_path / "d.spsi").exists()
 
-    def test_burst_keeps_every_clipped_sample_flagged(self, capsys, tmp_path, monkeypatch):
-        # an average over a clipped sample can fall below the clipping threshold
+    @pytest.mark.parametrize("camera", ["hyperspectral", "trichromatic"])
+    @pytest.mark.parametrize("inputs, denoise", [
+        (4, ["--burst", "raw1.spsi", "raw2.spsi", "raw3.spsi"]), (1, ["--median", "3"]),
+    ], ids=["burst", "median"])
+    def test_denoise_keeps_every_clipped_sample_flagged(self, capsys, tmp_path, monkeypatch,
+                                                        camera, inputs, denoise):
+        # a mean over a clipped sample can fall below the clipping threshold, and a median
+        # can put an unclipped neighbour in its place
         monkeypatch.chdir(tmp_path)
         write_spsi("scene.spsi", polarcube.smooth_scene(16, 16, 3, np.random.default_rng(3)))
         (tmp_path / "clip.json").write_text('{"noise": {"saturation": 0.5}}')
-        paths = [f"raw{seed}.spsi" for seed in range(4)]
+        paths = [f"raw{seed}.spsi" for seed in range(inputs)]
         for seed, path in enumerate(paths):
-            code, *_ = run_cli(capsys, "simulate", "--scene", "scene.spsi", "--seed", str(seed),
-                               "--noise", "0.02", "--config", "clip.json", "--out", path)
+            code, *_ = run_cli(capsys, "simulate", "--scene", "scene.spsi", "--camera", camera,
+                               "--seed", str(seed), "--noise", "0.02", "--config", "clip.json",
+                               "--out", path)
             assert code == 0
-        code, *_ = run_cli(capsys, "denoise", paths[0], "--burst", *paths[1:],
-                           "--out", "burst.spsi")
+        code, *_ = run_cli(capsys, "denoise", paths[0], *denoise, "--out", "denoised.spsi")
         assert code == 0
-        code, *_ = run_cli(capsys, "reconstruct", "burst.spsi", "--out", "cube.spsi")
+        code, *_ = run_cli(capsys, "reconstruct", "denoised.spsi", "--out", "cube.spsi")
         assert code == 0
-        flagged = np.zeros((16, 16, 3), bool)  # (pixel, channel) entries an input flags
-        for path in paths:
-            raw = read_spsi(path)
-            for bad, (c, _) in zip(_bad_pixel_mask(raw.frames, raw), raw.tags):
-                flagged[..., c] |= bad
+        flagged = np.any([flagged_entries(read_spsi(path)) for path in paths], axis=0)
         assert flagged.any()
         assert not (read_spsi("cube.spsi").mask & flagged).any()
 
