@@ -4,14 +4,13 @@ Each config key is one declaration in ``_KEYS``: its default and its one
 rule (``_rule``).  Each subcommand is one in ``_COMMANDS``: the config
 sections it reads and its flags, each with the keys it sets, whose rule
 is its ``type``; ``stats`` names come from ``analysis._STATS``.  A command
-resolves its configuration (defaults, POLARCUBE_THREADS, an optional JSON
-config file, then flags, each winning over the ones before), echoes the
-sections it reads as one JSON line before any work, and ends with a JSON
-summary line.  ``_resolve_config`` raises, before the echo, every error
-that the flags and the config file alone decide.  Inputs of the wrong
-container kind (``_read``) and ranks are checked after it.  ``_FAILURES``
-maps a failure to one JSON line on stderr and exit 2 (config), 3 (I/O) or
-4 (numerical).
+resolves its configuration (defaults, an optional JSON config file, then
+flags, each winning over the ones before), echoes the sections it reads as
+one JSON line before any work, and ends with a JSON summary line.
+``_resolve_config`` raises, before the echo, every error that the flags
+and the config file alone decide.  Inputs of the wrong container kind
+(``_read``) and ranks are checked after it.  ``_FAILURES`` maps a failure
+to one JSON line on stderr and exit 2 (config), 3 (I/O) or 4 (numerical).
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import re
 import sys
 from math import inf
@@ -56,10 +54,10 @@ _NATURAL = _rule(int, lambda n: n >= 0, "an integer >= 0")
 _FINITE = _rule(float, lambda x: -inf < x < inf, "a finite number")
 _NONNEGATIVE = _rule(float, lambda x: 0 <= x < inf, "a finite number >= 0")
 _POSITIVE = _rule(float, lambda x: 0 < x < inf, "a finite number > 0")
-# Each config key once: its default and the one rule of every value it takes, from a flag,
-# the config file or the environment.  A None default leaves the key unset until one sets it.
+# Each config key once: its default and the one rule of every value it takes, from a flag or
+# the config file.  A None default leaves the key unset until one sets it.
 _KEYS = {
-    "seed": (None, _NATURAL), "threads": (None, _COUNT),
+    "seed": (None, _NATURAL),
     "camera.kind": ("hyperspectral", _kind("hyperspectral", "trichromatic")),
     "camera.height": (64, _COUNT), "camera.width": (64, _COUNT), "camera.channels": (21, _COUNT),
     "camera.qwp_angles_deg": ([30.0, -45.0, 60.0, -90.0], _rule(  # text: a list of characters
@@ -103,7 +101,7 @@ _OVERRIDDEN = (("height", "scene"), ("width", "scene"), ("channels", "scene"),
 
 
 def _resolve_config(args) -> dict:
-    """The configuration ``args.command`` reads: defaults, env, the config file, then flags.
+    """The configuration ``args.command`` reads: defaults, the config file, then flags.
 
     Every rule that the flags and the config file alone decide raises here, before the echo.
     """
@@ -112,7 +110,6 @@ def _resolve_config(args) -> dict:
     for key, (default, _) in _KEYS.items():
         section, _, name = key.rpartition(".")
         (cfg.setdefault(section, {}) if section else cfg)[name] = copy.deepcopy(default)
-    cfg["threads"] = os.environ.get("POLARCUBE_THREADS") or None  # the config file wins
     if args.config:
         try:
             with open(args.config) as fh:
@@ -124,7 +121,7 @@ def _resolve_config(args) -> dict:
         if not isinstance(loaded, dict):
             raise _ConfigError("config file must hold a JSON object")
         _deep_update(cfg, loaded)
-    flagged = {}  # a flag's value wins over the config file's and the environment's
+    flagged = {}  # a flag's value wins over the config file's
     for flag, keys, _ in command.flags + _SHARED:
         value = getattr(args, flag.lstrip("-").replace("-", "_"))
         if value is not None:
@@ -153,15 +150,20 @@ def _resolve_config(args) -> dict:
                                f"which has {_STATS[name].bins} fixed bins")
     if names and all(_STATS[name].bins for name in names):  # nothing reads stats.bins
         cfg["stats"]["bins"] = _STATS[names[0]].bins
-    sections = ["threads", *command.sections] + (["seed"] if hasattr(args, "seed") else [])
+    sections = list(command.sections) + (["seed"] if hasattr(args, "seed") else [])
+    unseeded = None  # a scene that reads no seed
     if getattr(args, "scene", None):  # the input cube is the scene and sets its size
         sections.remove("scene")
         for key in ("height", "width", "channels"):
             del cfg["camera"][key]
-        if not _noisy(cfg):  # and nothing reads the seed
-            if "seed" in given:
-                raise _ConfigError("--seed has no effect on a noiseless capture of --scene")
-            sections.remove("seed")
+        unseeded = "--scene"
+    elif "scene" in sections and cfg["scene"]["kind"] == "uniform":  # nor any rho_max
+        del cfg["scene"]["rho_max"]
+        unseeded = "a uniform scene"
+    if unseeded and not _noisy(cfg):  # then nothing reads the seed
+        if "seed" in given:
+            raise _ConfigError(f"--seed has no effect on a noiseless capture of {unseeded}")
+        sections.remove("seed")
     if "seed" in sections and cfg["seed"] is None:  # a synthetic scene, noise or a network
         raise _ConfigError(f"polarcube {args.command} needs a seed (--seed or the config file)")
     if "noise" in sections and not _noisy(cfg):  # no noise model reads the levels
@@ -426,7 +428,7 @@ def cmd_roundtrip(cfg, args):
 class _Command(NamedTuple):
     run: Callable  # run(cfg, args): the echoed config and the parsed flags
     help: str
-    sections: tuple  # config sections the command reads; echoed with threads (and seed)
+    sections: tuple  # config sections the command reads; echoed with the seed if it offers one
     flags: tuple  # (flag, config keys it sets, argparse keywords)
 
 
@@ -449,9 +451,6 @@ _CAMERA = (
 # On every command; the config file may hold every section, so one file serves a pipeline.
 _SHARED = (
     _flag("--config", help="JSON config file"),
-    _flag("--threads", "threads",
-          help="BLAS thread count (env POLARCUBE_THREADS as fallback); echoed, but not "
-               "applied yet: numpy, and with it BLAS, is loaded before the flag is read"),
 )
 
 _COMMANDS = {

@@ -163,15 +163,15 @@ def median_filter(frame: np.ndarray, k: int) -> np.ndarray:
 
 
 def _setup(raw):
-    """All of a capture but its frames, as JSON: what every input of a burst shares."""
-    setup = [getattr(raw, field.name) for field in fields(raw) if field.name != "frames"]
+    """All of a capture but its frame values, as JSON: what every input of a burst shares."""
+    setup = [raw.frames.shape] + [getattr(raw, f.name) for f in fields(raw) if f.name != "frames"]
     return json.dumps(setup, default=lambda o: o.tolist() if hasattr(o, "tolist") else vars(o))
 
 
 def denoise(raws, median=None) -> RawCapture:
     """The mean of captures of one setup, then, if ``median`` is given, its k x k median.
 
-    A capture whose setup, all but its frames, is not the first one's raises
+    A capture whose setup, all but its frame values, is not the first one's raises
     ``ConfigurationError``; one capture is its own mean, bit for bit.  A mosaic is filtered per
     segment plane, so no window mixes analyzers or colours.  A sample an input flags keeps that
     input's value, so ``reconstruct_image`` masks each entry it reaches.  That is enough for a
@@ -181,7 +181,8 @@ def denoise(raws, median=None) -> RawCapture:
     for k, raw in enumerate(raws[1:], 1):
         if _setup(raw) != _setup(raws[0]):
             raise ConfigurationError(f"capture {k} differs from capture 0 in its configurations, "
-                                     "calibration, exposure, tags or layout, wavelengths or levels")
+                                     "calibration, exposure, tags or layout, wavelengths, levels "
+                                     "or frame shape")
     frames = burst_average([raw.frames for raw in raws])
     if median is not None:  # each frame, or each segment plane of a mosaic
         mosaic = raws[0].layout is not None

@@ -118,7 +118,7 @@ class TestSimulateReconstruct:
         assert code == 0
         assert config["seed"] == 1
         assert config["camera"]["height"] == 8
-        assert set(config) == {"camera", "noise", "scene", "seed", "threads"}
+        assert set(config) == {"camera", "noise", "scene", "seed"}
 
 
 class TestValidateAndStats:
@@ -421,7 +421,8 @@ class TestDenoise:
         (NOISY, ["--camera", "trichromatic", *SIZE, "--noise", "0.05"]),  # a layout, not tags
         # equal cubes but for their wavelength tables
         (["--scene", "a.spsi", "--noise", "0.05"], ["--scene", "b.spsi", "--noise", "0.05"]),
-    ], ids=["qwp", "exposure", "noiseless", "mosaic", "wavelengths"])
+        (NOISY, ["--height", "16", "--width", "16", "--channels", "2", "--noise", "0.05"]),
+    ], ids=["qwp", "exposure", "noiseless", "mosaic", "wavelengths", "size"])
     def test_burst_of_another_setup_exits_2_after_the_echo(self, capsys, tmp_path,
                                                            monkeypatch, first, other):
         monkeypatch.chdir(tmp_path)
@@ -434,7 +435,7 @@ class TestDenoise:
             assert code == 0
         code, config, _, err = run_cli(capsys, "denoise", "raw.spsi", "--burst", "other.spsi",
                                        "--out", "d.spsi")
-        assert code == 2 and config == {"threads": None}  # after the echo
+        assert code == 2 and config == {}  # after the echo
         error = json.loads(err)
         assert error["class"] == "config"
         assert error["error"].startswith("other.spsi differs from raw.spsi in its configurations")
@@ -481,7 +482,8 @@ def inputs(tmp_path_factory):
                         ("pinhole", {"camera": {"kind": "pinhole"}}),
                         ("checker", {"scene": {"kind": "checker"}}), ("seed_x", {"seed": "x"}),
                         ("bins_half", {"stats": {"bins": 3.5}}),
-                        ("bins_many", {"stats": {"bins": "many"}}), ("threads_x", {"threads": "x"})):
+                        ("bins_many", {"stats": {"bins": "many"}}), ("threads", {"threads": 2}),
+                        ("uniform", {"scene": {"kind": "uniform"}})):
         f[name] = str(d / f"{name}.json")
         with open(f[name], "w") as fh:
             json.dump(table, fh)
@@ -518,12 +520,12 @@ WALK = {
                   {"--bins": "7", "--out": "p_"}, {"solver": {"dop_tol": -0.5}}),
     "validate": ({"solver"}, ["{cube}"], {}, {}, {"solver": {"dop_tol": -0.5}}),
     "denoise": (set(), ["{raw}"], {"--out": "o.spsi"},
-                {"--median": "5", "--burst": "{raw2}", "--out": "p.spsi"}, {"threads": 2}),
+                {"--median": "5", "--burst": "{raw2}", "--out": "p.spsi"}, {"stats": {"bins": 7}}),
     "pca-fit": ({"pca"}, ["{cube}"], {"--patch": "2", "--bases": "4", "--out": "o.spsi"},
                 {"--patch": "4", "--bases": "6", "--out": "p.spsi"}, {"pca": {"bases": 6}}),
     "pca-code": (set(), ["{cube}"], {"--codebook": "{codebook}", "--out": "o.spsi"},
                  {"--codebook": "{codebook2}", "--bases": "2", "--out": "p.spsi"},
-                 {"threads": 2}),
+                 {"pca": {"bases": 6}}),
     "inr-fit": ({"inr", "seed"}, ["{cube}"],
                 {"--steps": "3", "--layers": "2", "--net-width": "4", "--seed": "1",
                  "--out": "o.spsi"},
@@ -531,7 +533,7 @@ WALK = {
                  "--batch": "16", "--loss-csv": "loss.csv", "--seed": "2", "--out": "p.spsi"},
                 {"inr": {"steps": 4}}),
     "inr-code": (set(), ["{model}"], {"--out": "o.spsi"},
-                 {"--reference": "{cube}", "--out": "p.spsi"}, {"threads": 2}),
+                 {"--reference": "{cube}", "--out": "p.spsi"}, {"inr": {"steps": 4}}),
     "stats": ({"stats"}, ["{cube}"], {"--feature": "s0", "--out": "o.csv"},
               {"--feature": "dolp", "--bins": "7", "--out": "p.csv"}, {"stats": {"bins": 7}}),
     "sfp-stats": ({"stats"}, ["{normals}"], {"--out": "o_"}, {"--bins": "7", "--out": "p_"},
@@ -557,7 +559,80 @@ def _lookup(config, key):
     return config
 
 
+def _held(config, key):
+    try:
+        _lookup(config, key)
+    except KeyError:
+        return False
+    return True
+
+
+def _argv(inputs, positional, flags):
+    argv = [a.format(**inputs) for a in positional]
+    for flag, value in flags.items():
+        argv += [flag, value.format(**inputs)]
+    return argv
+
+
+def _runner(capsys, monkeypatch, tmp_path, inputs, command, positional):
+    """``run(flags)``: ``command`` in a new directory; its echo, and its summary and files."""
+    runs = itertools.count()
+
+    def run(flags):
+        here = tmp_path / f"run{next(runs)}"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        argv = _argv(inputs, positional, flags)
+        code, config, summary, err = run_cli(capsys, command, *argv)
+        assert code == 0, (argv, err)
+        summary.pop("seconds", None)  # wall time
+        return config, (summary, {p.name: p.read_bytes() for p in here.iterdir()})
+
+    return run
+
+
+def _assert_echoed_iff_changed(base, got, expected, what):
+    """Each key of ``expected`` that the echo holds has its value, and the run changed an
+    output; a run that set only keys the echo does not hold changed neither the echo nor
+    an output."""
+    held = {key: value for key, value in expected.items() if _held(got[0], key)}
+    for key, value in held.items():
+        assert str(_lookup(got[0], key)) == str(value), (what, key)
+    if expected and not held:
+        assert got == base, f"{what} changed an output, but the echo shows none of its keys"
+    else:
+        assert got[1] != base[1], f"{what} changed no output"
+
+
 ROUNDTRIP = ("roundtrip", ["--seed", "1", "--size", "8", "--channels", "2"])
+SIMULATE = {"--height": "8", "--width": "8", "--channels": "2", "--out": "o.spsi"}
+NOISY_SIMULATE = {**SIMULATE, "--seed": "1", "--noise": "0.02"}
+UNIFORM = {"scene": {"kind": "uniform"}}
+# Every key that no flag sets, varied in a config file: (command, positional arguments, flags,
+# the config file of the base run, that of the variant run).  A noiseless uniform scene reads
+# neither scene.rho_max nor a seed.
+CONFIG_WALK = [
+    *(("simulate", [], NOISY_SIMULATE, {}, table) for table in (
+        {"scene": {"kind": "random"}}, UNIFORM, {"scene": {"rho_max": 0.3}},
+        {"camera": {"exposure": 2.0}}, {"camera": {"lp_angle_deg": 30}},
+        {"camera": {"qwp_angles_deg": [10, -35, 70, -80]}}, {"noise": {"shot_gain": 0.01}},
+        {"noise": {"saturation": 0.5}}, {"noise": {"black": 0.1}})),
+    ("simulate", [], SIMULATE, UNIFORM, {"scene": {"kind": "uniform", "rho_max": 0.3}}),
+    ("roundtrip", [], {"--size": "8", "--channels": "2"}, UNIFORM,
+     {"scene": {"kind": "uniform", "rho_max": 0.3}}),
+    ("roundtrip", [], {"--seed": "1", "--size": "8", "--channels": "2"}, {},
+     {"solver": {"dop_tol": -0.5}}),
+    *(("inr-fit", ["{cube}"], {"--steps": "3", "--layers": "2", "--net-width": "4",
+                               "--seed": "1", "--out": "o.spsi"}, {}, table)
+      for table in ({"inr": {"k_spatial": 4}}, {"inr": {"k_channel": 3}})),
+]
+
+
+def _varied(base_table, table):
+    """The keys that ``table`` sets to other values than ``base_table``."""
+    before = dict(_config_keys(base_table))
+    return {key: value for key, value in _config_keys(table)
+            if key not in before or before[key] != value}
 
 
 class TestDeclarations:
@@ -592,36 +667,34 @@ class TestDeclarations:
         assert {flag for flag in keys if flag.startswith("--")} == set(values)
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(config_file))
-        runs = itertools.count()
-
-        def run(flags):
-            here = tmp_path / f"run{next(runs)}"
-            here.mkdir()
-            monkeypatch.chdir(here)
-            argv = [a.format(**inputs) for a in positional]
-            for flag, value in flags.items():
-                argv += [flag, value.format(**inputs)]
-            code, config, summary, err = run_cli(capsys, command, *argv)
-            assert code == 0, (argv, err)
-            summary.pop("seconds", None)  # wall time
-            return config, (summary, {p.name: p.read_bytes() for p in here.iterdir()})
-
-        config, outputs = run(base)
-        assert set(config) == echoed | {"threads"}
+        run = _runner(capsys, monkeypatch, tmp_path, inputs, command, positional)
+        before = run(base)
+        assert set(before[0]) == echoed
         variants = [(flag, {**base, flag: value}, {key: value for key in keys[flag]})
                     for flag, value in values.items()]
-        variants.append(("--threads", {**base, "--threads": "2"}, {"threads": "2"}))
         from_file = dict(_config_keys(config_file))
         # base flags that set a key the file sets would override it
         kept = {flag: value for flag, value in base.items()
                 if not from_file.keys() & set(keys[flag])}
         variants.append(("--config", {**kept, "--config": str(cfg_path)}, from_file))
         for flag, flags, expected in variants:
-            got, changed = run(flags)
-            for key, value in expected.items():
-                assert str(_lookup(got, key)) == str(value), (flag, key)
-            if set(expected) != {"threads"}:  # --threads is echoed but not applied yet
-                assert changed != outputs, f"{command} {flag} changed no output"
+            got = run(flags)
+            if flag != "--config":  # a flag sets only keys that the command reads
+                assert all(_held(got[0], key) for key in expected), (flag, got[0])
+            _assert_echoed_iff_changed(before, got, expected, f"{command} {flag}")
+
+    @pytest.mark.parametrize("command, positional, flags, base_table, table", CONFIG_WALK, ids=[
+        f"{command}-" + "+".join(f"{key}={value}" for key, value in _config_keys(table))
+        for command, _, _, _, table in CONFIG_WALK])
+    def test_every_echoed_config_key_changes_the_output(self, capsys, tmp_path, monkeypatch,
+                                                        inputs, command, positional, flags,
+                                                        base_table, table):
+        run = _runner(capsys, monkeypatch, tmp_path, inputs, command, positional)
+        runs = []
+        for name, content in (("base.json", base_table), ("variant.json", table)):
+            (tmp_path / name).write_text(json.dumps(content))
+            runs.append(run({**flags, "--config": str(tmp_path / name)}))
+        _assert_echoed_iff_changed(*runs, _varied(base_table, table), command)
 
     @pytest.mark.parametrize("command, argv", [
         ("simulate", ["--scene", "{cube}", "--height", "8"]),
@@ -665,7 +738,9 @@ class TestDeclarations:
         ("roundtrip", ["--camera", "trichromatic", "--size", "6", "--seed", "1"]),
         ("features", ["{cube}", "--config", "{bins_half}"]),
         ("stats", ["{cube}", "--feature", "s0", "--config", "{bins_many}"]),
-        ("features", ["{cube}", "--config", "{threads_x}"]),
+        # a seed that nothing reads: a noiseless uniform scene
+        ("simulate", ["--config", "{uniform}", "--seed", "1"]),
+        ("roundtrip", ["--config", "{uniform}", "--seed", "1"]),
     ])
     def test_overridden_or_unoffered_flag_exits_2_before_the_echo(self, capsys, tmp_path,
                                                                    inputs, command, argv):
@@ -681,7 +756,6 @@ class TestDeclarations:
         ("features", ["{cube}", "--out", "o_"], {"stats": {"bins": 3.5}}, "stats.bins"),
         ("stats", ["{cube}", "--feature", "s0", "--out", "o.csv"], {"stats": {"bins": True}},
          "stats.bins"),
-        ("validate", ["{cube}"], {"threads": 0}, "threads"),
         ("roundtrip", [], {"seed": -1}, "seed"),
         ("roundtrip", ["--seed", "1"], {"camera": {"height": 0}}, "camera.height"),
         ("roundtrip", ["--seed", "1"], {"noise": {"sigma": float("nan")}}, "noise.sigma"),
@@ -730,7 +804,7 @@ class TestDeclarations:
         code, config, summary, _ = run_cli(capsys, "simulate", "--scene", inputs["cube"],
                                            "--out", str(tmp_path / "raw.spsi"))
         assert code == 0
-        assert set(config) == {"camera", "noise", "threads"}  # nothing reads a seed
+        assert set(config) == {"camera", "noise"}  # nothing reads a seed
         assert not {"height", "width", "channels"} & set(config["camera"])
         assert (summary["height"], summary["width"], summary["frames"]) == (8, 8, 8)
 
@@ -777,7 +851,7 @@ class TestDeclarations:
                                          "--config", str(cfg_path), "--seed", seed,
                                          "--out", str(out))
             assert code == 0
-            assert set(config) == {"camera", "noise", "seed", "threads"}
+            assert set(config) == {"camera", "noise", "seed"}
             assert config["seed"] == int(seed)
             written.append(out.read_bytes())
         assert written[0] != written[1]
@@ -817,7 +891,7 @@ class TestDeclarations:
             code, config, _, _ = run_cli(capsys, "pca-code", inputs["cube"], "--codebook",
                                          inputs["codebook"], "--out", str(out), *extra)
             assert code == 0
-            assert set(config) == {"threads"}
+            assert config == {}
             decoded.append(out.read_bytes())
         assert decoded[0] == decoded[1]
 
@@ -905,27 +979,31 @@ class TestExitCodes:
         assert error["error"].startswith(f"{inputs[wrong]} does not hold ")
         assert list(tmp_path.iterdir()) == []
 
-    def test_threads_env_fallback(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("POLARCUBE_THREADS", "1")
-        code, config, _, _ = run_cli(
-            capsys, "simulate", "--camera", "hyperspectral", "--seed", "1",
-            "--height", "8", "--width", "8", "--channels", "2",
-            "--out", str(tmp_path / "r.spsi"),
-        )
-        assert code == 0
-        assert config["threads"] == 1
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_no_thread_setting_is_offered(self, capsys, tmp_path, monkeypatch, inputs,
+                                          command):
+        # BLAS takes its standard variables, and the block pool the process's affinity
+        _, positional, base, _, _ = WALK[command]
+        monkeypatch.chdir(tmp_path)
+        argv = _argv(inputs, positional, base)
+        for extra in (["--threads", "2"], ["--config", inputs["threads"]]):
+            code, config, _, err = run_cli(capsys, command, *argv, *extra)
+            assert code == 2 and config is None
+            line, = err.splitlines()
+            assert json.loads(line)["class"] == "config"
+            assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("value", ["0", "x", "1.5"])
-    def test_threads_env_outside_its_rule_exits_2_before_the_echo(self, capsys, tmp_path,
-                                                                  monkeypatch, inputs, value):
-        monkeypatch.setenv("POLARCUBE_THREADS", value)
-        code, config, _, err = run_cli(capsys, "validate", inputs["cube"])
-        assert code == 2 and config is None
-        assert json.loads(err)["error"].startswith("threads must be ")
-        cfg_path = tmp_path / "threads.json"
-        cfg_path.write_text('{"threads": 2}')  # the config file wins over the environment
-        code, config, _, _ = run_cli(capsys, "validate", inputs["cube"], "--config", str(cfg_path))
-        assert code == 0 and config["threads"] == 2
+    def test_polarcube_threads_changes_nothing(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("POLARCUBE_THREADS", raising=False)
+        argv = ["simulate", *_argv({}, [], NOISY_SIMULATE)]
+        runs = []
+        for value in (None, "0", "x", "2"):
+            if value is not None:
+                monkeypatch.setenv("POLARCUBE_THREADS", value)
+            code, config, summary, _ = run_cli(capsys, *argv)
+            runs.append((code, config, summary, (tmp_path / "o.spsi").read_bytes()))
+        assert runs[0][0] == 0 and runs.count(runs[0]) == len(runs)
 
     def test_entry_point_runs(self):
         result = subprocess.run(

@@ -338,9 +338,11 @@ class TestDenoise:
     def test_capture_of_another_setup_rejected(self):
         scene = smooth_scene(8, 8, 2, np.random.default_rng(7))
         raw = simulate_hyperspectral(scene, default_qwp_angles())
-        other = simulate_hyperspectral(scene, default_qwp_angles(), exposure=2.0)
-        with pytest.raises(ConfigurationError, match="capture 2 differs from capture 0"):
-            denoise([raw, raw, other])
+        larger = smooth_scene(16, 16, 2, np.random.default_rng(7))
+        for other in (simulate_hyperspectral(scene, default_qwp_angles(), exposure=2.0),
+                      simulate_hyperspectral(larger, default_qwp_angles())):  # frame shape
+            with pytest.raises(ConfigurationError, match="capture 2 differs from capture 0"):
+                denoise([raw, raw, other])
 
     def test_mosaic_median_beats_the_raw_capture(self):
         # a window over the whole mosaic mixes analyzers and colours: 15.4 dB against 29.7
