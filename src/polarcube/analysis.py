@@ -68,7 +68,7 @@ class Histogram:
     @classmethod
     def from_samples(cls, samples, bins=DEFAULT_BINS, value_range=None,
                      label="value", unit=""):
-        samples = np.asarray(samples).ravel()
+        samples = np.asarray(samples).ravel().astype(float, copy=False)
         if samples.size == 0:
             raise EmptySelectionError(f"no samples for {label} histogram")
         if value_range is None:
@@ -283,9 +283,9 @@ def _walk(images, chosen, stats, bins, means=False):
     The one accumulator behind every pooled statistic.  When some range is
     a rule, a first pass takes those streams' count, min, max (NaN
     propagates) and, with ``means``, sum; a statistic without samples raises
-    there.  The second pass bins the streams with samples in each block (so
-    ``np.histogram`` raises from a block), or counts grid cells, again in
-    the common dtype of streams whose blocks differ, as a concatenation is.
+    there.  The second pass bins the float64 samples of the streams with
+    samples in each block (so ``np.histogram`` raises from a block), or
+    counts grid cells.
     """
     spans, found = [s.span for s in stats], [None] * len(stats)
     ranged = [k for k, s in enumerate(stats) if callable(s.span)]
@@ -309,22 +309,16 @@ def _walk(images, chosen, stats, bins, means=False):
                              "a bin-width estimator needs every pooled sample at once")
     spans = [_widened(r) for r in spans]
 
-    def binned(dtypes):
-        def block(img, lo, hi):
-            return [_cells(*s.sample(img, lo, hi), size) if s.grid
-                    else _bin(s.sample(img, lo, hi), size, span, types)
-                    for s, size, span, types in zip(stats, sizes, spans, dtypes)]
+    def block(img, lo, hi):
+        return [_cells(*s.sample(img, lo, hi), size) if s.grid
+                else _bin(s.sample(img, lo, hi), size, span)
+                for s, size, span in zip(stats, sizes, spans)]
 
-        def merge(results):
-            return [[sum(part) for part in zip(*blocks)] if s.grid else _merge_bins(blocks)
-                    for s, blocks in zip(stats, zip(*results))]
+    def merge(results):
+        return [[sum(part) for part in zip(*blocks)] if s.grid else _merge_bins(blocks)
+                for s, blocks in zip(stats, zip(*results))]
 
-        return _blocked(images, chosen, block, merge)
-
-    counted = binned([None] * len(stats))
-    kinds = [[] if s.grid else [k for _, k, _, _ in c] for s, c in zip(stats, counted)]
-    if any(len(k) > 1 for streams in kinds for k in streams):
-        counted = binned([[np.result_type(*k) for k in streams] for streams in kinds])
+    counted = _blocked(images, chosen, block, merge)
     return [(_result(s, c, size), mean) for s, c, size, mean in zip(stats, counted, sizes, found)]
 
 
@@ -353,18 +347,15 @@ def _merge_extents(results):
             for streams in zip(*results)]
 
 
-def _bin(streams, bins, span, dtypes):
-    """Per stream: count, dtype, and ``np.histogram`` counts and edges (0, None without samples)."""
-    if dtypes:
-        streams = [v.astype(t, copy=False) for v, t in zip(streams, dtypes)]
-    return [(v.size, {v.dtype}, *(np.histogram(v, bins, span) if v.size else (0, None)))
-            for v in streams]
+def _bin(streams, bins, span):
+    """Per stream: count, and ``np.histogram`` of its float64 samples (0, None without any)."""
+    return [(v.size, *(np.histogram(v.astype(float, copy=False), bins, span) if v.size
+                       else (0, None))) for v in streams]
 
 
 def _merge_bins(blocks):
-    return [(sum(n), set().union(*kinds), sum(counts),
-             next((e for e in edges if e is not None), None))
-            for n, kinds, counts, edges in (zip(*stream) for stream in zip(*blocks))]
+    return [(sum(n), sum(counts), next((e for e in edges if e is not None), None))
+            for n, counts, edges in (zip(*stream) for stream in zip(*blocks))]
 
 
 def _result(stat, counted, size):
@@ -378,7 +369,7 @@ def _result(stat, counted, size):
     if any(n == 0 for n, *_ in counted):
         raise stat.empty_error()
     hists = tuple(Histogram(edges, counts, label, stat.unit)
-                  for (_, _, counts, edges), label in zip(counted, stat.labels))
+                  for (_, counts, edges), label in zip(counted, stat.labels))
     return hists if len(hists) > 1 else hists[0]
 
 

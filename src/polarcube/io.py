@@ -15,8 +15,10 @@ mask bit-packed as (H, W, C); version 1, still read, is channel-major,
 then component-major, then row-major, with the mask packed as (C, H, W).
 Writes go to a preallocated temp file renamed into place, so readers see
 the old file or the complete new one, and identical objects serialize to
-identical bytes.  Without ``fsync``, a container written just before a
-power failure may read back with zero-filled pages.
+identical bytes.  The temp file is created as ``open()`` creates a file,
+so the output gets the mode ``open()`` would give it under the umask.
+Without ``fsync``, a container written just before a power failure may
+read back with zero-filled pages.
 
 Payloads stream straight between arrays and the file: the writer hands
 each contiguous array to the file as a buffer, and the reader fills a
@@ -32,7 +34,6 @@ import errno
 import json
 import os
 import struct
-import tempfile
 from dataclasses import asdict, astuple, dataclass, fields
 
 import numpy as np
@@ -123,8 +124,9 @@ class _Reader:
 
 
 def _atomic_write(path, *chunks):
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    directory, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(directory, f".{name}.{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             # With its blocks allocated up front, replacing an existing file

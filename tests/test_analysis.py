@@ -437,6 +437,14 @@ class TestHistogramContract:
         hist = Histogram.from_samples(samples, bins=51)
         assert hist.total == 5000
 
+    def test_float32_samples_bin_as_float64(self):
+        samples = RNG.normal(size=500).astype(np.float32)
+        hist = Histogram.from_samples(samples, bins=17, value_range=(-1.0, 1.0))
+        want_counts, want_edges = np.histogram(samples.astype(float), 17, (-1.0, 1.0))
+        assert hist.edges.dtype == np.float64
+        np.testing.assert_array_equal(hist.edges, want_edges)
+        np.testing.assert_array_equal(hist.counts, want_counts)
+
     def test_edges_strictly_increasing(self):
         hist = Histogram.from_samples(RNG.normal(size=100), bins=11)
         assert np.all(np.diff(hist.edges) > 0)
@@ -594,8 +602,8 @@ class TestPooledStatisticsOracle:
 
     def test_mixed_precision_images_bin_in_the_common_dtype(self):
         # float32 values at and next to the float64 edges fall in other bins
-        # when binned among float32 edges; pooled with a float64 image, they
-        # must be binned as one float64 concatenation is.
+        # when binned among float32 edges; alone or pooled with a float64
+        # image, they must be binned as one float64 concatenation is.
         edges = np.linspace(-1.0, 1.0, 202)
         near = np.concatenate([edges, np.nextafter(edges, 2.0), np.nextafter(edges, -2.0)])
         narrow = np.zeros((near.size, 1, 1, 4), dtype=np.float32)
@@ -608,9 +616,11 @@ class TestPooledStatisticsOracle:
             assert outcome(lambda: stokes_histograms(images, "s1", value_range=value_range)) == \
                 outcome(lambda: histogram_oracle(samples, 201, want))
         alone = stokes_histograms(images[1:], "s1", value_range=(-1.0, 1.0))
-        assert alone.edges.dtype == np.float32
-        np.testing.assert_array_equal(alone.counts, np.histogram(near.astype(np.float32), 201,
+        narrow_values = near.astype(np.float32)
+        assert alone.edges.dtype == np.float64
+        np.testing.assert_array_equal(alone.counts, np.histogram(narrow_values.astype(float), 201,
                                                                  (-1.0, 1.0))[0])
+        assert not np.array_equal(alone.counts, np.histogram(narrow_values, 201, (-1.0, 1.0))[0])
         assert not np.array_equal(alone.counts, np.histogram(near, 201, (-1.0, 1.0))[0])
 
     def test_zero_width_range_is_widened(self):
@@ -694,15 +704,21 @@ class TestStreaming:
         assert lazy.peak == 1
         assert lazy.reads == passes * len(images)
 
+    @pytest.mark.parametrize("mixed", [False, True], ids=["float64", "mixed-precision"])
     @pytest.mark.parametrize("names, passes", [
-        (["s1n", "docp", "aolp-gradient", "poincare-s1s2"], 1),  # fixed ranges
+        # fixed ranges; a (name, range) pair is that statistic at a caller's range
+        (["s1n", "docp", "aolp-gradient", "poincare-s1s2", ("s1", (-0.5, 0.5))], 1),
         (["s0", "pol-unpol"], 2),
         (list(_STATS), 2),
     ])
-    def test_one_walk_reads_each_image_at_most_twice(self, names, passes):
+    def test_one_walk_reads_each_image_at_most_twice(self, names, passes, mixed):
         images, _ = oracle_dataset(False)
+        if mixed:  # a float32 cube among float64 ones
+            images[1] = StokesImage(images[1].data.astype(np.float32), images[1].wavelengths,
+                                    images[1].mask)
         lazy = OneAtATime(images)
-        stats = [_STATS[name] for name in names]
+        stats = [_STATS[n] if isinstance(n, str) else _STATS[n[0]]._replace(span=n[1], bins=None)
+                 for n in names]
         with pool_settings(1, 1 << 16):
             got = outcome(lambda: [r for r, _ in _walk(lazy, range(3), stats, 31)])
             assert got == outcome(lambda: [_walk(images, range(3), [stat], 31)[0][0]

@@ -4,7 +4,10 @@ import errno
 import json
 import os
 import struct
+import subprocess
+import sys
 import tempfile
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polarcube
 from polarcube import (
     CaptureConfig,
     ConfigurationError,
@@ -22,7 +26,6 @@ from polarcube import (
     LabelSchemaError,
     LabelSet,
     MosaicLayout,
-    NoiseModel,
     NormalMapStack,
     PcaCodebook,
     PcaEncoding,
@@ -46,6 +49,8 @@ from polarcube import (
     write_spsi,
 )
 from polarcube.cli import main
+
+from conftest import assert_bit_exact, containers
 
 RNG = np.random.default_rng(404)
 
@@ -174,6 +179,35 @@ class TestContainerErrors:
         assert info.value.errno == errno.ENOSPC
         assert [p.name for p in tmp_path.iterdir()] == ["cube.spsi"]
         assert path.read_bytes() == before
+
+
+class TestFileModes:
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        # the umask is the process's own, so each case sets it in a fresh interpreter
+        script = textwrap.dedent("""
+            import json, os, sys
+            from polarcube import (Curve, LabelSet, export_csv, uniform_scene, write_labels,
+                                   write_spsi)
+            os.umask(int(sys.argv[1], 8))
+            with open("opened", "w"):
+                pass
+            write_spsi("cube.spsi", uniform_scene(2, 2, 1))
+            export_csv(Curve(["x"], [(1,)]), "curve.csv")
+            write_labels("labels.json",
+                         LabelSet("indoor", "white", "2023-06-01T10:00:00", "object"))
+            print(json.dumps({name: os.stat(name).st_mode & 0o777 for name in os.listdir(".")}))
+        """)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(polarcube.__file__)))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run([sys.executable, "-c", script, oct(umask)], cwd=tmp_path,
+                                capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        modes = json.loads(result.stdout)
+        assert modes["opened"] == 0o666 & ~umask
+        assert modes == dict.fromkeys(["opened", "cube.spsi", "curve.csv", "labels.json"],
+                                      modes["opened"])
 
 
 class TestRawCaptureRoundTrip:
@@ -358,27 +392,6 @@ def reference_serialisation(obj, version=2) -> bytes:
         parts += [pack("II", *weight.shape) for weight in obj.weights]
         parts += [arr(a, f(code)) for a in obj.weights + obj.biases]
     return b"".join(parts)
-
-
-def assert_bit_exact(a, b, where="obj"):
-    """Equal types, shapes, dtypes and bytes, field by field."""
-    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-        assert isinstance(a, np.ndarray) and isinstance(b, np.ndarray), where
-        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
-        assert a.tobytes() == b.tobytes(), where
-    elif dataclasses.is_dataclass(a):
-        assert type(a) is type(b), where
-        for field in dataclasses.fields(a):
-            assert_bit_exact(getattr(a, field.name), getattr(b, field.name),
-                             f"{where}.{field.name}")
-    elif isinstance(a, (list, tuple)):
-        assert type(a) is type(b) and len(a) == len(b), where
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_bit_exact(x, y, f"{where}[{i}]")
-    elif isinstance(a, (float, np.floating)):
-        assert struct.pack("<d", a) == struct.pack("<d", b), where
-    else:
-        assert a == b, where
 
 
 def small_container(kind):
@@ -617,58 +630,6 @@ class TestCorruption:
             cut.write_bytes(blob + b"\x00")
             with pytest.raises(ContainerError, match="mismatch"):
                 read_spsi(cut)
-
-
-SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(np.float32).tiny])
-
-
-@st.composite
-def containers(draw):
-    """Objects of every container kind, built from drawn sizes and seeds."""
-    kind = draw(st.sampled_from(["stokes", "scalar", "normals", "sequential", "mosaic",
-                                 "codebook", "encoding", "network"]))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
-    c = draw(st.integers(2 if kind == "normals" else 1, 4))
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
-    wavelengths = 400.0 + 10.0 * np.arange(c) if draw(st.booleans()) else None
-    mask = rng.uniform(size=(h, w, c)) < draw(st.floats(0.0, 1.0))
-    if kind in ("stokes", "scalar"):
-        data = rng.normal(size=(h, w, c, 4) if kind == "stokes" else (h, w, c))
-        flat = data.reshape(-1)
-        spots = rng.integers(0, flat.size, size=2)
-        flat[spots] = rng.choice(SPECIALS, size=2)
-        cls = StokesImage if kind == "stokes" else ScalarCube
-        return cls(data.astype(dtype), wavelengths, mask)
-    if kind == "normals":
-        n = rng.normal(size=(h, w, c, 3))
-        return NormalMapStack(n / np.linalg.norm(n, axis=-1, keepdims=True))
-    if kind == "sequential":
-        calibration = draw(st.sampled_from([None, "one", "per-channel"]))
-        if calibration is not None:
-            shape = (4, 4) if calibration == "one" else (c, 4, 4)
-            calibration = np.eye(4) + 0.01 * rng.normal(size=shape)
-        noise = NoiseModel(0.01, 1e-3, 0.9, rng_seed=1) if draw(st.booleans()) else None
-        scene = random_scene(h, w, c, rng, wavelengths=wavelengths)
-        raw = simulate_hyperspectral(scene, default_qwp_angles(), noise=noise,
-                                     calibration=calibration,
-                                     exposure=draw(st.floats(0.5, 2.0)))
-        if dtype == np.float32:
-            raw = RawCapture(raw.frames.astype(dtype), raw.config, tags=raw.tags,
-                             wavelengths=raw.wavelengths)
-        return raw
-    if kind == "mosaic":
-        noise = NoiseModel(0.01, 0.0, 0.8, rng_seed=2) if draw(st.booleans()) else None
-        return simulate_trichromatic(random_scene(4 * h, 4 * w, 3, rng), noise=noise)
-    if kind in ("codebook", "encoding"):
-        img = random_scene(2 * h, 2 * w, c, rng, wavelengths=wavelengths)
-        element = draw(st.sampled_from([None, 0, 3]))
-        codebook = pca_fit_image(img, draw(st.integers(1, 2)), 1, element=element)
-        return codebook if kind == "codebook" else pca_encode(img, codebook)
-    return inr_init(draw(st.integers(2, 4)), draw(st.integers(1, 6)),
-                    seed=draw(st.integers(0, 100)), k_spatial=draw(st.integers(0, 2)),
-                    k_channel=draw(st.integers(0, 2)),
-                    grid_shape=(h, w, c) if draw(st.booleans()) else None, dtype=dtype)
 
 
 class TestContainerProperties:

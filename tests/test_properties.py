@@ -1,25 +1,33 @@
-"""Properties of the whole pipeline, each over drawn cameras, levels and paths."""
+"""Properties of the whole pipeline, each over drawn cameras, levels, paths and containers."""
+
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from polarcube import (
     EmptySelectionError,
     NoiseModel,
+    StokesImage,
     default_qwp_angles,
     denoise,
     feature_gradient_histograms,
     median_filter,
     poincare_density,
+    random_scene,
+    read_spsi,
     reconstruct_image,
     simulate_hyperspectral,
     simulate_trichromatic,
     smooth_scene,
     stokes_histograms,
+    write_spsi,
 )
 
-from conftest import flagged_entries, pool_settings
+from conftest import assert_bit_exact, containers, flagged_entries, pool_settings
 
 
 @st.composite
@@ -80,3 +88,63 @@ def test_parallelism_never_changes_an_output(case, workers, block_values):
         whole = _outputs(raws[0], median or 3)
     with pool_settings(workers, block_values):
         assert _outputs(raws[0], median or 3) == whole
+
+
+@st.composite
+def calibrations(draw, channels):
+    """The identity plus entries within 0.2, shared (4, 4) or one per channel (C, 4, 4).
+
+    The perturbation's spectral norm is at most its Frobenius norm, 0.8 < 1, so every
+    matrix has rank 4.
+    """
+    shape = (4, 4) if draw(st.booleans()) else (channels, 4, 4)
+    # every entry drawn: a fill value would give the channels one matrix
+    return np.eye(4) + draw(arrays(np.float64, shape, elements=st.floats(-0.2, 0.2),
+                                   fill=st.nothing()))
+
+
+@st.composite
+def stokes_vectors(draw):
+    """A Stokes vector of intensity 0.05-2 and degree of polarization below 1."""
+    s0, rho = draw(st.floats(0.05, 2.0)), draw(st.floats(0.0, 0.99))
+    azimuth, elevation = draw(st.floats(-np.pi, np.pi)), draw(st.floats(-np.pi / 2, np.pi / 2))
+    return s0 * np.array([1.0, rho * np.cos(elevation) * np.cos(azimuth),
+                          rho * np.cos(elevation) * np.sin(azimuth), rho * np.sin(elevation)])
+
+
+# Noiseless and unclipped, a capture inverts to within rounding: at most 6e-15 was seen
+# over 600 drawn scenes and calibrations of either camera.
+INVERSION_TOL = 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), channels=st.integers(1, 4), side=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1), rho_max=st.floats(0.0, 0.99),
+       exposure=st.floats(0.1, 10.0))
+def test_sequential_capture_inverts_exactly(data, channels, side, seed, rho_max, exposure):
+    scene = random_scene(side, side + 1, channels, np.random.default_rng(seed), rho_max=rho_max)
+    raw = simulate_hyperspectral(scene, default_qwp_angles(), exposure=exposure,
+                                 calibration=data.draw(calibrations(channels)))
+    cube = reconstruct_image(raw)
+    assert cube.mask.all()
+    np.testing.assert_allclose(cube.data, scene.data, rtol=0, atol=INVERSION_TOL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), stokes=st.lists(stokes_vectors(), min_size=3, max_size=3),
+       tiles=st.integers(1, 3), exposure=st.floats(0.1, 10.0))
+def test_mosaic_capture_of_a_constant_scene_inverts_exactly(data, stokes, tiles, exposure):
+    scene = StokesImage(np.broadcast_to(np.stack(stokes), (4 * tiles, 4 * tiles + 4, 3, 4)))
+    raw = simulate_trichromatic(scene, exposure=exposure, calibration=data.draw(calibrations(3)))
+    cube = reconstruct_image(raw)
+    assert cube.mask.all()
+    np.testing.assert_allclose(cube.data, scene.data, rtol=0, atol=INVERSION_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(obj=containers())
+def test_every_container_reads_back_as_written(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "obj.spsi")
+        write_spsi(path, obj)
+        assert_bit_exact(read_spsi(path), obj)
