@@ -543,7 +543,7 @@ def simulate_hyperspectral(
     wl = None
     if scene.wavelengths is not None and responses is None:
         wl = scene.wavelengths.copy()
-    return _capture(frames.reshape(-1, h, w), config, noise, tags=tags, wavelengths=wl)
+    return _capture(frames.reshape(len(tags), h, w), config, noise, tags=tags, wavelengths=wl)
 
 
 def simulate_trichromatic(

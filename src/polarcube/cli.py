@@ -24,7 +24,8 @@ from math import inf
 from typing import Callable, NamedTuple
 
 import polarcube as pc
-from polarcube.analysis import _STATS
+from polarcube.analysis import DEFAULT_BINS, _STATS
+from polarcube.stokes import DEFAULT_DOP_TOL
 
 EXIT_OK, EXIT_CONFIG, EXIT_IO, EXIT_NUMERICAL = 0, 2, 3, 4
 
@@ -68,13 +69,13 @@ _KEYS = {
     "noise.saturation": (1.0, _FINITE), "noise.black": (0.0, _FINITE),
     "scene.kind": ("smooth", _kind("smooth", "random", "uniform")),
     "scene.rho_max": (0.8, _rule(float, lambda x: 0 <= x < 1, "a number in [0, 1)")),
-    "solver.dop_tol": (1e-3, _FINITE),
+    "solver.dop_tol": (DEFAULT_DOP_TOL, _FINITE),
     "pca.patch_size": (10, _COUNT), "pca.bases": (40, _COUNT),
     "inr.layers": (4, _rule(int, lambda n: n >= 2, "an integer >= 2")),
     "inr.width": (64, _COUNT), "inr.steps": (2000, _NATURAL),
     "inr.lr": (1e-3, _POSITIVE), "inr.batch": (None, _COUNT),
     "inr.k_spatial": (10, _NATURAL), "inr.k_channel": (1, _NATURAL),
-    "stats.bins": (201, _COUNT),
+    "stats.bins": (DEFAULT_BINS, _COUNT),
 }
 
 
@@ -116,7 +117,7 @@ def _resolve_config(args) -> dict:
                 loaded = json.load(fh)
         except OSError as exc:
             raise _ConfigError(f"cannot read config file: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise _ConfigError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise _ConfigError("config file must hold a JSON object")
@@ -249,9 +250,9 @@ def cmd_reconstruct(cfg, args):
     out = args.out
     raw = _read(args.input, pc.RawCapture, "a raw capture")
     cube = pc.reconstruct_image(raw, dop_tol=cfg["solver"]["dop_tol"])
+    summary = {"out": out, "valid_fraction": cube.valid_fraction(), "channels": cube.channels}
     pc.write_spsi(out, cube)
-    return {"out": out, "valid_fraction": cube.valid_fraction(),
-            "channels": cube.channels}
+    return summary
 
 
 def cmd_features(cfg, args):
@@ -292,7 +293,7 @@ def cmd_validate(cfg, args):
 
     cube = _read(args.input, pc.StokesImage, "a Stokes cube")
     ok = cube.mask & pc.is_valid(cube.data, cfg["solver"]["dop_tol"])
-    return {"valid_fraction": float(ok.sum()) / ok.size,
+    return {"valid_fraction": float(ok.sum()) / ok.size if ok.size else 0.0,
             "masked_fraction": 1.0 - cube.valid_fraction(),
             "nonfinite_valid": int((cube.mask & ~np.isfinite(cube.data).all(axis=-1)).sum())}
 

@@ -61,7 +61,8 @@ class StokesImage:
         return self.data.shape[2]
 
     def valid_fraction(self) -> float:
-        return float(np.count_nonzero(self.mask)) / self.mask.size
+        """Share of valid (pixel, channel) entries; 0.0 for a cube with none."""
+        return float(np.count_nonzero(self.mask)) / self.mask.size if self.mask.size else 0.0
 
     def copy(self) -> "StokesImage":
         wl = None if self.wavelengths is None else self.wavelengths.copy()

@@ -22,6 +22,8 @@ import numpy as np
 from . import _pool
 from .errors import DimensionError, EmptySelectionError, TrainingDivergedError
 from .image import StokesImage
+from .pca import bpp
+from .reconstruct import quality
 
 __all__ = [
     "InrModel",
@@ -231,15 +233,6 @@ def inr_loss_and_grads(model: InrModel, coords, targets):
     return float(np.mean(diff * diff)), w_grads, b_grads
 
 
-def _grid_forward(model, tables, xs, ys, out):
-    """Fill ``out`` (P, C, 4) with the outputs at pixels (xs, ys), one pool block at a time."""
-    chunk = max(1, _pool.BLOCK_VALUES // out.shape[1])
-    for lo in range(0, xs.size, chunk):
-        sel = slice(lo, lo + chunk)
-        out[sel] = _forward(model, _pixels(tables, xs[sel], ys[sel]), tables[2])
-    return out
-
-
 def _masked_loss(out, targets, weights):
     """Loss sum(m (out - t)^2) / (4 sum(m)) over a (P, C, 4) grid, and dL/d(out)."""
     diff = out - targets
@@ -300,7 +293,9 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
     covers every such pixel) uses full-batch steps, fully deterministic.
     The loss is the mean squared error over valid mask entries; masked
     channels weigh 0.  Raises TrainingDivergedError (carrying the last
-    recorded parameter state) if the loss turns non-finite.
+    recorded parameter state) if the loss turns non-finite.  The report's
+    ``final_mse`` and ``final_psnr`` are ``quality`` of the network decoded
+    on the image's own grid, over the image's valid entries.
 
     Returns ``(model, TrainReport)``; the model is updated in place.
     """
@@ -342,11 +337,8 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
         optimizer.step(model.weights + model.biases, w_grads + b_grads, step_lr)
     elapsed = time.perf_counter() - start
 
-    out = _grid_forward(model, tables, xs, ys, np.empty_like(targets))
-    final_mse, _ = _masked_loss(out, targets, weights)
-    peak = float(targets[..., 0][mask].max())
-    final_psnr = np.inf if final_mse == 0 else float(10.0 * np.log10(peak**2 / final_mse))
-    return model, TrainReport(loss_curve, lr_curve, final_mse, final_psnr, steps, elapsed,
+    fit = quality(img, inr_decode(model, (img.height, img.width, img.channels)))
+    return model, TrainReport(loss_curve, lr_curve, fit.mse, fit.psnr, steps, elapsed,
                               lr, schedule)
 
 
@@ -357,7 +349,6 @@ def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
     (layer count, parameter count, bits per pixel, mse).
     """
     from .io import Curve
-    from .pca import bpp
 
     rows = [(m.layers, parameter_count(m),
              bpp(parameter_count(m) * bits_per_value, width, height), mse) for m, mse in fitted]
@@ -365,12 +356,16 @@ def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
 
 
 def inr_decode(model: InrModel, dims=None, wavelengths=None) -> StokesImage:
-    """Evaluate the network on a full (H, W, C) coordinate grid."""
+    """Evaluate the network on a full (H, W, C) coordinate grid, one block of pixels at a time."""
     dims = model.grid_shape if dims is None else dims
     if dims is None:
         raise DimensionError("decode dims are required for an untrained model")
     h, w, c = dims
+    tables = _tables(model, range(w), range(h), range(c))
     ys, xs = np.divmod(np.arange(h * w), w)
     data = np.empty((h * w, c, 4))
-    _grid_forward(model, _tables(model, range(w), range(h), range(c)), xs, ys, data)
+    chunk = max(1, _pool.BLOCK_VALUES // c)  # pixels per block
+    for lo in range(0, h * w, chunk):
+        sel = slice(lo, lo + chunk)
+        data[sel] = _forward(model, _pixels(tables, xs[sel], ys[sel]), tables[2])
     return StokesImage(data.reshape(h, w, c, 4), wavelengths)

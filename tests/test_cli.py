@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import struct
 import subprocess
 import sys
 import textwrap
@@ -946,6 +947,43 @@ class TestExitCodes:
         cfg.write_text('{"no_such_key": 1}')
         code, *_ = run_cli(capsys, "validate", "whatever.spsi", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config file: "),
+        (b"{", "config file is not valid JSON: "),
+        (b"\xff\xfe{}", "config file is not valid JSON: "),
+        (b"[1, 2]", "config file must hold a JSON object"),
+        (b'{"camera": 3}', "config key 'camera' must be a table"),
+    ], ids=["missing", "not-json", "not-utf8", "not-an-object", "section-not-a-table"])
+    def test_unusable_config_file_exits_2_before_the_echo(self, capsys, tmp_path, monkeypatch,
+                                                          text, message):
+        cfg_path = tmp_path / "config.json"
+        if text is not None:
+            cfg_path.write_bytes(text)
+        here = tmp_path / "run"
+        here.mkdir()
+        monkeypatch.chdir(here)
+        code, config, _, err = run_cli(capsys, "roundtrip", "--seed", "1", "--size", "8",
+                                       "--out", "o.spsi", "--config", str(cfg_path))
+        assert code == 2 and config is None
+        error = json.loads(err)
+        assert error["class"] == "config" and error["error"].startswith(message)
+        assert list(here.iterdir()) == []
+
+    @pytest.mark.parametrize("offset, fmt, value, message", [
+        (20, "<B", 7, "unknown dtype code 7"),
+        (6, "<H", 9, "unknown container kind 9"),
+    ], ids=["dtype", "kind"])
+    def test_unknown_header_code_is_io_error(self, capsys, tmp_path, inputs, offset, fmt,
+                                             value, message):
+        with open(inputs["cube"], "rb") as fh:
+            blob = bytearray(fh.read())
+        struct.pack_into(fmt, blob, offset, value)
+        path = tmp_path / "patched.spsi"
+        path.write_bytes(bytes(blob))
+        code, _, _, err = run_cli(capsys, "validate", str(path))
+        assert code == 3
+        assert json.loads(err) == {"error": message, "class": "io"}
 
     def test_missing_input_is_io_error(self, capsys):
         code, _, _, err = run_cli(capsys, "validate", "/nonexistent/cube.spsi")

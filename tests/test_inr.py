@@ -19,6 +19,7 @@ from polarcube import (
     inr_train,
     parameter_count,
     positional_encode,
+    quality,
     smooth_scene,
     uniform_scene,
 )
@@ -249,6 +250,22 @@ class TestDecode:
         peak = img.data[..., 0].max()
         psnr = 10 * np.log10(peak**2 / mse)
         assert psnr == pytest.approx(report.final_psnr, abs=0.1)
+
+    @pytest.mark.parametrize("dtype, empty_pixel, grid_shape", [
+        (np.float32, False, None),
+        (np.float64, False, None),
+        (np.float64, True, None),
+        (np.float64, False, (5, 9, 2)),  # a preset grid that is not the image's
+    ], ids=["float32", "float64", "pixel-without-valid-channel", "other-grid"])
+    def test_train_report_is_the_quality_of_the_decode(self, dtype, empty_pixel, grid_shape):
+        img = smooth_scene(8, 6, 3, np.random.default_rng(2))
+        if empty_pixel:
+            img.mask[3, 2] = False
+            img.data[3, 2] = np.nan  # masked, so it weighs nothing
+        model = inr_init(2, 16, seed=4, grid_shape=grid_shape, dtype=dtype)
+        model, report = inr_train(model, img, steps=50, lr=1e-2)
+        fit = quality(img, inr_decode(model, (img.height, img.width, img.channels)))
+        assert (report.final_mse, report.final_psnr) == (fit.mse, fit.psnr)
 
 
 class TestRateCurve:

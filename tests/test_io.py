@@ -847,6 +847,16 @@ class TestLabels:
         with pytest.raises(LabelSchemaError, match=field):
             read_labels(path)
 
+    @pytest.mark.parametrize("text, message", [
+        (b"{", "not valid JSON"), (b"\xff{}", "not valid JSON"),
+        (b'["outdoor"]', "must be a JSON object"),
+    ], ids=["not-json", "not-utf8", "not-an-object"])
+    def test_sidecar_that_is_no_json_object_rejected(self, tmp_path, text, message):
+        path = tmp_path / "labels.json"
+        path.write_bytes(text)
+        with pytest.raises(LabelSchemaError, match=message):
+            read_labels(path)
+
     def test_bad_timestamp_rejected(self):
         with pytest.raises(LabelSchemaError, match="capture_time"):
             LabelSet("indoor", "white", "yesterday-ish", "object")

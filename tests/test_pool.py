@@ -1,5 +1,6 @@
 """The blocked, multi-threaded per-pixel stages: identical bits for any worker count."""
 
+import json
 import os
 import subprocess
 import sys
@@ -33,6 +34,7 @@ from polarcube import (
 )
 import polarcube
 from polarcube import _pool
+from polarcube.cli import main
 from polarcube.reconstruct import SATURATION_FRACTION, UNDEREXPOSURE_MULTIPLIER
 from polarcube.stokes import _KERNEL_NAMES, _kernel
 
@@ -341,3 +343,26 @@ class TestNoRows:
         write_spsi(tmp_path / "empty.spsi", cube)
         back = read_spsi(tmp_path / "empty.spsi")
         assert back.data.shape == (0, 5, 2, 4)
+
+    @pytest.mark.parametrize("simulate, channels, frames", [
+        (lambda scene: simulate_hyperspectral(scene, default_qwp_angles()), 2, 8),
+        (simulate_trichromatic, 3, 1),
+    ], ids=["hyperspectral", "trichromatic"])
+    def test_capture_and_reconstruction(self, simulate, channels, frames):
+        raw = simulate(StokesImage(np.ones((0, 8, channels, 4))))
+        assert raw.frames.shape[:2] == (frames, 0)
+        cube = reconstruct_image(raw)
+        assert cube.data.shape == (0, 8, channels, 4)
+        assert cube.valid_fraction() == 0.0
+
+    def test_commands_exit_0(self, tmp_path, capsys):
+        cube, raw = str(tmp_path / "cube.spsi"), str(tmp_path / "raw.spsi")
+        write_spsi(cube, StokesImage(np.ones((0, 8, 2, 4))))
+        assert main(["validate", cube]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["valid_fraction"] == 0.0 and summary["masked_fraction"] == 1.0
+        assert main(["simulate", "--scene", cube, "--out", raw]) == 0
+        assert main(["reconstruct", raw, "--out", cube]) == 0
+        summary = json.loads(capsys.readouterr().out.splitlines()[-1])["summary"]
+        assert summary["valid_fraction"] == 0.0
+        assert read_spsi(cube).data.shape == (0, 8, 2, 4)
