@@ -27,21 +27,17 @@ from .camera import (
     MosaicLayout,
     NoiseModel,
     RawCapture,
-    SpectralResponse,
     SystemMatrix,
     add_noise,
     analyzer_row,
     default_qwp_angles,
     demosaic,
     demosaic_footprint,
-    lctf_responses,
-    measure_intensity,
     mosaic_merge,
     mosaic_split,
     simulate_hyperspectral,
     simulate_trichromatic,
     system_matrix,
-    trichromatic_responses,
 )
 from .errors import (
     ConfigurationError,
@@ -51,7 +47,6 @@ from .errors import (
     EmptySelectionError,
     LabelSchemaError,
     PolarcubeError,
-    SamplingGridError,
     TrainingDivergedError,
     UndefinedFeatureError,
 )

@@ -291,7 +291,7 @@ def _walk(images, chosen, stats, bins, means=False):
     ranged = [k for k, s in enumerate(stats) if callable(s.span)]
 
     def extents(img, lo, hi):
-        return [[(v.size, v.min(), v.max(), v.sum() if means else 0) if v.size
+        return [[(v.size, v.min(), v.max(), v.sum(dtype=float) if means else 0) if v.size
                  else (0, np.inf, -np.inf, 0) for v in stats[k].sample(img, lo, hi)]
                 for k in ranged]
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _pool
-from .errors import ConfigurationError, DimensionError, SamplingGridError
+from .errors import ConfigurationError, DimensionError
 from .image import StokesImage
 from .stokes import lp_mueller, retarder_mueller
 
@@ -30,21 +30,17 @@ __all__ = [
     "MosaicLayout",
     "NoiseModel",
     "RawCapture",
-    "SpectralResponse",
     "SystemMatrix",
     "add_noise",
     "analyzer_row",
     "default_qwp_angles",
     "demosaic",
     "demosaic_footprint",
-    "lctf_responses",
-    "measure_intensity",
     "mosaic_merge",
     "mosaic_split",
     "simulate_hyperspectral",
     "simulate_trichromatic",
     "system_matrix",
-    "trichromatic_responses",
 ]
 
 RED, GREEN, BLUE = 0, 1, 2
@@ -53,84 +49,6 @@ RED, GREEN, BLUE = 0, 1, 2
 def default_qwp_angles() -> np.ndarray:
     """The four QWP fast-axis angles of the sequential system (radians)."""
     return np.deg2rad([30.0, -45.0, 60.0, -90.0])
-
-
-# ---------------------------------------------------------------------------
-# spectral responses
-
-
-@dataclass
-class SpectralResponse:
-    """Sampled per-channel transmission curve over wavelength (nm).
-
-    ``unit_area`` responses keep the physical transmission in [0, 1] but
-    scale the quadrature weights so the band integral of a flat unit
-    spectrum is exactly 1 (the convention the default channel filters
-    use, making the round trip through band integration lossless).
-    """
-
-    wavelengths: np.ndarray
-    transmission: np.ndarray
-    unit_area: bool = False
-
-    def __post_init__(self):
-        self.wavelengths = np.asarray(self.wavelengths, dtype=float)
-        self.transmission = np.asarray(self.transmission, dtype=float)
-        if self.wavelengths.ndim != 1 or self.wavelengths.shape != self.transmission.shape:
-            raise DimensionError("response grid and transmission must be matching 1-D arrays")
-        if self.wavelengths.size >= 2 and not np.all(np.diff(self.wavelengths) > 0):
-            raise ValueError("wavelength grid must be strictly increasing")
-        if np.any(self.transmission < 0) or np.any(self.transmission > 1):
-            raise ValueError("transmission values must lie in [0, 1]")
-        if self.unit_area and self.transmission.sum() <= 0:
-            raise ValueError("response has zero area on this grid")
-
-    @classmethod
-    def box(cls, center, width, grid, normalize=True):
-        """Box filter of the given full width, optionally unit-area."""
-        grid = np.asarray(grid, dtype=float)
-        t = (np.abs(grid - center) <= width / 2.0).astype(float)
-        return cls(grid, t, unit_area=normalize)
-
-    @classmethod
-    def gaussian(cls, center, fwhm, grid, normalize=True):
-        """Gaussian filter specified by its full width at half maximum."""
-        grid = np.asarray(grid, dtype=float)
-        sigma = fwhm / (2.0 * np.sqrt(2.0 * np.log(2.0)))
-        t = np.exp(-0.5 * ((grid - center) / sigma) ** 2)
-        return cls(grid, t, unit_area=normalize)
-
-    def band_weights(self) -> np.ndarray:
-        """Trapezoidal quadrature weights times transmission."""
-        w = _trapezoid_weights(self.wavelengths) * self.transmission
-        if self.unit_area:
-            w = w / w.sum()
-        return w
-
-
-def _trapezoid_weights(grid):
-    if grid.size == 1:
-        return np.ones(1)
-    w = np.zeros_like(grid)
-    d = np.diff(grid)
-    w[:-1] += d / 2.0
-    w[1:] += d / 2.0
-    return w
-
-
-def lctf_responses(wavelengths, width=None):
-    """Unit-area box responses, one per channel, on the channel grid."""
-    wavelengths = np.asarray(wavelengths, dtype=float)
-    if width is None:
-        width = float(np.min(np.diff(wavelengths))) if wavelengths.size >= 2 else 1.0
-    return [SpectralResponse.box(c, width, wavelengths) for c in wavelengths]
-
-
-def trichromatic_responses(grid=None, centers=(610.0, 540.0, 465.0), fwhm=30.0):
-    """Gaussian R/G/B responses (FWHM 30 nm) for spectral experiments."""
-    if grid is None:
-        grid = np.arange(400.0, 701.0, 5.0)
-    return [SpectralResponse.gaussian(c, fwhm, grid) for c in centers]
 
 
 # ---------------------------------------------------------------------------
@@ -472,42 +390,6 @@ class RawCapture:
         return self.frames.shape[2]
 
 
-def measure_intensity(wavelengths, spectrum, config: MeasurementConfig,
-                      response: SpectralResponse, calibration=None) -> float:
-    """Recorded intensity for one spectral Stokes distribution.
-
-    ``spectrum`` is (L, 4), sampled on exactly the response's wavelength
-    grid; the channel Stokes vector is the trapezoidal integral of
-    transmission * spectrum, and the intensity is the analyzer row dotted
-    with it.
-    """
-    wavelengths = np.asarray(wavelengths, dtype=float)
-    spectrum = np.asarray(spectrum, dtype=float)
-    if wavelengths.shape != response.wavelengths.shape or not np.array_equal(
-        wavelengths, response.wavelengths
-    ):
-        raise SamplingGridError("spectrum must be sampled on the response grid")
-    if spectrum.shape != (wavelengths.size, 4):
-        raise DimensionError(f"spectrum must be (L, 4), got {spectrum.shape}")
-    band = response.band_weights() @ spectrum
-    return float(analyzer_row(config, calibration) @ band)
-
-
-def _band_matrix(scene: StokesImage, responses) -> np.ndarray:
-    """(C_out, L) matrix mapping scene spectral samples to channel bands."""
-    grid = scene.wavelengths
-    if grid is None:
-        grid = np.arange(scene.channels, dtype=float)
-    if responses is None:
-        responses = lctf_responses(grid)
-    weights = np.empty((len(responses), grid.size))
-    for c, resp in enumerate(responses):
-        if not np.array_equal(resp.wavelengths, grid):
-            raise SamplingGridError("response grids must match the scene wavelengths")
-        weights[c] = resp.band_weights()
-    return weights
-
-
 def simulate_hyperspectral(
     scene: StokesImage,
     qwp_angles,
@@ -515,34 +397,36 @@ def simulate_hyperspectral(
     noise: NoiseModel | None = None,
     calibration=None,
     exposure: float = 1.0,
-    responses=None,
 ) -> RawCapture:
     """Sequential capture: one frame per (spectral channel, QWP angle).
 
-    By default each channel's response is a unit-area box on the scene's
-    own wavelength grid, i.e. the band-integrated Stokes vector equals
-    the scene channel exactly; pass ``responses`` for overlapping bands.
-    Each row block is band-integrated and measured in one stacked product.
-    """
-    config = CaptureConfig.hyperspectral(qwp_angles, lp_angle, calibration, exposure)
-    weights = _band_matrix(scene, responses)
-    n_channels = weights.shape[0]
+    Every scene channel is one filter band, measured as given: channel
+    c's frames are its measurement rows applied to its Stokes vectors.
+    Each row block of all channels is measured in one stacked product.
 
+    Raises
+    ------
+    ValueError
+        If the scene's wavelength table is not finite and strictly increasing.
+    """
+    wl = scene.wavelengths
+    if wl is not None and not (np.all(np.isfinite(wl)) and np.all(np.diff(wl) > 0)):
+        raise ValueError("scene wavelength table must be finite and strictly increasing")
+    config = CaptureConfig.hyperspectral(qwp_angles, lp_angle, calibration, exposure)
+    n_channels = scene.channels
     config._check_channels(n_channels)
     rows = np.stack([system_matrix(config, c).matrix for c in range(n_channels)])  # (C, m, 4)
 
     h, w = scene.height, scene.width
-    frames = np.empty((n_channels, rows.shape[1], h * w), np.result_type(rows, weights, scene.data))
+    frames = np.empty((n_channels, rows.shape[1], h * w), np.result_type(rows, scene.data))
 
-    def integrate(lo, hi):  # frames (C, m, rows x W) of a row block, all channels at once
-        planar = np.matmul(weights, scene.data[lo:hi]).reshape(-1, n_channels, 4).transpose(1, 2, 0)
+    def measure(lo, hi):  # frames (C, m, rows x W) of a row block, all channels at once
+        planar = scene.data[lo:hi].reshape(-1, n_channels, 4).transpose(1, 2, 0)
         np.matmul(rows, planar, out=frames[:, :, lo * w:hi * w])
 
-    _pool.blocks(integrate, h, w * n_channels * (4 + rows.shape[1]))
+    _pool.blocks(measure, h, w * n_channels * (4 + rows.shape[1]))
     tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
-    wl = None
-    if scene.wavelengths is not None and responses is None:
-        wl = scene.wavelengths.copy()
+    wl = None if wl is None else wl.copy()
     return _capture(frames.reshape(len(tags), h, w), config, noise, tags=tags, wavelengths=wl)
 
 

@@ -507,7 +507,8 @@ class _Parser(argparse.ArgumentParser):
 # (exceptions, class, exit code): the first entry that matches reports a failure
 _FAILURES = (((_ConfigError,), "config", EXIT_CONFIG),
              ((OSError, pc.ContainerError, pc.LabelSchemaError), "io", EXIT_IO),
-             ((pc.PolarcubeError, ValueError, ArithmeticError), "numerical", EXIT_NUMERICAL))
+             ((pc.PolarcubeError, ValueError, ArithmeticError, MemoryError), "numerical",
+              EXIT_NUMERICAL))
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,6 @@ class DecompositionError(PolarcubeError):
     """Polarized/unpolarized decomposition requested for an invalid vector."""
 
 
-class SamplingGridError(PolarcubeError):
-    """Spectrum and response are sampled on different wavelength grids."""
-
-
 class ConfigurationError(PolarcubeError):
     """Measurement configuration is unusable (empty, rank-deficient, ...)."""
 

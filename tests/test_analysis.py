@@ -25,6 +25,7 @@ from polarcube import (
     poincare_density,
     pol_unpol_histograms,
     random_scene,
+    smooth_scene,
     stokes_histograms,
     uniform_scene,
 )
@@ -725,6 +726,12 @@ class TestStreaming:
                                            for stat in stats])
         assert lazy.peak == 1
         assert lazy.reads == passes * len(images)
+
+    def test_float32_cube_mean_is_a_float64_sum(self):
+        data = smooth_scene(64, 64, 5, np.random.default_rng(4)).data.astype(np.float32)
+        means = [_walk([StokesImage(d)], range(1), [_STATS["s0"]], 31, means=True)[0][1]
+                 for d in (data, data.astype(float))]
+        assert means[0] == pytest.approx(means[1], rel=1e-12, abs=0)
 
     def test_filtered_out_images_are_never_read(self):
         images, labels = oracle_dataset(False)

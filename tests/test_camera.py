@@ -8,15 +8,12 @@ from polarcube import (
     MeasurementConfig,
     MosaicLayout,
     NoiseModel,
-    SamplingGridError,
-    SpectralResponse,
     StokesImage,
     add_noise,
     analyzer_row,
     default_qwp_angles,
     demosaic,
     demosaic_footprint,
-    measure_intensity,
     mosaic_merge,
     mosaic_split,
     random_scene,
@@ -26,41 +23,27 @@ from polarcube import (
     smooth_scene,
     uniform_scene,
 )
-from polarcube.camera import RED, GREEN, BLUE, lctf_responses
+from polarcube.camera import RED, GREEN, BLUE
 
 RNG = np.random.default_rng(77)
 
 LP0 = MeasurementConfig(retarder_angle=0.0, retardance=0.0, polarizer_angle=0.0)
 
 
-class TestMeasureIntensity:
-    def test_unpolarized_flat_spectrum_through_lp(self):
-        grid = np.linspace(500.0, 600.0, 11)
-        response = SpectralResponse.box(550.0, 200.0, grid)  # unit-area, covers grid
-        spectrum = np.tile([1.0, 0, 0, 0], (11, 1))
+class TestAnalyzerRow:
+    def test_unpolarized_light_through_any_lp_gives_half(self):
         for angle in (0.0, 0.7, -1.2):
-            cfg = MeasurementConfig(0.0, 0.0, angle)
-            assert measure_intensity(grid, spectrum, cfg, response) == pytest.approx(0.5)
+            row = analyzer_row(MeasurementConfig(0.0, 0.0, angle))
+            assert row @ [1.0, 0.0, 0.0, 0.0] == pytest.approx(0.5)
 
-    def test_monochromatic_horizontal_through_aligned_lp(self):
-        grid = np.array([550.0])
-        response = SpectralResponse(grid, np.array([1.0]))
-        spectrum = np.array([[1.0, 1.0, 0.0, 0.0]])
-        assert measure_intensity(grid, spectrum, LP0, response) == pytest.approx(1.0)
+    def test_horizontal_light_through_aligned_lp(self):
+        assert analyzer_row(LP0) @ [1.0, 1.0, 0.0, 0.0] == pytest.approx(1.0)
 
     def test_qwp_plus_lp_matches_matrix_chain(self):
         # explicit chain oracle: first row of P(0) Q(30deg) dotted with
         # [1,1,0,0] is (1 + cos^2 60deg) / 2 = 0.625
-        grid = np.array([550.0])
-        response = SpectralResponse(grid, np.array([1.0]))
-        spectrum = np.array([[1.0, 1.0, 0.0, 0.0]])
         cfg = MeasurementConfig(np.deg2rad(30.0), np.pi / 2, 0.0)
-        assert measure_intensity(grid, spectrum, cfg, response) == pytest.approx(0.625, abs=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        response = SpectralResponse(np.array([500.0, 510.0]), np.array([1.0, 1.0]))
-        with pytest.raises(SamplingGridError):
-            measure_intensity(np.array([500.0, 520.0]), np.zeros((2, 4)), LP0, response)
+        assert analyzer_row(cfg) @ [1.0, 1.0, 0.0, 0.0] == pytest.approx(0.625, abs=1e-12)
 
 
 class TestScenes:
@@ -110,16 +93,34 @@ class TestSimulateHyperspectral:
             simulate_hyperspectral(scene, [0.1, 0.1, 0.1, 0.1])
 
     def test_frames_are_the_rows_applied_to_the_scene_bit_for_bit(self):
-        # Default box responses integrate each channel to itself; the frames
-        # span several row blocks.  The oracle is a matrix product too: a
-        # matrix-vector product may round the 4-term sum differently.
+        # Each channel is measured as given; the frames span several row
+        # blocks.  The oracle is a matrix product too: a matrix-vector
+        # product may round the 4-term sum differently.
         scene = smooth_scene(64, 48, 5, RNG, wavelengths=450 + 10 * np.arange(5))
         raw = simulate_hyperspectral(scene, default_qwp_angles(), exposure=1.5)
         for frame, (c, i) in zip(raw.frames, raw.tags):
             expected = (scene.data[:, :, c, :] @ raw.config.rows(c).T)[..., i]
             assert frame.tobytes() == expected.tobytes()
 
-    def test_energy_bound_with_unit_area_responses(self):
+    @pytest.mark.parametrize("table", [[520.0, 510.0, 500.0], [500.0, 510.0, 510.0],
+                                       [500.0, float("nan"), 520.0], [500.0, 510.0, np.inf],
+                                       [-np.inf, 510.0, 520.0]])
+    def test_wavelength_table_not_finite_and_increasing_is_refused(self, table):
+        scene = random_scene(4, 4, 3, RNG, wavelengths=table)
+        with pytest.raises(ValueError, match="finite and strictly increasing"):
+            simulate_hyperspectral(scene, default_qwp_angles())
+
+    def test_missing_or_increasing_wavelength_table_is_measured_alike(self):
+        scene = random_scene(4, 4, 3, RNG)
+        bare = simulate_hyperspectral(scene, default_qwp_angles())
+        scene.wavelengths = np.array([500.0, 510.0, 525.0])
+        tabled = simulate_hyperspectral(scene, default_qwp_angles())
+        assert bare.wavelengths is None
+        assert np.array_equal(tabled.wavelengths, scene.wavelengths)
+        assert tabled.wavelengths is not scene.wavelengths
+        assert bare.frames.tobytes() == tabled.frames.tobytes()
+
+    def test_frames_never_exceed_the_brightest_s0(self):
         scene = random_scene(12, 12, 5, RNG, wavelengths=450 + 10 * np.arange(5))
         raw = simulate_hyperspectral(scene, default_qwp_angles())
         bound = scene.data[..., 0].max()
@@ -340,24 +341,6 @@ class TestCaptureConfig:
     def test_shared_configs_broadcast_to_channels(self):
         config = CaptureConfig.hyperspectral(default_qwp_angles())
         assert config.configs_for(0) == config.configs_for(7)
-
-    def test_responses_unit_area(self):
-        grid = 450.0 + 10.0 * np.arange(21)
-        for resp in lctf_responses(grid):
-            assert resp.band_weights().sum() == pytest.approx(1.0)
-
-    def test_gaussian_responses_within_physical_range(self):
-        from polarcube import trichromatic_responses
-
-        for resp in trichromatic_responses():
-            assert np.all(resp.transmission >= 0) and np.all(resp.transmission <= 1)
-            assert resp.band_weights().sum() == pytest.approx(1.0)
-
-    def test_narrow_grid_boxes_stay_unit_area(self):
-        # grid spacing below 1 nm used to break endpoint normalization
-        grid = np.arange(5, dtype=float)
-        for resp in lctf_responses(grid):
-            assert resp.band_weights().sum() == pytest.approx(1.0)
 
 
 def affine_scene():

@@ -1017,6 +1017,31 @@ class TestExitCodes:
         assert error["error"].startswith(f"{inputs[wrong]} does not hold ")
         assert list(tmp_path.iterdir()) == []
 
+    def test_running_out_of_memory_is_numerical(self, capsys, tmp_path, monkeypatch, inputs):
+        # the inputs passed every check; the work then ran out of memory
+        def exhausted(*args, **kwargs):
+            raise MemoryError("cannot allocate")
+
+        monkeypatch.setattr(polarcube, "reconstruct_image", exhausted)
+        monkeypatch.chdir(tmp_path)
+        code, _, _, err = run_cli(capsys, "reconstruct", inputs["raw"], "--out", "o.spsi")
+        assert code == 4
+        line, = err.splitlines()
+        assert json.loads(line) == {"error": "cannot allocate", "class": "numerical"}
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("table", [[510.0, 500.0], [500.0, float("nan")]],
+                             ids=["descending", "nan"])
+    def test_scene_wavelength_table_must_increase(self, capsys, tmp_path, monkeypatch, table):
+        monkeypatch.chdir(tmp_path)
+        write_spsi("scene.spsi", random_scene(4, 4, 2, RNG, wavelengths=table))
+        code, _, _, err = run_cli(capsys, "simulate", "--scene", "scene.spsi",
+                                  "--out", "o.spsi")
+        assert code == 4
+        line, = err.splitlines()
+        assert json.loads(line)["class"] == "numerical"
+        assert os.listdir() == ["scene.spsi"]
+
     @pytest.mark.parametrize("command", sorted(_COMMANDS))
     def test_no_thread_setting_is_offered(self, capsys, tmp_path, monkeypatch, inputs,
                                           command):
