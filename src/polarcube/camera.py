@@ -9,13 +9,15 @@ In both systems light passes the retarder first and the polarizer
 second, so the recorded intensity is the first element of
 ``C @ P(theta2) @ Q(theta1) @ s`` with C an optional per-channel
 calibration matrix.  The sensor sees only that first element; a
-channel's first rows form its ``SystemMatrix``, which simulation applies
-and the reconstruction module inverts.
+channel's first rows form its ``SystemMatrix``.  ``_channels`` maps each
+channel to its sample planes and system: the simulators apply that map,
+``RawCapture`` builds it as ``systems``, and reconstruction inverts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -94,8 +96,8 @@ class CaptureConfig:
     def __post_init__(self):
         if len(self.channel_configs) == 0:
             raise ConfigurationError("at least one measurement configuration required")
-        if self.exposure <= 0:
-            raise ConfigurationError("exposure must be positive")
+        if not 0 < self.exposure < np.inf:
+            raise ConfigurationError(f"exposure must be positive and finite, got {self.exposure}")
         shape = np.shape(self.calibration)
         if (self.calibration is not None and shape[-2:] != (4, 4)) or len(shape) > 3:
             raise ConfigurationError(f"calibration must be (4, 4) or (n, 4, 4), got {shape}")
@@ -118,12 +120,6 @@ class CaptureConfig:
     def configs_for(self, channel: int) -> list[MeasurementConfig]:
         return list(self.channel_configs if self.shared else self.channel_configs[channel])
 
-    def calibration_for(self, channel: int):
-        if self.calibration is None:
-            return None
-        cal = np.asarray(self.calibration, dtype=float)
-        return cal if cal.ndim == 2 else cal[channel]
-
     def rows(self, channel: int) -> np.ndarray:
         """The channel's (m, 4) measurement rows, exposure included.
 
@@ -131,7 +127,8 @@ class CaptureConfig:
         vector s records the intensities ``rows(channel) @ s``; simulation
         applies these rows and reconstruction inverts them.
         """
-        cal = self.calibration_for(channel)
+        cal = None if self.calibration is None else np.asarray(self.calibration, dtype=float)
+        cal = cal[channel] if np.ndim(cal) == 3 else cal
         rows = np.array([analyzer_row(cfg, cal) for cfg in self.configs_for(channel)])
         return rows * self.exposure
 
@@ -181,22 +178,54 @@ class SystemMatrix:
 def system_matrix(config: CaptureConfig, channel: int = 0) -> SystemMatrix:
     """Build and validate the measurement system of one channel.
 
-    Simulation takes its rows from here and reconstruction inverts it,
-    so a capture is written only if it can be inverted.
+    ``_channels`` builds a capture's systems here, so a capture whose
+    systems cannot be inverted is never built, written or read.
 
     Raises
     ------
     ConfigurationError
-        If fewer than 4 configurations are given or the system has rank
-        below 4 (the diagnosis names the channel and its rank).
+        If fewer than 4 configurations are given, an angle or a row is not
+        finite, or the system has rank below 4 (the diagnosis names the
+        channel and its rank).
     """
-    system = SystemMatrix.from_rows(config.rows(channel))
+    try:
+        rows = config.rows(channel)
+    except ValueError as exc:  # an angle that is not finite
+        raise ConfigurationError(f"channel {channel}: {exc}") from exc
+    if not np.all(np.isfinite(rows)):  # a calibration entry or exposure that is not finite
+        raise ConfigurationError(f"channel {channel} measurement rows are not finite")
+    system = SystemMatrix.from_rows(rows)
     if system.rank < 4:
         raise ConfigurationError(
             f"degenerate configuration: channel {channel} system rank {system.rank} < 4"
             " (some Stokes components are unobservable)"
         )
     return system
+
+
+def _channels(config: CaptureConfig, tags=None, layout=None) -> list:
+    """A capture's measurement operator: ``(planes, system)`` of each channel.
+
+    Channel c's planes hold its configurations in order: the frames tagged
+    (c, 0), (c, 1), ..., or the mosaic segments of colour c, K ascending.
+    Tags that do not name each configuration of channels 0..C-1 once raise
+    ``DimensionError``; ``system_matrix`` refuses a system it cannot invert.
+    """
+    if layout is not None:
+        planes = [layout.segments(color) for color in (RED, GREEN, BLUE)]
+    else:
+        n = len({c for c, _ in tags})
+        config._check_channels(n)  # before configs_for reads a list per channel
+        sizes = [len(config.configs_for(c)) for c in range(n)]
+        index = {tag: k for k, tag in enumerate(tags)}
+        want = {(c, i) for c, m in enumerate(sizes) for i in range(m)}
+        if len(index) != len(tags) or index.keys() != want:
+            raise DimensionError(
+                f"{len(tags)} frame tags must name each configuration of channels 0..C-1 once:"
+                f" {len(tags) - len(index)} repeated, missing {sorted(want - index.keys())[:4]},"
+                f" unknown {sorted(index.keys() - want)[:4]}")
+        planes = [np.array([index[c, i] for i in range(m)]) for c, m in enumerate(sizes)]
+    return [(k, system_matrix(config, c)) for c, k in enumerate(planes)]
 
 
 # ---------------------------------------------------------------------------
@@ -232,36 +261,18 @@ class MosaicLayout:
             raise ConfigurationError(
                 f"superpixel must hold 4 R, 8 G, 4 B cells, got {tuple(counts)}"
             )
-        config = self.capture_config()
-        for color in (RED, GREEN, BLUE):
-            system_matrix(config, color)
+        _channels(self.capture_config(), layout=self)
 
-    @staticmethod
-    def segment_index(n: int, m: int) -> int:
-        return (n % 4) * 4 + (m % 4)
-
-    def cell(self, i: int, j: int) -> MeasurementConfig:
-        return MeasurementConfig(
-            retarder_angle=float(self.retarder_angles[i, j]),
-            retardance=float(self.retardances[i, j]),
-            polarizer_angle=float(self.polarizer_angles[i, j]),
-        )
-
-    def cells_for_color(self, color: int):
-        """(segment index, configuration) pairs of one color, K ascending."""
-        out = []
-        for i in range(4):
-            for j in range(4):
-                if self.colors[i, j] == color:
-                    out.append((i * 4 + j, self.cell(i, j)))
-        return out
+    def segments(self, color: int) -> np.ndarray:
+        """The segment indices K of one color's cells, ascending."""
+        return np.flatnonzero(self.colors.ravel() == color)
 
     def capture_config(self, calibration=None, exposure=1.0) -> CaptureConfig:
-        """Per-color CaptureConfig with channels ordered R, G, B."""
-        per_channel = [
-            [cfg for _, cfg in self.cells_for_color(color)] for color in (RED, GREEN, BLUE)
-        ]
-        return CaptureConfig(per_channel, calibration, exposure)
+        """Per-color CaptureConfig with channels ordered R, G, B, each K ascending."""
+        cells = np.stack([self.retarder_angles, self.retardances, self.polarizer_angles], -1)
+        return CaptureConfig([[MeasurementConfig(*map(float, cells.reshape(16, 3)[k]))
+                               for k in self.segments(color)] for color in (RED, GREEN, BLUE)],
+                             calibration, exposure)
 
     @classmethod
     def default(cls):
@@ -297,8 +308,8 @@ class NoiseModel:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.gaussian_sigma < 0 or self.shot_gain < 0:
-            raise ValueError("noise magnitudes must be non-negative")
+        if not (0 <= self.gaussian_sigma < np.inf and 0 <= self.shot_gain < np.inf):
+            raise ValueError("noise magnitudes must be finite and non-negative")
         if not self.black_level < self.saturation_level:
             raise ValueError("black level must lie below the saturation level")
 
@@ -330,7 +341,7 @@ def _add_noise(frame, model, stream, out=None):
 # captures
 
 
-@dataclass
+@dataclass(frozen=True)
 class RawCapture:
     """Intensity frames plus everything needed to invert them.
 
@@ -339,8 +350,11 @@ class RawCapture:
     channels 0..C-1 exactly once, with one configuration list per channel
     unless one list is shared.  A mosaic capture has a ``layout`` instead:
     one frame, sides divisible by 4, and the layout's configurations.
-    Saturation/black levels record the clipping applied.  Construction
-    refuses anything else, so every capture can be written and inverted.
+    Saturation/black levels record the clipping applied, black below
+    saturation (±inf: none).  Construction builds ``systems``, the
+    capture's measurement operator, and refuses anything else, so every
+    capture can be written and inverted; the fields are frozen, so the
+    operator stays the capture's.
     """
 
     frames: np.ndarray
@@ -352,34 +366,33 @@ class RawCapture:
     black_level: float = -np.inf
 
     def __post_init__(self):
-        self.frames = np.asarray(self.frames)
+        object.__setattr__(self, "frames", np.asarray(self.frames))
         if self.frames.ndim != 3:
             raise DimensionError(f"frames must be (N, H, W), got {self.frames.shape}")
         if not np.all(np.isfinite(self.frames)):
             raise ValueError("frame intensities must be finite")
+        if not self.black_level < self.saturation_level:  # NaN fails too
+            raise ConfigurationError(f"black level {self.black_level} must lie below the"
+                                     f" saturation level {self.saturation_level}")
         if (self.tags is None) == (self.layout is None):
             raise DimensionError("a capture has frame tags or a mosaic layout, not both or neither")
-        channels = 3 if self.layout is not None else len({c for c, _ in self.tags})
         if self.layout is not None:
             if self.frames.shape[0] != 1 or self.height % 4 or self.width % 4:
                 raise DimensionError("a mosaic capture is one frame with sides divisible by 4,"
                                      f" got {self.frames.shape}")
             if self.config.channel_configs != self.layout.capture_config().channel_configs:
                 raise ConfigurationError("raw capture configurations contradict its mosaic layout")
-        else:
-            self.config._check_channels(channels)
-            want = {(c, i) for c in range(channels)
-                    for i in range(len(self.config.configs_for(c)))}
-            got = set(self.tags)
-            if not len(got) == len(self.tags) == self.frames.shape[0] or got != want:
-                raise DimensionError(
-                    f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames must name"
-                    f" each configuration of channels 0..C-1 once: {len(self.tags) - len(got)}"
-                    f" repeated, missing {sorted(want - got)[:4]},"
-                    f" unknown {sorted(got - want)[:4]}")
+        elif len(self.tags) != self.frames.shape[0]:
+            raise DimensionError(f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames")
+        channels = len(self.systems)
         if self.wavelengths is not None and np.shape(self.wavelengths) != (channels,):
             raise DimensionError(f"wavelength table has {np.shape(self.wavelengths)},"
                                  f" expected ({channels},)")
+
+    @cached_property
+    def systems(self) -> list:
+        """``(planes, SystemMatrix)`` of each channel, built once (see ``_channels``)."""
+        return _channels(self.config, self.tags, self.layout)
 
     @property
     def height(self) -> int:
@@ -413,19 +426,18 @@ def simulate_hyperspectral(
     if wl is not None and not (np.all(np.isfinite(wl)) and np.all(np.diff(wl) > 0)):
         raise ValueError("scene wavelength table must be finite and strictly increasing")
     config = CaptureConfig.hyperspectral(qwp_angles, lp_angle, calibration, exposure)
-    n_channels = scene.channels
-    config._check_channels(n_channels)
-    rows = np.stack([system_matrix(config, c).matrix for c in range(n_channels)])  # (C, m, 4)
+    n_channels, m = scene.channels, len(config.channel_configs)
+    tags = [(c, i) for c in range(n_channels) for i in range(m)]
+    rows = np.stack([system.matrix for _, system in _channels(config, tags)])  # (C, m, 4)
 
     h, w = scene.height, scene.width
-    frames = np.empty((n_channels, rows.shape[1], h * w), np.result_type(rows, scene.data))
+    frames = np.empty((n_channels, m, h * w), np.result_type(rows, scene.data))
 
     def measure(lo, hi):  # frames (C, m, rows x W) of a row block, all channels at once
         planar = scene.data[lo:hi].reshape(-1, n_channels, 4).transpose(1, 2, 0)
         np.matmul(rows, planar, out=frames[:, :, lo * w:hi * w])
 
-    _pool.blocks(measure, h, w * n_channels * (4 + rows.shape[1]))
-    tags = [(c, i) for c in range(n_channels) for i in range(rows.shape[1])]
+    _pool.blocks(measure, h, w * n_channels * (4 + m))
     wl = None if wl is None else wl.copy()
     return _capture(frames.reshape(len(tags), h, w), config, noise, tags=tags, wavelengths=wl)
 
@@ -445,9 +457,8 @@ def simulate_trichromatic(
     config = layout.capture_config(calibration, exposure)
 
     frame = np.empty((scene.height, scene.width))
-    for color in (RED, GREEN, BLUE):
-        rows = system_matrix(config, color).matrix
-        for (k, _), row in zip(layout.cells_for_color(color), rows):
+    for color, (segments, system) in enumerate(_channels(config, layout=layout)):
+        for k, row in zip(segments, system.matrix):  # segment K samples every 4th row and column
             i, j = divmod(k, 4)
             frame[i::4, j::4] = scene.data[i::4, j::4, color, :] @ row
     return _capture(frame[None], config, noise, layout=layout)

@@ -20,7 +20,7 @@ import copy
 import json
 import re
 import sys
-from math import inf
+from math import inf, radians
 from typing import Callable, NamedTuple
 
 import polarcube as pc
@@ -170,6 +170,12 @@ def _resolve_config(args) -> dict:
     if "noise" in sections and not _noisy(cfg):  # no noise model reads the levels
         del cfg["noise"]["saturation"], cfg["noise"]["black"]
     camera = cfg["camera"]
+    if "camera" in sections and camera["kind"] == "hyperspectral":  # a set it cannot invert
+        try:
+            pc.system_matrix(pc.CaptureConfig.hyperspectral(
+                [radians(a) for a in camera["qwp_angles_deg"]], radians(camera["lp_angle_deg"])))
+        except pc.ConfigurationError as exc:
+            raise _ConfigError(f"camera.qwp_angles_deg cannot be inverted: {exc}") from exc
     if "camera" in sections and camera["kind"] == "trichromatic":
         del camera["qwp_angles_deg"], camera["lp_angle_deg"]  # the mosaic has its own optics
         if "channels" in given:

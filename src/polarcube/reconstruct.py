@@ -3,8 +3,9 @@
 Each spectral channel contributes an m x 4 system whose row i is the
 analyzer (intensity) row of configuration i.  The per-pixel estimate is
 the least-squares minimizer of ``sum_i (I_i - a_i . s)^2``, applied as
-the channel's 4 x m pseudo-inverse (``camera.system_matrix``); channels
-of equal m share one stacked product per block of rows.
+the channel's 4 x m pseudo-inverse from the capture's measurement
+operator (``RawCapture.systems``); channels of equal m share one stacked
+product per block of rows.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .camera import (
     demosaic_footprint,
     mosaic_merge,
     mosaic_split,
-    system_matrix,
 )
 from .errors import ConfigurationError, DimensionError, EmptySelectionError
 from .image import StokesImage
@@ -86,30 +86,26 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
     frames, a sequential capture's own or a mosaic's 16 demosaiced
     segment planes: per block of rows, one gather and one stacked product
     for all channels of equal row count.  A bad raw mosaic sample taints
-    every pixel its interpolation reaches.  ``RawCapture`` refuses tags or
-    a layout that do not name each configuration once, so each channel's
-    frames are a lookup here.
+    every pixel its interpolation reaches.  Each channel's planes and
+    pseudo-inverse come from ``raw.systems``, which its construction built
+    and validated.
     """
     samples, bad = raw.frames, None  # a sequential capture's blocks flag their own samples
-    if raw.layout is None:  # per channel, the frame of each configuration
-        frame_of = {tag: k for k, tag in enumerate(raw.tags)}
-        indices = [[frame_of[c, i] for i in range(len(raw.config.configs_for(c)))]
-                   for c in range(len({c for c, _ in raw.tags}))]
-    else:
-        indices = [[k for k, _ in raw.layout.cells_for_color(c)] for c in range(3)]
+    if raw.layout is not None:
         bad = demosaic_footprint(_bad_pixel_mask(samples[0], raw))
         samples = demosaic(mosaic_split(samples[0]))
 
-    groups = {}  # per row count m: the channels, their frame indices and 4 x m pseudo-inverses
-    for c, idx in enumerate(indices):  # a channel's frames are its system's rows
-        groups.setdefault(len(idx), []).append((c, idx, system_matrix(raw.config, c).pinv))
+    channels = len(raw.systems)
+    groups = {}  # per row count m: the channels, their plane indices and 4 x m pseudo-inverses
+    for c, (idx, system) in enumerate(raw.systems):
+        groups.setdefault(len(idx), []).append((c, idx, system.pinv))
     # All channels as a slice: a basic-index copy into ``data`` beats a fancy one.
-    groups = [(list(chans) if len(chans) < len(indices) else slice(None), np.array(idx),
+    groups = [(list(chans) if len(chans) < channels else slice(None), np.array(idx),
                np.stack(pinvs)) for chans, idx, pinvs in (zip(*g) for g in groups.values())]
 
     h, w = raw.height, raw.width
-    data = np.empty((h, w, len(indices), 4))
-    mask = np.empty((h, w, len(indices)), dtype=bool)
+    data = np.empty((h, w, channels, 4))
+    mask = np.empty((h, w, channels), dtype=bool)
 
     def solve_rows(lo, hi):
         for chans, idx, pinvs in groups:
@@ -119,7 +115,7 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
             mask[lo:hi, :, chans] = ~flags.any(axis=1).transpose(1, 2, 0)
         mask[lo:hi] &= _within_bound(data[lo:hi], dop_tol)
 
-    _pool.blocks(solve_rows, h, w * sum(map(len, indices)))  # every channel's samples per row
+    _pool.blocks(solve_rows, h, w * len(samples))  # every channel's samples per row
     return StokesImage(data, raw.wavelengths, mask)
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from polarcube import (
     NoiseModel,
     NormalMapStack,
-    RawCapture,
     ScalarCube,
     StokesImage,
     _pool,
@@ -42,20 +41,15 @@ def flagged_entries(raw):
     """(H, W, C): the (pixel, channel) entries whose estimate uses a flagged sample of ``raw``.
 
     A sample is flagged when it lies at or past a clipping level, or when the mask rule
-    (``_bad_pixel_mask``) flags it.  A sequential entry uses its channel's frames at its
-    pixel; a mosaic entry uses every sample that ``demosaic_footprint`` spreads to it in its
-    colour's segment planes.
+    (``_bad_pixel_mask``) flags it.  An entry uses its channel's planes in ``raw.systems``: a
+    sequential capture's frames at its pixel, or every sample of a mosaic's segment planes
+    that ``demosaic_footprint`` spreads to it.
     """
     flags = _bad_pixel_mask(raw.frames, raw)
     flags |= (raw.frames >= raw.saturation_level) | (raw.frames <= raw.black_level)
-    if raw.layout is None:
-        entries = np.zeros((raw.height, raw.width, len({c for c, _ in raw.tags})), bool)
-        for bad, (c, _) in zip(flags, raw.tags):
-            entries[..., c] |= bad
-        return entries
-    footprint = demosaic_footprint(flags[0])
-    return np.stack([footprint[[k for k, _ in raw.layout.cells_for_color(c)]].any(axis=0)
-                     for c in range(3)], axis=-1)
+    if raw.layout is not None:
+        flags = demosaic_footprint(flags[0])
+    return np.stack([flags[planes].any(axis=0) for planes, _ in raw.systems], axis=-1)
 
 
 def assert_bit_exact(a, b, where="obj"):
@@ -83,10 +77,44 @@ SPECIALS = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(np.float32)
 
 
 @st.composite
+def raw_captures(draw, kind=None):
+    """Sequential or mosaic captures: drawn scenes, calibrations, exposures, noise and dtypes.
+
+    A sequential capture has 1-4 channels, 4 or 6 QWP angles and its frames in a drawn order;
+    calibration is none, one matrix or one per channel; frames are float64 or float32.
+    """
+    kind = kind or draw(st.sampled_from(["sequential", "mosaic"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    c = 3 if kind == "mosaic" else draw(st.integers(1, 4))
+    calibration = draw(st.sampled_from([None, (4, 4), (c, 4, 4)]))
+    if calibration is not None:
+        calibration = np.eye(4) + 0.01 * rng.normal(size=calibration)
+    noise = NoiseModel(0.01, 1e-3, 0.9, rng_seed=1) if draw(st.booleans()) else None
+    exposure = draw(st.floats(0.5, 2.0))
+    if kind == "mosaic":
+        raw = simulate_trichromatic(random_scene(4 * h, 4 * w, 3, rng), noise=noise,
+                                    calibration=calibration, exposure=exposure)
+    else:
+        wavelengths = 400.0 + 10.0 * np.arange(c) if draw(st.booleans()) else None
+        angles = draw(st.sampled_from([default_qwp_angles(),
+                                       np.deg2rad([10.0, -35.0, 70.0, -80.0, 20.0, 45.0])]))
+        raw = simulate_hyperspectral(random_scene(h, w, c, rng, wavelengths=wavelengths), angles,
+                                     noise=noise, calibration=calibration, exposure=exposure)
+        order = draw(st.permutations(range(len(raw.tags))))
+        raw = dataclasses.replace(raw, frames=raw.frames[order], tags=[raw.tags[k] for k in order])
+    if draw(st.booleans()):
+        raw = dataclasses.replace(raw, frames=raw.frames.astype(np.float32))
+    return raw
+
+
+@st.composite
 def containers(draw):
     """Objects of every container kind, built from drawn sizes and seeds."""
     kind = draw(st.sampled_from(["stokes", "scalar", "normals", "sequential", "mosaic",
                                  "codebook", "encoding", "network"]))
+    if kind in ("sequential", "mosaic"):
+        return draw(raw_captures(kind))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     h, w = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     c = draw(st.integers(2 if kind == "normals" else 1, 4))
@@ -103,23 +131,6 @@ def containers(draw):
     if kind == "normals":
         n = rng.normal(size=(h, w, c, 3))
         return NormalMapStack(n / np.linalg.norm(n, axis=-1, keepdims=True))
-    if kind == "sequential":
-        calibration = draw(st.sampled_from([None, "one", "per-channel"]))
-        if calibration is not None:
-            shape = (4, 4) if calibration == "one" else (c, 4, 4)
-            calibration = np.eye(4) + 0.01 * rng.normal(size=shape)
-        noise = NoiseModel(0.01, 1e-3, 0.9, rng_seed=1) if draw(st.booleans()) else None
-        scene = random_scene(h, w, c, rng, wavelengths=wavelengths)
-        raw = simulate_hyperspectral(scene, default_qwp_angles(), noise=noise,
-                                     calibration=calibration,
-                                     exposure=draw(st.floats(0.5, 2.0)))
-        if dtype == np.float32:
-            raw = RawCapture(raw.frames.astype(dtype), raw.config, tags=raw.tags,
-                             wavelengths=raw.wavelengths)
-        return raw
-    if kind == "mosaic":
-        noise = NoiseModel(0.01, 0.0, 0.8, rng_seed=2) if draw(st.booleans()) else None
-        return simulate_trichromatic(random_scene(4 * h, 4 * w, 3, rng), noise=noise)
     if kind in ("codebook", "encoding"):
         img = random_scene(2 * h, 2 * w, c, rng, wavelengths=wavelengths)
         element = draw(st.sampled_from([None, 0, 3]))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -142,9 +144,10 @@ class TestSimulateTrichromatic:
         assert rmse < 2e-2
 
     def test_segment_assignment_rule(self):
-        assert MosaicLayout.segment_index(5, 6) == 6
-        assert MosaicLayout.segment_index(0, 0) == 0
-        assert MosaicLayout.segment_index(3, 3) == 15
+        # pixel (n, m) lies in segment K = (n mod 4) * 4 + (m mod 4), the cell of its colour
+        layout = MosaicLayout.default()
+        for n, m, k in [(5, 6, 6), (0, 0, 0), (3, 3, 15)]:
+            assert k in layout.segments(layout.colors[n % 4, m % 4])
 
     def test_dimension_mismatch_rejected(self):
         scene = uniform_scene(6, 8, 3)
@@ -160,9 +163,9 @@ class TestMosaicLayout:
 
     def test_green_has_eight_cells_red_blue_four(self):
         layout = MosaicLayout.default()
-        assert len(layout.cells_for_color(0)) == 4
-        assert len(layout.cells_for_color(1)) == 8
-        assert len(layout.cells_for_color(2)) == 4
+        assert layout.segments(RED).tolist() == [0, 2, 8, 10]
+        assert layout.segments(GREEN).tolist() == [1, 3, 4, 6, 9, 11, 12, 14]
+        assert layout.segments(BLUE).tolist() == [5, 7, 13, 15]
 
     def test_rank_deficient_layout_rejected(self):
         layout = MosaicLayout.default()
@@ -187,7 +190,7 @@ class TestMosaicSplit:
         frame = np.empty((8, 8))
         for n in range(8):
             for m in range(8):
-                frame[n, m] = MosaicLayout.segment_index(n, m)
+                frame[n, m] = (n % 4) * 4 + (m % 4)
         segments = mosaic_split(frame)
         for k in range(16):
             assert np.all(segments[k] == k)
@@ -302,6 +305,12 @@ class TestNoise:
         with pytest.raises(ValueError):
             NoiseModel(black_level=1.0, saturation_level=0.5)
 
+    @pytest.mark.parametrize("magnitude", ["gaussian_sigma", "shot_gain"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_magnitude_rejected(self, magnitude, value):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            NoiseModel(**{magnitude: value})
+
 
 class TestSaturationPropagation:
     def test_saturated_pixels_masked_in_reconstruction(self):
@@ -338,6 +347,11 @@ class TestCaptureConfig:
         with pytest.raises(ConfigurationError):
             CaptureConfig([])
 
+    @pytest.mark.parametrize("exposure", [0.0, -1.0, np.nan, np.inf])
+    def test_exposure_must_be_positive_and_finite(self, exposure):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            CaptureConfig.hyperspectral(default_qwp_angles(), exposure=exposure)
+
     def test_shared_configs_broadcast_to_channels(self):
         config = CaptureConfig.hyperspectral(default_qwp_angles())
         assert config.configs_for(0) == config.configs_for(7)
@@ -363,6 +377,12 @@ CALIBRATIONS = {
 
 
 class TestMeasurementOperator:
+    def test_a_capture_keeps_the_operator_it_was_built_with(self):
+        raw = simulate_hyperspectral(affine_scene(), default_qwp_angles())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            raw.config = CaptureConfig.hyperspectral(np.deg2rad([10.0] * 4))  # rank 1
+        assert raw.systems is raw.systems
+
     @pytest.mark.parametrize("camera", ["hyperspectral", "trichromatic"])
     @pytest.mark.parametrize("calibration", list(CALIBRATIONS))
     @pytest.mark.parametrize("exposure", [1.0, 2.5])
@@ -380,15 +400,18 @@ class TestMeasurementOperator:
             channel_cal = None if cal is None else (cal if cal.ndim == 2 else cal[c])
             oracle = [exposure * analyzer_row(cfg, channel_cal) for cfg in config.configs_for(c)]
             assert np.allclose(config.rows(c), oracle, rtol=0, atol=1e-15)
-        if camera == "hyperspectral":
-            got = raw.frames
-            expected = [scene.data[:, :, c, :] @ config.rows(c)[i] for c, i in raw.tags]
-        else:  # segment k samples every 4th row and column
-            got, expected = [], []
-            for c in (RED, GREEN, BLUE):
-                for (k, _), row in zip(raw.layout.cells_for_color(c), config.rows(c)):
-                    got.append(mosaic_split(raw.frames[0])[k])
-                    expected.append(mosaic_split(scene.data[:, :, c, :] @ row)[k])
+        # a sequential plane is frame k, tagged (c, i); a mosaic plane is segment k, which
+        # samples every 4th row and column
+        planes = raw.frames if camera == "hyperspectral" else mosaic_split(raw.frames[0])
+        got, expected = [], []
+        for c, (indices, system) in enumerate(raw.systems):
+            assert np.array_equal(system.matrix, config.rows(c))
+            for i, (k, row) in enumerate(zip(indices, config.rows(c))):
+                frame = scene.data[:, :, c, :] @ row
+                if camera == "hyperspectral":
+                    assert raw.tags[k] == (c, i)
+                got.append(planes[k])
+                expected.append(frame if camera == "hyperspectral" else mosaic_split(frame)[k])
         assert np.allclose(got, expected, rtol=1e-14, atol=1e-14)
 
         cube = reconstruct_image(raw)

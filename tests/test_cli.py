@@ -1030,6 +1030,23 @@ class TestExitCodes:
         assert json.loads(line) == {"error": "cannot allocate", "class": "numerical"}
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+    @pytest.mark.parametrize("angles", [[10, 10, 10, 10], [10, 20, 30], [0, 45, 90, 0]],
+                             ids=["rank 1", "three angles", "rank 2"])
+    def test_a_qwp_set_that_cannot_be_inverted_exits_2_before_the_echo(
+            self, capsys, tmp_path, monkeypatch, command, angles):
+        monkeypatch.chdir(tmp_path)
+        with open("angles.json", "w") as fh:
+            json.dump({"camera": {"qwp_angles_deg": angles}}, fh)
+        code, config, _, err = run_cli(capsys, command, "--seed", "1", "--height", "4",
+                                       "--width", "4", "--channels", "2", "--config",
+                                       "angles.json", "--out", "o.spsi")
+        assert code == 2 and config is None
+        error = json.loads(err)
+        assert error["class"] == "config"
+        assert error["error"].startswith("camera.qwp_angles_deg cannot be inverted: ")
+        assert os.listdir() == ["angles.json"]
+
     @pytest.mark.parametrize("table", [[510.0, 500.0], [500.0, float("nan")]],
                              ids=["descending", "nan"])
     def test_scene_wavelength_table_must_increase(self, capsys, tmp_path, monkeypatch, table):

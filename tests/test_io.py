@@ -662,41 +662,67 @@ def unchecked(cls, fields):
     return obj
 
 
+def state(obj):
+    """The constructor arguments of a dataclass: its fields, not its cached properties."""
+    return {field.name: getattr(obj, field.name) for field in dataclasses.fields(obj)}
+
+
 def broken(case):
     """(class, fields) of a broken capture or network, by case name."""
     rng = np.random.default_rng(23)
     raw = simulate_hyperspectral(random_scene(8, 8, 2, rng, wavelengths=[500.0, 600.0]),
                                  default_qwp_angles())
     mosaic = simulate_trichromatic(random_scene(8, 8, 3, rng))
+    silent = np.eye(4)
+    silent[0] = [0.0, 0.0, 0.0, 1.0]  # records the circular output of a polarizer: 0
+    if case == "rank-1 QWP set":
+        return RawCapture, dict(state(raw), config=CaptureConfig.hyperspectral(np.full(4, 0.2)))
+    if case == "NaN QWP angle":
+        angles = np.append(default_qwp_angles()[:3], np.nan)
+        return RawCapture, dict(state(raw), config=CaptureConfig.hyperspectral(angles))
+    if case == "NaN exposure":
+        config = unchecked(CaptureConfig, dict(state(raw.config), exposure=np.nan))
+        return RawCapture, dict(state(raw), config=config)
+    if case == "singular calibration":
+        config = CaptureConfig.hyperspectral(default_qwp_angles(), calibration=silent)
+        return RawCapture, dict(state(raw), config=config)
+    if case == "singular green calibration on a mosaic":
+        calibration = np.stack([np.eye(4), silent, np.eye(4)])
+        config = MosaicLayout.default().capture_config(calibration)
+        return RawCapture, dict(state(mosaic), config=config)
+    if case == "black level above saturation":
+        return RawCapture, dict(state(raw), black_level=0.5, saturation_level=0.1)
+    if case == "NaN saturation level":
+        return RawCapture, dict(state(raw), saturation_level=np.nan)
     if case == "extra (0, 0) frame":  # a second frame of (0, 0), unlike the first
-        return RawCapture, dict(vars(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
+        return RawCapture, dict(state(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
                                 tags=raw.tags + [(0, 0)])
     if case == "extra (0, 9) frame":
-        return RawCapture, dict(vars(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
+        return RawCapture, dict(state(raw), frames=np.concatenate([raw.frames, raw.frames[-1:]]),
                                 tags=raw.tags + [(0, 9)])
     if case == "one wavelength for 2 channels":
-        return RawCapture, dict(vars(raw), wavelengths=np.array([500.0]))
+        return RawCapture, dict(state(raw), wavelengths=np.array([500.0]))
     if case == "missing frame":
-        return RawCapture, dict(vars(raw), frames=raw.frames[:-1], tags=raw.tags[:-1])
+        return RawCapture, dict(state(raw), frames=raw.frames[:-1], tags=raw.tags[:-1])
     if case == "neither tags nor layout":
-        return RawCapture, dict(vars(raw), tags=None)
+        return RawCapture, dict(state(raw), tags=None)
     if case == "tags and a layout":
-        return RawCapture, dict(vars(mosaic), tags=[(0, 0)])
+        return RawCapture, dict(state(mosaic), tags=[(0, 0)])
     if case == "two-frame mosaic":
-        return RawCapture, dict(vars(mosaic), frames=np.concatenate([mosaic.frames] * 2))
+        return RawCapture, dict(state(mosaic), frames=np.concatenate([mosaic.frames] * 2))
     if case == "swapped red configurations":
         red, green, blue = (list(group) for group in mosaic.config.channel_configs)
         red[:2] = red[1], red[0]
-        return RawCapture, dict(vars(mosaic), config=CaptureConfig([red, green, blue]))
+        return RawCapture, dict(state(mosaic), config=CaptureConfig([red, green, blue]))
     if case == "configurations for 2 of 3 channels":
         three = simulate_hyperspectral(random_scene(4, 4, 3, rng), default_qwp_angles())
         lists = [three.config.configs_for(0)] * 2
-        return RawCapture, dict(vars(three), config=CaptureConfig(lists))
+        return RawCapture, dict(state(three), config=CaptureConfig(lists))
     model = inr_init(2, 8, seed=1, k_spatial=1, grid_shape=(2, 2, 1))
     if case == "first weight of 4 columns":
-        return InrModel, dict(vars(model), weights=[model.weights[0][:, :4]] + model.weights[1:])
+        return InrModel, dict(state(model), weights=[model.weights[0][:, :4]] + model.weights[1:])
     assert case == "zero grid dimension"
-    return InrModel, dict(vars(model), grid_shape=(0, 4, 2))
+    return InrModel, dict(state(model), grid_shape=(0, 4, 2))
 
 
 class TestInvariantsHaveOneHome:
@@ -716,6 +742,18 @@ class TestInvariantsHaveOneHome:
          "contradict its mosaic layout"),
         ("configurations for 2 of 3 channels", "2 configuration lists for 3",
          "2 configuration lists for 3"),
+        ("rank-1 QWP set", "channel 0 system rank 1 < 4", "invariants: degenerate.*rank 1"),
+        ("NaN QWP angle", "channel 0: angle must be finite",
+         "invariants: channel 0: angle must be finite"),
+        ("NaN exposure", "channel 0 measurement rows are not finite",
+         "invariants: exposure must be positive and finite, got nan"),
+        ("singular calibration", "channel 0 system rank 0 < 4", "channel 0 system rank 0"),
+        ("singular green calibration on a mosaic", "channel 1 system rank 0 < 4",
+         "channel 1 system rank 0"),
+        ("black level above saturation", "black level 0.5 must lie below the saturation level 0.1",
+         "invariants: black level 0.5 must lie below the saturation level 0.1"),
+        ("NaN saturation level", "below the saturation level nan",
+         "below the saturation level nan"),
         ("first weight of 4 columns", "shapes", "payload size mismatch: 32 trailing bytes"),
         ("zero grid dimension", "grid", "grid"),
     ]
@@ -802,7 +840,7 @@ class TestTagEdits:
             write_spsi(path, raw)
             with open(path, "rb") as fh:
                 blob = patch_tags(fh.read(), raw, edit, k, past)
-            fields = dict(vars(raw), frames=frames, tags=tags)
+            fields = dict(state(raw), frames=frames, tags=tags)
             assert blob == reference_serialisation(unchecked(RawCapture, fields))
             with open(path, "wb") as fh:
                 fh.write(blob)

@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from polarcube import (
     EmptySelectionError,
+    MeasurementConfig,
     NoiseModel,
     StokesImage,
     default_qwp_angles,
@@ -27,7 +28,13 @@ from polarcube import (
     write_spsi,
 )
 
-from conftest import assert_bit_exact, containers, flagged_entries, pool_settings
+from conftest import (
+    assert_bit_exact,
+    containers,
+    flagged_entries,
+    pool_settings,
+    raw_captures,
+)
 
 
 @st.composite
@@ -139,6 +146,24 @@ def test_mosaic_capture_of_a_constant_scene_inverts_exactly(data, stokes, tiles,
     cube = reconstruct_image(raw)
     assert cube.mask.all()
     np.testing.assert_allclose(cube.data, scene.data, rtol=0, atol=INVERSION_TOL)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raw=raw_captures())
+def test_the_operator_covers_every_plane_once_with_its_channels_rows(raw):
+    planes = [k for indices, _ in raw.systems for k in indices]
+    assert sorted(planes) == list(range(16 if raw.layout is not None else len(raw.frames)))
+    for c, (indices, system) in enumerate(raw.systems):
+        assert np.array_equal(system.matrix, raw.config.rows(c))
+        if raw.layout is None:  # frame k of channel c's configuration i is tagged (c, i)
+            assert [raw.tags[k] for k in indices] == [(c, i) for i in range(len(indices))]
+        else:  # segment K of colour c's cells, K ascending, holding cell K's configuration
+            layout = raw.layout
+            assert list(indices) == sorted(indices)
+            assert all(layout.colors.flat[k] == c for k in indices)
+            cells = [MeasurementConfig(layout.retarder_angles.flat[k], layout.retardances.flat[k],
+                                       layout.polarizer_angles.flat[k]) for k in indices]
+            assert cells == raw.config.configs_for(c)
 
 
 @settings(max_examples=60, deadline=None)

@@ -182,8 +182,8 @@ class TestReconstructImage:
         mosaic = simulate_trichromatic(scene)
         layout = mosaic.layout
         tags = [None] * 16
-        for color in range(3):
-            for i, (k, _) in enumerate(layout.cells_for_color(color)):
+        for color, (segments, _) in enumerate(mosaic.systems):
+            for i, k in enumerate(segments):
                 tags[k] = (color, i)
         sequential = RawCapture(demosaic(mosaic_split(mosaic.frames[0])),
                                 layout.capture_config(), tags=tags)
