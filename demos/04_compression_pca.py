@@ -33,9 +33,9 @@ for k in (1, 2, 4, 8, 16, 32):
 # (coefficients alone, and coefficients + basis + mean).
 ks = [1, 2, 4, 8, 16, 32, 64, 128, dim]
 curve = pc.pca_rate_curve(scene, codebook, ks)
-print(f"\n{'K':>5} {'BPP(coef)':>10} {'BPP(total)':>10} {'MSE':>12}")
-for k, bpp_c, bpp_t, mse in curve.rows:
-    print(f"{k:5d} {bpp_c:10.2f} {bpp_t:10.2f} {mse:12.3e}")
+print(f"\n{'K':>5} {'BPP(coef)':>10} {'BPP(total)':>10} {'MSE':>12} {'PSNR':>8}")
+for k, bpp_c, bpp_t, mse, psnr in curve.rows:
+    print(f"{k:5d} {bpp_c:10.2f} {bpp_t:10.2f} {mse:12.3e} {psnr:8.2f}")
 pc.export_csv(curve, "/tmp/demo_pca_rate_curve.csv")
 print("wrote /tmp/demo_pca_rate_curve.csv")
 

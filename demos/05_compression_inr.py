@@ -55,17 +55,18 @@ raw_bpp = pc.bpp(scene.data.size * 32, scene.width, scene.height)
 print(f"network {network_bpp:.1f} BPP vs raw {raw_bpp:.0f} BPP")
 
 # Rate-distortion across depths: deeper networks cost bits and buy
-# accuracy; the curve backs the layers-vs-error trade-off plot.
+# accuracy; the curve backs the layers-vs-error trade-off plot.  Each row
+# is the quality of that network's decode against the scene.
 fitted = []
 for layers in (2, 3, 4):
     small = pc.inr_init(layers, 24, seed=layers, dtype=np.float32)
-    small, rep = pc.inr_train(small, scene, steps=1200, lr=1e-2,
-                              batch_size=4096, seed=layers)
-    fitted.append((small, rep.final_mse))
-curve = pc.inr_rate_curve(fitted, scene.width, scene.height)
-print(f"\n{'layers':>6} {'params':>8} {'BPP':>8} {'MSE':>12}")
-for layers, params, bpp_value, mse in curve.rows:
-    print(f"{layers:6d} {params:8d} {bpp_value:8.1f} {mse:12.3e}")
+    small, _ = pc.inr_train(small, scene, steps=1200, lr=1e-2,
+                            batch_size=4096, seed=layers)
+    fitted.append(small)
+curve = pc.inr_rate_curve(fitted, scene)
+print(f"\n{'layers':>6} {'params':>8} {'BPP':>8} {'MSE':>12} {'PSNR':>8}")
+for layers, params, bpp_value, mse, psnr in curve.rows:
+    print(f"{layers:6d} {params:8d} {bpp_value:8.1f} {mse:12.3e} {psnr:8.2f}")
 pc.export_csv(curve, "/tmp/demo_inr_rate_curve.csv")
 print("wrote /tmp/demo_inr_rate_curve.csv")
 

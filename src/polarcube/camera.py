@@ -210,6 +210,7 @@ def _channels(config: CaptureConfig, tags=None, layout=None) -> list:
     (c, 0), (c, 1), ..., or the mosaic segments of colour c, K ascending.
     Tags that do not name each configuration of channels 0..C-1 once raise
     ``DimensionError``; ``system_matrix`` refuses a system it cannot invert.
+    Channels that share one configuration list and calibration share one system.
     """
     if layout is not None:
         planes = [layout.segments(color) for color in (RED, GREEN, BLUE)]
@@ -225,6 +226,9 @@ def _channels(config: CaptureConfig, tags=None, layout=None) -> list:
                 f" {len(tags) - len(index)} repeated, missing {sorted(want - index.keys())[:4]},"
                 f" unknown {sorted(index.keys() - want)[:4]}")
         planes = [np.array([index[c, i] for i in range(m)]) for c, m in enumerate(sizes)]
+    if planes and config.shared and np.ndim(config.calibration) < 3:  # one row set for all
+        system = system_matrix(config)  # a degenerate set names channel 0
+        return [(k, system) for k in planes]
     return [(k, system_matrix(config, c)) for c, k in enumerate(planes)]
 
 

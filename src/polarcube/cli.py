@@ -75,7 +75,8 @@ _KEYS = {
     "inr.width": (64, _COUNT), "inr.steps": (2000, _NATURAL),
     "inr.lr": (1e-3, _POSITIVE), "inr.batch": (None, _COUNT),
     "inr.k_spatial": (10, _NATURAL), "inr.k_channel": (1, _NATURAL),
-    "stats.bins": (DEFAULT_BINS, _COUNT),
+    # at most 1,024 bins: a Poincare grid then has at most 1,024^2 cells
+    "stats.bins": (DEFAULT_BINS, _rule(int, lambda n: 1 <= n <= 1024, "an integer in [1, 1024]")),
 }
 
 
@@ -335,9 +336,9 @@ def cmd_pca_code(cfg, args):
         if args.bases > codebook.n_bases:
             raise _ConfigError(f"--bases must be at most {codebook.n_bases}, got {args.bases}")
         codebook = pc.truncate_codebook(codebook, args.bases)
+    curve = pc.pca_rate_curve(cube, codebook, [codebook.n_bases])  # one row, before the write
     pc.write_spsi(out, pc.pca_decode(pc.pca_encode(cube, codebook)))
-    curve = pc.pca_rate_curve(cube, codebook, [codebook.n_bases])  # one row, every basis
-    return {"out": out, **dict(zip(curve.columns[1:], curve.rows[0][1:]))}  # bpp and mse
+    return {"out": out, **dict(zip(curve.columns[1:], curve.rows[0][1:]))}  # bpp, mse, psnr
 
 
 def cmd_inr_fit(cfg, args):

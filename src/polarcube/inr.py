@@ -342,17 +342,18 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
                               lr, schedule)
 
 
-def inr_rate_curve(fitted, width: int, height: int, bits_per_value: int = 32):
+def inr_rate_curve(models, reference: StokesImage, bits_per_value: int = 32):
     """Rate-distortion rows for trained networks of varying size.
 
-    ``fitted`` is an iterable of (model, mse) pairs; each becomes a row
-    (layer count, parameter count, bits per pixel, mse).
+    Each model becomes a row (layer count, parameter count, bits per pixel,
+    mse, psnr), scored by ``quality`` of its decode on the reference's grid.
     """
     from .io import Curve
 
-    rows = [(m.layers, parameter_count(m),
-             bpp(parameter_count(m) * bits_per_value, width, height), mse) for m, mse in fitted]
-    return Curve(columns=["layers", "parameters", "bpp", "mse"], rows=rows)
+    fits = [(m, quality(reference, inr_decode(m, reference.mask.shape))) for m in models]
+    rows = [(m.layers, parameter_count(m), bpp(parameter_count(m) * bits_per_value,
+             reference.width, reference.height), fit.mse, fit.psnr) for m, fit in fits]
+    return Curve(columns=["layers", "parameters", "bpp", "mse", "psnr"], rows=rows)
 
 
 def inr_decode(model: InrModel, dims=None, wavelengths=None) -> StokesImage:

@@ -13,8 +13,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import DimensionError, EmptySelectionError
 from .image import ScalarCube, StokesImage
+from .reconstruct import _psnr
 
 __all__ = [
     "PcaCodebook",
@@ -43,16 +44,14 @@ def extract_patches(img: StokesImage, patch_size: int, element: int | None = Non
         raise DimensionError("patch size must be >= 1")
     if p > min(img.height, img.width):
         raise DimensionError(f"patch size {p} exceeds image dims {img.height}x{img.width}")
-    gh, gw = img.height // p, img.width // p
-    data = img.data if element is None else img.data[..., element : element + 1]
-    comp = data.shape[-1]
-    cropped = data[: gh * p, : gw * p]
-    patches = (
-        cropped.reshape(gh, p, gw, p, img.channels, comp)
-        .transpose(0, 2, 1, 3, 4, 5)
-        .reshape(gh * gw, p * p * img.channels * comp)
-    )
-    return np.ascontiguousarray(patches)
+    return _tile(img.data if element is None else img.data[..., element : element + 1], p)
+
+
+def _tile(data: np.ndarray, p: int) -> np.ndarray:
+    """The (N, P*P*C*k) patches of an (H, W, C, k) array, row-major grid order."""
+    gh, gw = data.shape[0] // p, data.shape[1] // p
+    blocks = data[: gh * p, : gw * p].reshape(gh, p, gw, p, -1).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(blocks.reshape(gh * gw, -1))
 
 
 @dataclass
@@ -188,15 +187,6 @@ def _project(img: StokesImage, codebook: PcaCodebook):
     return patches, (patches - codebook.mean) @ codebook.basis
 
 
-def _patch_mse(patches: np.ndarray, enc: PcaEncoding) -> float:
-    """Decode MSE over the pixels the patches cover, taken in patch space."""
-    cb = enc.codebook
-    err = enc.coefficients @ cb.basis.T
-    err += cb.mean
-    err -= patches
-    return float(np.vdot(err, err)) / err.size
-
-
 def pca_encode(img: StokesImage, codebook: PcaCodebook) -> PcaEncoding:
     """Project an image's patches onto the codebook: c = (p - mu) . b."""
     _, coeffs = _project(img, codebook)
@@ -246,24 +236,33 @@ def pca_rate_curve(img: StokesImage, codebook: PcaCodebook, ks,
     """Rate-distortion sweep over basis counts.
 
     Returns a Curve with columns (k, bpp of coefficients alone, bpp
-    including basis + mean, decode mse over covered pixels).  The image
-    is encoded once, at the largest k; each row decodes the first k
-    coefficient columns in patch space.
+    including basis + mean, mse, psnr), each row scored as ``quality``
+    scores its decode (of the coded element, for a single-element
+    codebook).  The image is encoded once, at the largest k; each row
+    decodes the first k coefficient columns in patch space.  No valid
+    covered entry raises EmptySelectionError.
     """
     from .io import Curve
 
     ks = sorted(int(k) for k in ks)
     top = truncate_codebook(codebook, max(ks, default=codebook.n_bases))
     patches, coeffs = _project(img, top)
-    rows = []
+    p = codebook.patch_size
+    masked = ~_tile(img.mask[..., None], p)  # (N, P*P*C): the covered entries' mask, inverted
+    n = masked.size - int(np.count_nonzero(masked))
+    if n == 0:
+        raise EmptySelectionError("no valid covered entries to score")
+    peak = float(_tile(img.data[..., :1], p).max(where=~masked, initial=-np.inf))
+    rows, err = [], np.empty_like(patches)  # one error buffer serves every row
     for k in ks:
         enc = PcaEncoding(truncate_codebook(codebook, k), coeffs[:, :k], img.height, img.width)
-        rows.append(
-            (
-                k,
-                bpp(enc.stored_bits(False, bits_per_value), img.width, img.height),
-                bpp(enc.stored_bits(True, bits_per_value), img.width, img.height),
-                _patch_mse(patches, enc),
-            )
-        )
-    return Curve(columns=["k", "bpp_coefficients", "bpp_with_codebook", "mse"], rows=rows)
+        np.matmul(enc.coefficients, enc.codebook.basis.T, out=err)
+        err += codebook.mean
+        err -= patches
+        if n < masked.size:
+            np.copyto(err.reshape(*masked.shape, -1), 0.0, where=masked[..., None])
+        mse = float(np.vdot(err, err)) / (n * codebook.components)
+        rows.append((k, bpp(enc.stored_bits(False, bits_per_value), img.width, img.height),
+                     bpp(enc.stored_bits(True, bits_per_value), img.width, img.height),
+                     mse, _psnr(peak, mse)))
+    return Curve(columns=["k", "bpp_coefficients", "bpp_with_codebook", "mse", "psnr"], rows=rows)

@@ -19,13 +19,17 @@ from polarcube import (
     mosaic_merge,
     mosaic_split,
     random_scene,
+    read_spsi,
     reconstruct_image,
     simulate_hyperspectral,
     simulate_trichromatic,
     smooth_scene,
     uniform_scene,
+    write_spsi,
 )
-from polarcube.camera import RED, GREEN, BLUE
+from polarcube.camera import RED, GREEN, BLUE, system_matrix
+
+from conftest import assert_bit_exact
 
 RNG = np.random.default_rng(77)
 
@@ -382,6 +386,40 @@ class TestMeasurementOperator:
         with pytest.raises(dataclasses.FrozenInstanceError):
             raw.config = CaptureConfig.hyperspectral(np.deg2rad([10.0] * 4))  # rank 1
         assert raw.systems is raw.systems
+
+    @pytest.mark.parametrize("kind", ["hyperspectral", "trichromatic"])
+    def test_channels_with_one_row_set_share_one_system(self, monkeypatch, tmp_path, kind):
+        builds = []
+        monkeypatch.setattr("polarcube.camera.system_matrix",
+                            lambda *a: builds.append(a) or system_matrix(*a))
+        channels = 21 if kind == "hyperspectral" else 3
+        scene = smooth_scene(12, 12, channels, np.random.default_rng(3))
+        noise = NoiseModel(0.01, 0.001, saturation_level=0.5, rng_seed=5)
+        cal = CALIBRATIONS["shared"]
+        got = {}
+        # one matrix per channel, all equal: the same rows, one system per channel
+        for name, calibration in (("shared", cal), ("stacked", np.stack([cal] * channels))):
+            builds.clear()
+            if kind == "hyperspectral":
+                raw = simulate_hyperspectral(scene, default_qwp_angles(), noise=noise,
+                                             calibration=calibration)
+            else:
+                raw = simulate_trichromatic(scene, noise=noise, calibration=calibration)
+            write_spsi(tmp_path / "raw.spsi", raw)
+            cube = reconstruct_image(read_spsi(tmp_path / "raw.spsi"))
+            assert 0 < cube.valid_fraction() < 1
+            got[name] = raw.frames, cube.data, cube.mask, len(builds)
+        *shared, shared_builds = got["shared"]
+        *stacked, stacked_builds = got["stacked"]
+        for a, b in zip(shared, stacked):
+            assert_bit_exact(a, b)
+        # simulate, the capture it returns, and the read each build the operator once
+        if kind == "hyperspectral":
+            assert (shared_builds, stacked_builds) == (3, 3 * 21)
+        else:  # the mosaic's three colours build one system each either way
+            assert shared_builds == stacked_builds and shared_builds % 3 == 0
+        with pytest.raises(ConfigurationError, match="channel 0 system rank 1"):
+            simulate_hyperspectral(scene, np.deg2rad([10.0] * 4))
 
     @pytest.mark.parametrize("camera", ["hyperspectral", "trichromatic"])
     @pytest.mark.parametrize("calibration", list(CALIBRATIONS))

@@ -19,7 +19,7 @@ from polarcube import random_scene, read_spsi, write_spsi
 from polarcube import cli
 from polarcube.cli import _COMMANDS, _KEYS, _SHARED, main
 
-from conftest import flagged_entries, pool_settings
+from conftest import clipped_cube, flagged_entries, pool_settings
 
 RNG = np.random.default_rng(612)
 
@@ -289,6 +289,27 @@ class TestCodecCommands:
         assert code == 0
         assert summary["mse"] >= 0
         assert summary["bpp_with_codebook"] > summary["bpp_coefficients"]
+
+    def test_pca_code_prints_the_quality_of_the_cube_it_writes(self, capsys, tmp_path):
+        cube = clipped_cube()
+        assert cube.mask[:24, :20].mean() < 0.9  # masked entries that patches cover
+        cube_path, cb_path = str(tmp_path / "cube.spsi"), str(tmp_path / "codebook.spsi")
+        write_spsi(cube_path, cube)
+        write_spsi(cb_path, polarcube.pca_fit_image(cube, 4, 12))
+        out = str(tmp_path / "decoded.spsi")
+        code, _, summary, _ = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                      "--bases", "5", "--out", out)
+        assert code == 0
+        fit = polarcube.quality(cube, read_spsi(out))
+        assert summary["mse"] == pytest.approx(fit.mse, rel=1e-9, abs=0)
+        assert summary["psnr"] == pytest.approx(fit.psnr, rel=1e-9, abs=0)
+        cube.mask[:24, :20] = False  # no entry that a patch covers is valid
+        write_spsi(cube_path, cube)
+        out = tmp_path / "unscored.spsi"
+        code, _, _, err = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                  "--out", str(out))
+        assert code == 4 and json.loads(err)["class"] == "numerical"
+        assert not out.exists()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_cube_is_numerical_error(self, capsys, tmp_path, bad):
@@ -738,6 +759,10 @@ class TestDeclarations:
         ("simulate", ["--seed", "1", "--height", "0"]),
         ("roundtrip", ["--camera", "trichromatic", "--size", "6", "--seed", "1"]),
         ("features", ["{cube}", "--config", "{bins_half}"]),
+        ("features", ["{cube}", "--bins", "1025"]),  # above the 1,024-bin bound
+        ("decompose", ["{cube}", "--bins", "1025"]),
+        ("stats", ["{cube}", "--feature", "s0", "--bins", "1025"]),
+        ("sfp-stats", ["{normals}", "--bins", "1025"]),
         ("stats", ["{cube}", "--feature", "s0", "--config", "{bins_many}"]),
         # a seed that nothing reads: a noiseless uniform scene
         ("simulate", ["--config", "{uniform}", "--seed", "1"]),
@@ -757,6 +782,10 @@ class TestDeclarations:
         ("features", ["{cube}", "--out", "o_"], {"stats": {"bins": 3.5}}, "stats.bins"),
         ("stats", ["{cube}", "--feature", "s0", "--out", "o.csv"], {"stats": {"bins": True}},
          "stats.bins"),
+        *[(command, [*argv, "--out", "o_"], {"stats": {"bins": 1025}}, "stats.bins")
+          for command, argv in (("features", ["{cube}"]), ("decompose", ["{cube}"]),
+                                ("stats", ["{cube}", "--feature", "s0"]),
+                                ("sfp-stats", ["{normals}"]))],
         ("roundtrip", [], {"seed": -1}, "seed"),
         ("roundtrip", ["--seed", "1"], {"camera": {"height": 0}}, "camera.height"),
         ("roundtrip", ["--seed", "1"], {"noise": {"sigma": float("nan")}}, "noise.sigma"),
@@ -882,6 +911,22 @@ class TestDeclarations:
         for name, rows in (("cop-gradient", 5), ("s0", 50)):
             with open(f"{out}{name}.csv") as fh:
                 assert len(list(csv.DictReader(fh))) == rows
+
+    def test_bins_are_bounded_at_1024(self, capsys, tmp_path, inputs):
+        out = tmp_path / "s0.csv"
+        code, config, _, _ = run_cli(capsys, "stats", inputs["cube"], "--feature", "s0",
+                                     "--bins", "1024", "--out", str(out))
+        assert code == 0 and config["stats"]["bins"] == 1024
+        with open(out) as fh:
+            assert len(list(csv.DictReader(fh))) == 1024
+        out.unlink()
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text('{"stats": {"bins": 1025}}')
+        code, config, _, err = run_cli(capsys, "stats", inputs["cube"], "--feature", "s0",
+                                       "--config", str(cfg_path), "--out", str(out))
+        assert (code, config) == (2, None)
+        assert json.loads(err)["error"] == "stats.bins must be an integer in [1, 1024], got 1025"
+        assert list(tmp_path.iterdir()) == [cfg_path]
 
     def test_pca_code_ignores_the_pca_section(self, capsys, tmp_path, inputs):
         cfg_path = tmp_path / "config.json"

@@ -24,6 +24,8 @@ from polarcube import (
     uniform_scene,
 )
 
+from conftest import clipped_cube
+
 RNG = np.random.default_rng(31)
 
 
@@ -269,16 +271,17 @@ class TestDecode:
 
 
 class TestRateCurve:
-    def test_one_row_per_fitted_model(self):
-        small, large = inr_init(2, 8, seed=0), inr_init(3, 16, seed=1)
-        assert parameter_count(small) < parameter_count(large)
-        curve = inr_rate_curve([(small, 0.01), (large, 0.002)], width=12, height=5,
-                               bits_per_value=16)
-        assert curve.columns == ["layers", "parameters", "bpp", "mse"]
-        assert curve.rows == [
-            (2, parameter_count(small), parameter_count(small) * 16 / (12 * 5), 0.01),
-            (3, parameter_count(large), parameter_count(large) * 16 / (12 * 5), 0.002),
-        ]
+    def test_rows_are_the_quality_of_each_models_decode(self):
+        cube = clipped_cube(8, 6, 2)
+        assert not cube.mask.all()
+        models = [inr_train(inr_init(layers, width, seed=layers), cube, 5, lr=1e-2)[0]
+                  for layers, width in ((2, 8), (3, 16))]
+        curve = inr_rate_curve(models, cube, bits_per_value=16)
+        assert curve.columns == ["layers", "parameters", "bpp", "mse", "psnr"]
+        for row, model in zip(curve.rows, models, strict=True):
+            fit = quality(cube, inr_decode(model, (8, 6, 2)))
+            count = parameter_count(model)
+            assert row == (model.layers, count, count * 16 / (8 * 6), fit.mse, fit.psnr)
 
 
 def worst_gradient_error(model, coords, targets, eps=1e-6):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from polarcube import (
     DimensionError,
+    EmptySelectionError,
     PcaCodebook,
     PcaEncoding,
     StokesImage,
@@ -15,11 +16,14 @@ from polarcube import (
     pca_fit,
     pca_fit_image,
     pca_rate_curve,
+    quality,
     random_scene,
     smooth_scene,
     truncate_codebook,
     variance_spectrum,
 )
+
+from conftest import clipped_cube
 
 RNG = np.random.default_rng(99)
 
@@ -267,7 +271,7 @@ class TestRateCurve:
         assert ks == sorted(ks)
         assert all(b1 < b2 for b1, b2 in zip(bpps, bpps[1:]))
         assert all(m1 >= m2 for m1, m2 in zip(mses, mses[1:]))
-        assert curve.columns == ["k", "bpp_coefficients", "bpp_with_codebook", "mse"]
+        assert curve.columns == ["k", "bpp_coefficients", "bpp_with_codebook", "mse", "psnr"]
 
 
 def covered_mse(img, codebook, k):
@@ -280,6 +284,18 @@ def covered_mse(img, codebook, k):
     else:
         got, want = decoded.data[:rows, :cols], img.data[:rows, :cols, :, codebook.element]
     return enc, float(np.mean((got - want) ** 2)), float(np.mean(want**2))
+
+
+def decode_quality(img, codebook, k):
+    """``quality`` of the per-K decode as (mse, psnr), of the coded element alone if one is."""
+    decoded = pca_decode(pca_encode(img, truncate_codebook(codebook, k)))
+    if codebook.element is None:
+        fit = quality(img, decoded)
+        return fit.mse, fit.psnr
+    data = img.data.copy()
+    data[..., codebook.element] = decoded.data  # the other elements carry no error
+    fit = quality(img, StokesImage(data, mask=decoded.mask))
+    return 4 * fit.mse, fit.element_psnr[codebook.element]
 
 
 class TestRateCurveMatchesPerKDecode:
@@ -297,12 +313,34 @@ class TestRateCurveMatchesPerKDecode:
                        label="ks")
         curve = pca_rate_curve(img, codebook, ks)
         assert [row[0] for row in curve.rows] == sorted(ks)
-        for k, bpp_coeffs, bpp_all, mse in curve.rows:
+        for k, bpp_coeffs, bpp_all, mse, _ in curve.rows:
             enc, want, power = covered_mse(img, codebook, k)
             assert bpp_coeffs == bpp(enc.stored_bits(False), w, h)
             assert bpp_all == bpp(enc.stored_bits(True), w, h)
             # relative 1e-12; the floor only matters where the error is rounding noise
             assert abs(mse - want) <= 1e-12 * want + 1e-24 * power
+
+    @pytest.mark.parametrize("element", [None, 0, 3])
+    def test_rows_are_the_quality_of_each_decode_on_a_clipped_capture(self, element):
+        cube = clipped_cube()
+        assert cube.mask[:24, :20].mean() < 0.9  # masked entries that patches cover
+        codebook = pca_fit_image(cube, 4, 12, element=element)
+        curve = pca_rate_curve(cube, codebook, [2, 5, 12])
+        for k, _, _, mse, psnr in curve.rows:
+            want_mse, want_psnr = decode_quality(cube, codebook, k)
+            assert mse == pytest.approx(want_mse, rel=1e-9, abs=0)
+            assert psnr == pytest.approx(want_psnr, rel=1e-9, abs=0)
+            _, blind, _ = covered_mse(cube, codebook, k)  # every covered entry, masked or not
+            assert abs(mse - blind) > 1e-6 * mse  # far above the 1e-9 agreement
+
+    def test_no_valid_covered_entry_raises_as_quality_does(self):
+        img = small_cube(5, 5, 2)
+        codebook = pca_fit_image(img, 2, 4)
+        img.mask[:4, :4] = False  # every covered entry; row 4 and column 4 stay valid
+        with pytest.raises(EmptySelectionError):
+            pca_rate_curve(img, codebook, [2, 4])
+        with pytest.raises(EmptySelectionError):
+            quality(img, pca_decode(pca_encode(img, codebook)))
 
     @pytest.mark.parametrize("ks", [[0], [5, 0], [17], [1, 17]])
     def test_k_outside_range_rejected(self, ks):
