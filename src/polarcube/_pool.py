@@ -3,8 +3,8 @@
 Each block writes its own slices of outputs the caller preallocated, or
 returns its part, which ``blocks`` hands back in block order.  Block bounds
 do not depend on the thread count, so neither do results.
-Blocks call private helpers only: the benchmark tracer follows public
-calls on the calling thread alone.  The pool is a queue and plain
+Blocks call no public function that the benchmark tracer wraps: it
+follows public calls on the calling thread alone.  The pool is a queue and plain
 threads, started at the first job that uses it: ``concurrent.futures``
 would add about 6 ms of imports to every command-line process.
 """

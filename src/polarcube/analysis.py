@@ -172,7 +172,7 @@ def _gradients(feature, direction):
         if direction in ("both", "y"):
             parts.append(_differences(values, valid))
         g = np.concatenate(parts)
-        return [_wrap_aolp(g) if feature == "aolp" else g]
+        return [wrap_aolp_gradient(g) if feature == "aolp" else g]
     return sample
 
 
@@ -193,9 +193,6 @@ def wrap_aolp_gradient(g: np.ndarray) -> np.ndarray:
     """Fold angle differences into [-pi/2, pi/2] using the pi period."""
     g = np.asarray(g)
     return np.where(np.abs(g) > np.pi / 2, g - np.pi * np.sign(g), g)
-
-
-_wrap_aolp = wrap_aolp_gradient  # bound at import: blocks must not reach a traced public name
 
 
 def aolp_gradient(psi: np.ndarray):

@@ -180,10 +180,13 @@ def denoise(raws, median=None) -> RawCapture:
                                      "calibration, exposure, tags or layout, wavelengths, levels "
                                      "or frame shape")
     frames = burst_average([raw.frames for raw in raws])
-    if median is not None:  # each frame, or each segment plane of a mosaic
+    if median is not None:  # each frame, or each segment plane of a mosaic, filtered in place
         mosaic = raws[0].layout is not None
-        planes = [median_filter(p, median) for p in (mosaic_split(frames[0]) if mosaic else frames)]
-        frames = mosaic_merge(planes)[None] if mosaic else np.stack(planes)
+        planes = mosaic_split(frames[0]) if mosaic else frames
+        for plane in planes:
+            plane[...] = median_filter(plane, median)
+        if mosaic:
+            frames[0] = mosaic_merge(planes)
     for raw in raws:
         np.copyto(frames, raw.frames, where=_bad_pixel_mask(raw.frames, raw))
     return replace(raws[0], frames=frames)

@@ -46,7 +46,7 @@ def random_scene(
     direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
     data = np.empty(shape + (4,))
     data[..., 0] = s0
-    data[..., 1:] = direction * (rho * s0)[..., None]
+    np.multiply(direction, (rho * s0)[..., None], out=data[..., 1:])
     if wavelengths is None and channels == 21:
         wavelengths = lctf_wavelengths(channels)
     return StokesImage(data, wavelengths)
@@ -75,12 +75,11 @@ def smooth_scene(height, width, channels, rng, cycles=1.5, rho_max=0.8, waveleng
     # unit direction field on the Poincare sphere, smooth in space
     az = np.pi * harmonics()
     el = 0.5 * np.pi * 0.8 * harmonics()
-    direction = np.stack(
-        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1
-    )
     data = np.empty((height, width, channels, 4))
     data[..., 0] = s0
-    data[..., 1:] = direction * (rho * s0)[..., None]
+    np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1,
+             out=data[..., 1:])
+    data[..., 1:] *= (rho * s0)[..., None]
     if wavelengths is None and channels == 21:
         wavelengths = lctf_wavelengths(channels)
     return StokesImage(data, wavelengths)

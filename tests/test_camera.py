@@ -52,6 +52,43 @@ class TestAnalyzerRow:
         assert analyzer_row(cfg) @ [1.0, 1.0, 0.0, 0.0] == pytest.approx(0.625, abs=1e-12)
 
 
+def reference_random_scene(height, width, channels, rng, s0_range=(0.3, 1.0), rho_max=0.9):
+    """``random_scene``'s data with its polarized part built as a scaled copy of the directions."""
+    shape = (height, width, channels)
+    s0 = rng.uniform(*s0_range, size=shape)
+    rho = rng.uniform(0.0, rho_max, size=shape)
+    direction = rng.normal(size=shape + (3,))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    data = np.empty(shape + (4,))
+    data[..., 0] = s0
+    data[..., 1:] = direction * (rho * s0)[..., None]
+    return data
+
+
+def reference_smooth_scene(height, width, channels, rng, cycles=1.5, rho_max=0.8):
+    """``smooth_scene``'s data with its direction field stacked, then scaled into a copy."""
+    y = np.linspace(0.0, 2.0 * np.pi * cycles, height)[:, None, None]
+    x = np.linspace(0.0, 2.0 * np.pi * cycles, width)[None, :, None]
+    ch = np.arange(channels)[None, None, :]
+
+    def harmonics():
+        phase_y = rng.uniform(0.0, 2.0 * np.pi, size=channels)
+        phase_x = rng.uniform(0.0, 2.0 * np.pi, size=channels)
+        return 0.5 * (np.sin(y + phase_y[ch]) + np.sin(x + phase_x[ch]))
+
+    s0 = 0.55 + 0.25 * harmonics()
+    rho = rho_max * (0.5 + 0.5 * harmonics())
+    az = np.pi * harmonics()
+    el = 0.5 * np.pi * 0.8 * harmonics()
+    direction = np.stack(
+        [np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1
+    )
+    data = np.empty((height, width, channels, 4))
+    data[..., 0] = s0
+    data[..., 1:] = direction * (rho * s0)[..., None]
+    return data
+
+
 class TestScenes:
     @pytest.mark.parametrize("make", [smooth_scene, random_scene])
     @pytest.mark.parametrize("rho_max", [1.0, -0.1, float("nan")])
@@ -63,6 +100,23 @@ class TestScenes:
     def test_every_vector_stays_below_rho_max(self, make):
         s = make(8, 8, 2, np.random.default_rng(3), rho_max=0.99).data
         assert np.all(np.linalg.norm(s[..., 1:], axis=-1) <= 0.99 * s[..., 0] * (1 + 1e-12))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 5, 3), (3, 0, 2), (7, 5, 21), (16, 12, 3)])
+    @pytest.mark.parametrize("make, reference", [(smooth_scene, reference_smooth_scene),
+                                                 (random_scene, reference_random_scene)])
+    def test_bit_identical_to_the_stack_then_scale_reference(self, shape, make, reference):
+        scene = make(*shape, np.random.default_rng(11))
+        want = reference(*shape, np.random.default_rng(11))
+        assert_bit_exact(scene.data, want)
+        assert scene.data.flags.owndata and scene.data.flags.writeable
+        if shape[2] == 21:
+            assert np.array_equal(scene.wavelengths, 450.0 + 10.0 * np.arange(21))
+
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (0, 5, 3), (4, 3, 21)])
+    def test_uniform_scene_owns_writable_data(self, shape):
+        data = uniform_scene(*shape, stokes=(1.0, 0.2, 0.0, -0.1)).data
+        assert data.flags.owndata and data.flags.writeable
+        assert np.array_equal(data, np.broadcast_to([1.0, 0.2, 0.0, -0.1], shape + (4,)))
 
 
 class TestSimulateHyperspectral:
@@ -153,9 +207,11 @@ class TestSimulateTrichromatic:
         for n, m, k in [(5, 6, 6), (0, 0, 0), (3, 3, 15)]:
             assert k in layout.segments(layout.colors[n % 4, m % 4])
 
-    def test_dimension_mismatch_rejected(self):
-        scene = uniform_scene(6, 8, 3)
-        with pytest.raises(DimensionError):
+    @pytest.mark.parametrize("shape, message", [((6, 8, 3), "sides divisible by 4"),
+                                                ((8, 8, 2), "expects a 3-channel scene")])
+    def test_dimension_mismatch_rejected(self, shape, message):
+        scene = uniform_scene(*shape)
+        with pytest.raises(DimensionError, match=message):
             simulate_trichromatic(scene)
 
 
@@ -179,6 +235,14 @@ class TestMosaicLayout:
                 layout.colors, layout.polarizer_angles, layout.retarder_angles,
                 np.zeros((4, 4)),
             )
+
+    @pytest.mark.parametrize("table", ["colors", "polarizer_angles", "retarder_angles",
+                                       "retardances"])
+    def test_table_that_is_not_4x4_rejected(self, table):
+        tables = dataclasses.asdict(MosaicLayout.default())
+        tables[table] = tables[table][:, :3]
+        with pytest.raises(DimensionError, match=f"{table} must be a 4x4 table"):
+            MosaicLayout(**tables)
 
     def test_bad_census_rejected(self):
         layout = MosaicLayout.default()
@@ -211,6 +275,10 @@ class TestMosaicSplit:
     def test_indivisible_dims_rejected(self):
         with pytest.raises(DimensionError):
             mosaic_split(np.zeros((6, 8)))
+
+    def test_merge_of_fifteen_segments_rejected(self):
+        with pytest.raises(DimensionError, match="expected 16 segments"):
+            mosaic_merge(np.zeros((15, 2, 2)))
 
 
 class TestDemosaic:

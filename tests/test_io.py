@@ -106,7 +106,51 @@ class TestCubeRoundTrip:
         assert a.read_bytes() == b.read_bytes()
 
 
+class TestObjectChecks:
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 3), (2, 2, 4), (2, 2, 3, 4, 1)])
+    def test_stokes_data_that_is_not_h_w_c_4_refused(self, shape):
+        with pytest.raises(DimensionError, match=r"must be \(H, W, C, 4\)"):
+            StokesImage(np.zeros(shape))
+
+    def test_wavelength_table_of_another_channel_count_refused(self):
+        with pytest.raises(DimensionError, match=r"wavelength table has \(2,\), expected \(3,\)"):
+            StokesImage(np.zeros((2, 2, 3, 4)), [500.0, 600.0])
+
+    def test_mask_of_another_shape_refused(self):
+        with pytest.raises(DimensionError, match=r"mask shape \(2, 2, 2\) does not match"):
+            StokesImage(np.zeros((2, 2, 3, 4)), mask=np.ones((2, 2, 2), dtype=bool))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3, 1)])
+    def test_scalar_data_that_is_not_h_w_c_refused(self, shape):
+        with pytest.raises(DimensionError, match=r"must be \(H, W, C\)"):
+            ScalarCube(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 3, 4), (2, 2, 3)])
+    def test_normal_data_that_is_not_h_w_c_3_refused(self, shape):
+        with pytest.raises(DimensionError, match=r"must be \(H, W, C, 3\)"):
+            NormalMapStack(np.ones(shape))
+
+    def test_normals_that_are_not_unit_length_refused(self):
+        n = np.zeros((2, 2, 2, 3))
+        n[..., 2] = 1.0
+        n[1, 0, 1] = [0.0, 0.6, 0.7]  # length 0.922
+        with pytest.raises(ValueError, match="unit length"):
+            NormalMapStack(n)
+
+
 class TestContainerErrors:
+    def test_cube_of_two_components_rejected(self, tmp_path):
+        path = patched(tmp_path, random_cube(), 18, "<H", 2)  # the header's component count
+        with pytest.raises(ContainerError, match="unsupported cube component count 2"):
+            read_spsi(path)
+
+    @pytest.mark.parametrize("obj", [object(), np.zeros((2, 2))])
+    def test_unsupported_object_is_not_written(self, tmp_path, obj):
+        path = tmp_path / "obj.spsi"
+        with pytest.raises(TypeError, match="cannot serialize .* to SPSI"):
+            write_spsi(path, obj)
+        assert not path.exists()
+
     def test_truncated_file(self, tmp_path):
         img = random_cube()
         path = tmp_path / "cube.spsi"
@@ -763,6 +807,20 @@ class TestInvariantsHaveOneHome:
         cls, fields = broken(case)
         with pytest.raises((DimensionError, ConfigurationError), match=built):
             cls(**fields)
+        self.assert_refused_when_read(tmp_path, capsys, cls, fields, read)
+
+    def test_nan_frame_refused_when_built_and_when_read(self, tmp_path, capsys):
+        raw = small_container("raw")
+        frames = raw.frames.copy()
+        frames[1, 0, 1] = np.nan
+        fields = dict(state(raw), frames=frames)
+        with pytest.raises(ValueError, match="frame intensities must be finite"):
+            RawCapture(**fields)
+        self.assert_refused_when_read(tmp_path, capsys, RawCapture, fields,
+                                      "invariants: frame intensities must be finite")
+
+    @staticmethod
+    def assert_refused_when_read(tmp_path, capsys, cls, fields, read):
         path = tmp_path / "broken.spsi"
         write_spsi(path, unchecked(cls, fields))  # the writer itself checks nothing
         with pytest.raises(ContainerError, match=read):
@@ -773,6 +831,17 @@ class TestInvariantsHaveOneHome:
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and json.loads(err[0])["class"] == "io"
             assert not out.exists()
+
+    @pytest.mark.parametrize("frames", [lambda f: f[0], lambda f: f[:, :, :, None]])
+    def test_frames_that_are_not_n_h_w_refused(self, frames):
+        raw = small_container("raw")
+        with pytest.raises(DimensionError, match=r"frames must be \(N, H, W\)"):
+            RawCapture(**dict(state(raw), frames=frames(raw.frames)))
+
+    def test_tag_count_other_than_frame_count_refused(self):
+        raw = small_container("raw")
+        with pytest.raises(DimensionError, match="3 frame tags for 4 frames"):
+            RawCapture(**dict(state(raw), tags=raw.tags[:3]))
 
     def test_inr_init_refuses_a_zero_grid_dimension(self):
         with pytest.raises(DimensionError, match="grid"):
@@ -908,6 +977,12 @@ class TestLabels:
 
 
 class TestCsvExport:
+    def test_unsupported_object_is_not_written(self, tmp_path):
+        path = tmp_path / "cube.csv"
+        with pytest.raises(TypeError, match="cannot export StokesImage as CSV"):
+            export_csv(random_cube(), path)
+        assert not path.exists()
+
     def test_histogram_line_count(self, tmp_path):
         img = uniform_scene(4, 4, 1)
         hist = stokes_histograms([img], "s0", bins=3, value_range=(0.0, 2.0))

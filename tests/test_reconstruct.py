@@ -20,6 +20,7 @@ from polarcube import (
     demosaic,
     denoise,
     median_filter,
+    mosaic_merge,
     mosaic_split,
     quality,
     random_scene,
@@ -31,8 +32,9 @@ from polarcube import (
     system_matrix,
 )
 from polarcube import _pool
+from polarcube.reconstruct import _bad_pixel_mask
 
-from conftest import flagged_entries
+from conftest import assert_bit_exact, flagged_entries
 
 RNG = np.random.default_rng(2024)
 
@@ -66,6 +68,11 @@ class TestSystemMatrix:
     def test_lp_only_set_is_rank_three_and_rejected(self):
         with pytest.raises(ConfigurationError, match="rank 3"):
             system_matrix(lp_only_config([0, 45, 90, 135]))
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 4, 4)])
+    def test_rows_that_are_not_m_by_4_rejected(self, shape):
+        with pytest.raises(DimensionError, match=r"system matrix must be \(m, 4\)"):
+            SystemMatrix.from_rows(np.ones(shape))
 
     def test_default_qwp_set_is_rank_four(self):
         system = system_matrix(qwp_config())
@@ -329,7 +336,40 @@ class TestMedianFilter:
             median_filter(np.zeros(shape), 3)
 
 
+def reference_denoise(raws, median):
+    """``denoise``'s frames with the filtered planes collected in a list and stacked."""
+    frames = burst_average([raw.frames for raw in raws])
+    mosaic = raws[0].layout is not None
+    planes = [median_filter(p, median) for p in (mosaic_split(frames[0]) if mosaic else frames)]
+    frames = mosaic_merge(planes)[None] if mosaic else np.stack(planes)
+    for raw in raws:
+        np.copyto(frames, raw.frames, where=_bad_pixel_mask(raw.frames, raw))
+    return frames
+
+
 class TestDenoise:
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("shots", [1, 2])
+    @pytest.mark.parametrize("median", [3, 5])
+    @pytest.mark.parametrize("camera", ["sequential", "mosaic"])
+    def test_bit_identical_to_the_list_then_stack_reference(self, monkeypatch, camera, median,
+                                                            shots, workers):
+        monkeypatch.setattr(_pool, "WORKERS", workers)
+        monkeypatch.setattr(_pool, "BLOCK_VALUES", 1 << 8)  # a few rows a block
+        scene = smooth_scene(24, 20, 3, np.random.default_rng(9))
+        raws = []
+        for shot in range(shots):  # clipped at 0.45, so inputs flag some samples
+            noise = NoiseModel(gaussian_sigma=0.05, saturation_level=0.45, rng_seed=30 + shot)
+            raws.append(simulate_hyperspectral(scene, default_qwp_angles(), noise=noise)
+                        if camera == "sequential" else simulate_trichromatic(scene, noise=noise))
+        assert any(_bad_pixel_mask(raw.frames, raw).any() for raw in raws)
+        inputs = [raw.frames.copy() for raw in raws]
+        got = denoise(raws, median=median).frames
+        assert all(np.array_equal(raw.frames, f) for raw, f in zip(raws, inputs))  # untouched
+        want = reference_denoise(raws, median)
+        assert (got.dtype, got.shape) == (np.float64, raws[0].frames.shape)
+        assert_bit_exact(got, want)
+
     def test_one_capture_is_its_own_mean(self):
         raw = simulate_trichromatic(smooth_scene(8, 8, 3, np.random.default_rng(7)),
                                     noise=NoiseModel(gaussian_sigma=0.05, rng_seed=8))
