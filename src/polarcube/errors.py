@@ -1,5 +1,9 @@
 """Exception hierarchy shared across the toolbox."""
 
+__all__ = ["ConfigurationError", "ContainerError", "DecompositionError", "DimensionError",
+           "EmptySelectionError", "LabelSchemaError", "PolarcubeError", "TrainingDivergedError",
+           "UndefinedFeatureError"]
+
 
 class PolarcubeError(Exception):
     """Base class for all toolbox errors."""

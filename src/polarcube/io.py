@@ -45,18 +45,7 @@ from .inr import InrModel
 from .labels import LabelSet
 from .pca import PcaCodebook, PcaEncoding
 
-__all__ = [
-    "Curve",
-    "KIND_CUBE",
-    "KIND_INR",
-    "KIND_PCA",
-    "KIND_RAW",
-    "export_csv",
-    "read_labels",
-    "read_spsi",
-    "write_labels",
-    "write_spsi",
-]
+__all__ = ["Curve", "export_csv", "read_labels", "read_spsi", "write_labels", "write_spsi"]
 
 MAGIC = b"SPSI"
 VERSION = 2

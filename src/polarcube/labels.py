@@ -7,7 +7,7 @@ from datetime import datetime
 
 from .errors import LabelSchemaError
 
-__all__ = ["ENVIRONMENTS", "ILLUMINATIONS", "SCENE_TYPES", "LabelFilter", "LabelSet"]
+__all__ = ["LabelFilter", "LabelSet"]
 
 # Each enumerated annotation once: its LabelSet field and the values it takes.  The
 # LabelFilter field that selects it is the plural, the field name with an "s".

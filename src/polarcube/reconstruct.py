@@ -10,6 +10,7 @@ product per block of rows.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, fields, replace
 
@@ -120,14 +121,22 @@ def reconstruct_image(raw: RawCapture, dop_tol: float = DEFAULT_DOP_TOL) -> Stok
 
 
 def burst_average(frames) -> np.ndarray:
-    """Pixelwise arithmetic mean of repeated captures."""
+    """Pixelwise mean of repeated captures: their sum in input order over their count, bit
+    for bit ``np.mean(np.stack(frames), axis=0)`` and its dtype, without the stacked copy."""
     frames = [np.asarray(f) for f in frames]
     if len(frames) == 0:
         raise DimensionError("burst average of an empty frame list")
     shape = frames[0].shape
     if any(f.shape != shape for f in frames):
         raise DimensionError("all frames must share the same dimensions")
-    return np.mean(np.stack(frames), axis=0)
+    dtype = functools.reduce(np.promote_types, (f.dtype for f in frames))
+    if dtype.kind not in "fc":
+        dtype = np.dtype(float)  # np.mean averages integers and booleans in float64,
+    total = frames[0].astype(np.promote_types(dtype, np.float32))  # and float16 in float32
+    for frame in frames[1:]:
+        total += frame
+    total /= np.intp(len(frames))  # np.mean's count type, which sets the division's dtype
+    return total.astype(dtype, copy=False)
 
 
 def median_filter(frame: np.ndarray, k: int) -> np.ndarray:

@@ -451,6 +451,33 @@ class TestHistogramContract:
         assert np.all(np.diff(hist.edges) > 0)
 
 
+class TestArgumentChecks:
+    def test_histogram_of_no_samples(self):
+        with pytest.raises(EmptySelectionError, match="no samples for s0 histogram"):
+            Histogram.from_samples(np.empty(0), label="s0")
+
+    def test_one_label_set_per_image(self):
+        img = constant_image((1.0, 0.0, 0.0, 0.0))
+        labels = [LabelSet("indoor", "white", "2023-06-01T10:00:00", "object")]
+        with pytest.raises(DimensionError, match="one label set per image"):
+            stokes_histograms([img, img], "s0", labels=labels)
+
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (6,), (3, 3, 2)])
+    def test_gradient_needs_a_plane_of_at_least_2x2(self, shape):
+        with pytest.raises(DimensionError, match="at least 2x2"):
+            gradient_field(np.zeros(shape))
+
+    @pytest.mark.parametrize("call, match", [
+        (lambda images: stokes_histograms(images, "s4"), "element must be one of"),
+        (lambda images: feature_gradient_histograms(images, "aolp", direction="xy"),
+         "direction must be"),
+        (lambda images: poincare_density(images, plane="s2-s3"), "plane must be"),
+    ])
+    def test_unknown_element_direction_and_plane(self, call, match):
+        with pytest.raises(ValueError, match=match):
+            call([constant_image((1.0, 0.2, 0.0, 0.0))])
+
+
 def outcome(fn):
     """The arrays of what ``fn()`` returns, or the type and message of what it raised."""
     try:

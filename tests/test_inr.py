@@ -44,6 +44,10 @@ class TestPositionalEncoding:
         assert positional_encode(0.1, 10).shape == (23,)
         assert positional_encode(0.1, 1).shape == (5,)
 
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            positional_encode(0.1, -1)
+
     def test_frequency_doubling(self):
         x = 0.3
         enc = positional_encode(x, 4)
@@ -128,6 +132,17 @@ class TestGradients:
             with pytest.raises(EmptySelectionError):
                 inr_loss_and_grads(model, np.zeros((0, 3)), np.zeros((0, 4)))
 
+    @pytest.mark.parametrize("coords, targets", [
+        (np.zeros((5, 2)), np.zeros((5, 4))),
+        (np.zeros(3), np.zeros((1, 4))),
+        (np.zeros((5, 3)), np.zeros((5, 3))),
+        (np.zeros((5, 3)), np.zeros((4, 4))),
+    ])
+    def test_bad_shapes_rejected(self, coords, targets):
+        model = inr_init(2, 4, seed=0, grid_shape=(2, 2, 1))
+        with pytest.raises(DimensionError, match=r"coords must be \(B, 3\)"):
+            inr_loss_and_grads(model, coords, targets)
+
     def test_last_layer_descent_is_monotone(self):
         # training only the linear output head is a convex problem, so
         # plain gradient steps with a small fixed rate cannot increase
@@ -176,6 +191,16 @@ class TestTraining:
         with pytest.raises(ValueError, match="steps"):
             inr_train(model, uniform_scene(4, 4, 1), steps=-1)
         assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
+
+    def test_unknown_schedule_rejected(self):
+        with pytest.raises(ValueError, match="schedule must be"):
+            inr_train(inr_init(2, 8, seed=0), uniform_scene(4, 4, 1), steps=1, schedule="step")
+
+    def test_image_with_no_valid_pixels_rejected(self):
+        img = uniform_scene(4, 4, 2)
+        img.mask[:] = False
+        with pytest.raises(EmptySelectionError, match="no valid pixels"):
+            inr_train(inr_init(2, 8, seed=0), img, steps=1)
 
     def test_masked_pixels_are_ignored(self):
         img = uniform_scene(8, 8, 1, stokes=(0.5, 0.0, 0.0, 0.0))
@@ -241,6 +266,10 @@ class TestDecode:
         model = inr_init(2, 8, seed=1, grid_shape=(4, 4, 2))
         decoded = inr_decode(model, dims=(6, 5, 3))
         assert decoded.data.shape == (6, 5, 3, 4)
+
+    def test_untrained_model_needs_dims(self):
+        with pytest.raises(DimensionError, match="decode dims are required"):
+            inr_decode(inr_init(2, 8, seed=1))
 
     def test_decode_psnr_matches_train_report(self):
         img = smooth_scene(16, 16, 2, np.random.default_rng(0),

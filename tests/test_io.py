@@ -1,6 +1,8 @@
 import csv
 import dataclasses
 import errno
+import importlib
+import io
 import json
 import os
 import struct
@@ -174,6 +176,21 @@ class TestContainerErrors:
         blob[4] = 99  # version low byte
         path.write_bytes(bytes(blob))
         with pytest.raises(ContainerError, match="version"):
+            read_spsi(path)
+
+    def test_short_read(self, tmp_path, monkeypatch):
+        # the file shrinks while it is read: readinto fills less than the size checked first
+        path = tmp_path / "cube.spsi"
+        write_spsi(path, random_cube())
+
+        class Shrinking(io.BufferedReader):
+            def readinto(self, buffer):
+                view = memoryview(buffer).cast("B")
+                return super().readinto(view[:-1] if len(view) > 64 else view)
+
+        monkeypatch.setattr(polarcube.io, "open", lambda p, mode: Shrinking(io.FileIO(p, mode)),
+                            raising=False)
+        with pytest.raises(ContainerError, match="short read at offset"):
             read_spsi(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -1031,3 +1048,34 @@ class TestCsvExport:
         export_csv(curve, path)
         parsed = float(path.read_text().strip().split("\n")[1])
         assert parsed == value
+
+
+#: The library modules, in the order the package republishes them.
+LIBRARY = ("analysis", "camera", "errors", "image", "inr", "io", "labels", "pca", "reconstruct",
+           "scenes", "stokes")
+
+
+class TestPublicNamespace:
+    """Each library module's ``__all__`` is the only list of its public names."""
+
+    def declared(self):
+        return {name: importlib.import_module(f"polarcube.{name}").__all__ for name in LIBRARY}
+
+    def test_no_name_is_declared_by_two_modules(self):
+        owners = {}
+        for module, names in self.declared().items():
+            assert len(set(names)) == len(names), module
+            for name in names:
+                assert owners.setdefault(name, module) == module, (name, owners[name], module)
+
+    def test_every_declared_name_is_the_packages_object(self):
+        for module, names in self.declared().items():
+            for name in names:
+                assert getattr(polarcube, name) is getattr(polarcube.__dict__[module], name)
+
+    def test_the_package_exposes_only_declared_names_and_submodules(self):
+        declared = {name for names in self.declared().values() for name in names}
+        public = {name for name, value in vars(polarcube).items()
+                  if not name.startswith("_")
+                  and getattr(value, "__name__", None) != f"polarcube.{name}"}
+        assert public == declared

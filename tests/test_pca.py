@@ -60,6 +60,10 @@ class TestExtractPatches:
         with pytest.raises(DimensionError):
             extract_patches(small_cube(4, 4, 1), 5)
 
+    def test_empty_patch_rejected(self):
+        with pytest.raises(DimensionError, match="patch size must be >= 1"):
+            extract_patches(small_cube(4, 4, 1), 0)
+
 
 class TestPcaFit:
     def test_exact_on_affine_subspace(self):
@@ -76,6 +80,11 @@ class TestPcaFit:
         codebook = pca_fit(data, 16)
         recon = (data - codebook.mean) @ codebook.basis @ codebook.basis.T + codebook.mean
         assert np.mean((recon - data) ** 2) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(16,), (4, 4, 2)])
+    def test_patch_matrix_must_be_2d(self, shape):
+        with pytest.raises(DimensionError, match="patch matrix must be 2-D"):
+            pca_fit(np.ones(shape), 1)
 
     def test_variance_proportion_on_known_covariance(self):
         d, n = 12, 10**4

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -173,6 +175,25 @@ class TestSolveStokes:
         grad = rows.T @ (rows @ s_hat - intensities)
         assert np.max(np.abs(grad)) <= 1e-8 * np.linalg.norm(intensities)
 
+    def test_rank_deficient_system_rejected(self):
+        rows = np.random.default_rng(8).normal(size=(5, 4))
+        rows[:, 3] = 0.0  # no circular analysis: s3 is unobserved
+        system = SystemMatrix.from_rows(rows)
+        assert system.rank == 3
+        with pytest.raises(ConfigurationError, match="rank-deficient"):
+            solve_stokes(system, np.ones(4))
+
+    def test_intensity_count_must_match_the_system(self):
+        with pytest.raises(DimensionError, match="expected 4 intensities per pixel, got 5"):
+            solve_stokes(system_matrix(qwp_config()), np.ones((3, 5)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensities_rejected(self, bad):
+        intensities = np.ones((3, 4))
+        intensities[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            solve_stokes(system_matrix(qwp_config()), intensities)
+
 
 class TestReconstructImage:
     def test_mild_noise_keeps_99_percent_valid(self):
@@ -262,6 +283,28 @@ class TestBurstAverage:
             deltas.append(psnrs)
         med = np.median(np.array(deltas), axis=0)
         assert med[0] <= med[1] <= med[2]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dtypes", [(np.float16,), (np.float32,), (np.float64,), (np.int16,),
+                                        (np.int64,), (np.float32, np.float64)])
+    def test_bit_identical_to_the_mean_of_the_stack(self, dtypes, n):
+        rng = np.random.default_rng(n)
+        frames = [(1e3 * rng.normal(size=(9, 7))).astype(dtypes[i % len(dtypes)])
+                  for i in range(n)]
+        got, want = burst_average(frames), np.mean(np.stack(frames), axis=0)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    def test_holds_one_capture_beside_its_inputs(self):
+        frames = [np.full((84, 256, 64), float(i)) for i in range(3)]
+        tracemalloc.start()
+        try:
+            averaged = burst_average(frames)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.all(averaged == 1.0)
+        assert peak < 2 * frames[0].nbytes
 
     def test_empty_list_rejected(self):
         with pytest.raises(DimensionError):
@@ -451,3 +494,8 @@ class TestQuality:
         b = StokesImage(data, None, np.ones((4, 4, 1), dtype=bool))
         with pytest.raises(EmptySelectionError):
             quality(a, b)
+
+    def test_mismatched_shapes_rejected(self):
+        data = np.ones((4, 4, 2, 4))
+        with pytest.raises(DimensionError, match="same shape"):
+            quality(self.make_cube(data), self.make_cube(data[:, :3]))

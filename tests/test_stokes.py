@@ -14,6 +14,7 @@ from polarcube import (
     retarder_mueller,
     rotate_mueller,
 )
+from polarcube.stokes import _kernel
 
 RNG = np.random.default_rng(1234)
 
@@ -97,6 +98,11 @@ class TestRotation:
         got = rotate_mueller(retarder_mueller(0.0, np.pi / 2), np.pi / 4)
         want = retarder_mueller(np.pi / 4, np.pi / 2)
         assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 3), (4,), (2, 4, 4)])
+    def test_non_4x4_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"expected a \(4, 4\) Mueller matrix"):
+            rotate_mueller(np.zeros(shape), 0.1)
 
 
 class TestApply:
@@ -224,3 +230,14 @@ class TestNormalize:
     def test_rejects_nonpositive_intensity(self):
         with pytest.raises(UndefinedFeatureError):
             normalize([0, 0, 0, 0])
+
+
+class TestKernelChecks:
+    @pytest.mark.parametrize("fn", [features, decompose, is_valid, normalize])
+    def test_trailing_axis_must_be_4(self, fn):
+        with pytest.raises(ValueError, match="trailing axis 4"):
+            fn(np.ones((2, 3)))
+
+    def test_unknown_quantity_rejected(self):
+        with pytest.raises(ValueError, match="unknown polarimetric quantity 'dop'"):
+            _kernel(np.ones((2, 4)), "dop")
