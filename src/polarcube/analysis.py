@@ -278,14 +278,15 @@ def _walk(images, chosen, stats, bins, means=False):
     """``(result, mean)`` of each ``_Stat`` over the chosen images, all or none.
 
     The one accumulator behind every pooled statistic.  When some range is
-    a rule, a first pass takes those streams' count, min, max (NaN
-    propagates) and, with ``means``, sum; a statistic without samples raises
-    there.  The second pass bins the float64 samples of the streams with
-    samples in each block (so ``np.histogram`` raises from a block), or
-    counts grid cells.
+    a rule, or with ``means``, a first pass takes those streams' count, min,
+    max (NaN propagates) and, with ``means``, sum; a statistic without
+    samples raises there.  The second pass counts, per block, the float64
+    samples of the streams with samples in it (so ``np.histogram`` raises
+    from a block), or the grid cells; the edges are built once, from the
+    range and the bins.
     """
     spans, found = [s.span for s in stats], [None] * len(stats)
-    ranged = [k for k, s in enumerate(stats) if callable(s.span)]
+    ranged = [k for k, s in enumerate(stats) if means or callable(s.span)]
 
     def extents(img, lo, hi):
         return [[(v.size, v.min(), v.max(), v.sum(dtype=float) if means else 0) if v.size
@@ -297,7 +298,8 @@ def _walk(images, chosen, stats, bins, means=False):
         counts, lows, highs, totals = zip(*streams)
         if counts[0] == 0:
             raise stats[k].empty_error()
-        spans[k] = stats[k].span(min(lows), max(highs))
+        if callable(spans[k]):
+            spans[k] = spans[k](min(lows), max(highs))
         found[k] = float(totals[0] / counts[0]) if means else None
     sizes = [s.bins or bins for s in stats]
     for s, size in zip(stats, sizes):
@@ -307,16 +309,17 @@ def _walk(images, chosen, stats, bins, means=False):
     spans = [_widened(r) for r in spans]
 
     def block(img, lo, hi):
-        return [_cells(*s.sample(img, lo, hi), size) if s.grid
+        return [[_cells(*s.sample(img, lo, hi), size)] if s.grid
                 else _bin(s.sample(img, lo, hi), size, span)
                 for s, size, span in zip(stats, sizes, spans)]
 
-    def merge(results):
-        return [[sum(part) for part in zip(*blocks)] if s.grid else _merge_bins(blocks)
-                for s, blocks in zip(stats, zip(*results))]
+    def merge(results):  # per statistic and stream, the sum of each count
+        return [[[sum(part) for part in zip(*blocks)] for blocks in zip(*streams)]
+                for streams in zip(*results)]
 
     counted = _blocked(images, chosen, block, merge)
-    return [(_result(s, c, size), mean) for s, c, size, mean in zip(stats, counted, sizes, found)]
+    return [(_result(s, c, size, span), mean)
+            for s, c, size, span, mean in zip(stats, counted, sizes, spans, found)]
 
 
 def _blocked(images, chosen, block, combine):
@@ -345,28 +348,24 @@ def _merge_extents(results):
 
 
 def _bin(streams, bins, span):
-    """Per stream: count, and ``np.histogram`` of its float64 samples (0, None without any)."""
-    return [(v.size, *(np.histogram(v.astype(float, copy=False), bins, span) if v.size
-                       else (0, None))) for v in streams]
+    """Per stream: count, and ``np.histogram``'s counts of its float64 samples (0 without any)."""
+    return [(v.size, np.histogram(v.astype(float, copy=False), bins, span)[0] if v.size else 0)
+            for v in streams]
 
 
-def _merge_bins(blocks):
-    return [(sum(n), sum(counts), next((e for e in edges if e is not None), None))
-            for n, counts, edges in (zip(*stream) for stream in zip(*blocks))]
-
-
-def _result(stat, counted, size):
+def _result(stat, counted, size, span):
+    """One statistic's result from its merged counts, each histogram with edges of its own."""
     if stat.grid:
-        n, inside, cells = counted
+        (n, inside, cells), = counted
         if n == 0 or inside == 0:
             raise stat.empty_error(None if n == 0 else "no valid points inside the projected ball")
         edges = np.linspace(-1.0, 1.0, size + 1)
         return DensityGrid(edges, edges.copy(), cells.reshape(size, size).astype(float),
                            *stat.labels)
-    if any(n == 0 for n, *_ in counted):
+    if any(n == 0 for n, _ in counted):
         raise stat.empty_error()
-    hists = tuple(Histogram(edges, counts, label, stat.unit)
-                  for (_, counts, edges), label in zip(counted, stat.labels))
+    hists = tuple(Histogram(np.histogram_bin_edges(np.empty(0), size, span), counts, label,
+                            stat.unit) for (_, counts), label in zip(counted, stat.labels))
     return hists if len(hists) > 1 else hists[0]
 
 

@@ -3,10 +3,11 @@
 Each config key is one declaration in ``_KEYS``: its default and its one
 rule (``_rule``).  Each subcommand is one in ``_COMMANDS``: the config
 sections it reads and its flags, each with the keys it sets, whose rule
-is its ``type``; ``stats`` names come from ``analysis._STATS``.  A command
-resolves its configuration (defaults, an optional JSON config file, then
-flags, each winning over the ones before), echoes the sections it reads as
-one JSON line before any work, and ends with a JSON summary line.
+is its ``type``; ``stats`` and ``features`` take their statistics from
+``analysis._STATS``.  A command resolves its configuration (defaults, an
+optional JSON config file, then flags, each winning over the ones before),
+echoes the sections it reads as one JSON line before any work, and ends
+with a JSON summary line.
 ``_resolve_config`` raises, before the echo, every error that the flags
 and the config file alone decide.  Inputs of the wrong container kind
 (``_read``) and ranks are checked after it.  ``_FAILURES`` maps a failure
@@ -20,6 +21,7 @@ import copy
 import json
 import re
 import sys
+from functools import partial
 from math import inf, radians
 from typing import Callable, NamedTuple
 
@@ -262,19 +264,6 @@ def cmd_reconstruct(cfg, args):
     return summary
 
 
-def cmd_features(cfg, args):
-    names = ("rho", "dolp", "docp", "aolp", "cop")
-    cube = _read(args.input, pc.StokesImage, "a Stokes cube")
-    # every histogram before any file: a feature that fails leaves no CSV behind
-    found = pc.analysis._walk([cube], [0], [pc.analysis._plain(name) for name in names],
-                              cfg["stats"]["bins"], means=True)
-    summary = {name: {"mean": mean, "csv": f"{args.out}{name}.csv"}
-               for name, (_, mean) in zip(names, found)}
-    for name, (hist, _) in zip(names, found):
-        pc.export_csv(hist, summary[name]["csv"])
-    return summary
-
-
 def cmd_decompose(cfg, args):
     import numpy as np
 
@@ -362,26 +351,29 @@ def cmd_inr_fit(cfg, args):
 def cmd_inr_code(cfg, args):
     out = args.out
     model = _read(args.input, pc.InrModel, "a network artifact")
-    decoded = pc.inr_decode(model)
+    cube = _read(args.reference, pc.StokesImage, "a Stokes cube") if args.reference else None
+    decoded = pc.inr_decode(model, wavelengths=cube.wavelengths if cube else None)
     summary = {"out": out, "height": decoded.height, "width": decoded.width,
                "channels": decoded.channels}
-    if args.reference:
-        cube = _read(args.reference, pc.StokesImage, "a Stokes cube")
-        decoded.wavelengths = cube.wavelengths
+    if cube:
         report = pc.quality(cube, decoded)
         summary.update(psnr=report.psnr, mse=report.mse)
     pc.write_spsi(out, decoded)
     return summary
 
 
-def cmd_stats(cfg, args):
-    names, out = args.feature, args.out
-    cubes = _Cubes([args.input] + (args.extra or []))
+def cmd_stats(cfg, args, names=None, means=False):
+    """``stats`` of the ``--feature`` names; ``features`` passes its names, with means."""
+    names, out = names or args.feature, args.out
+    paths = [args.input] + (getattr(args, "extra", None) or [])
+    # one input is read once, however many passes the walk makes
+    cubes = (_Cubes(paths) if len(paths) > 1
+             else [_read(args.input, pc.StokesImage, "a Stokes cube")])
     # every statistic before any file: one that fails leaves no CSV behind
     stats = [_STATS[name]._replace(name=name if len(names) > 1 else "") for name in names]
-    found = pc.analysis._walk(cubes, range(len(cubes)), stats, cfg["stats"]["bins"])
+    found = pc.analysis._walk(cubes, range(len(cubes)), stats, cfg["stats"]["bins"], means)
     summary = {}
-    for name, (result, _) in zip(names, found):
+    for name, (result, mean) in zip(names, found):
         if isinstance(result, tuple):  # one CSV per histogram, named by its label
             summary[name] = {"outputs": [f"{out}{part.label}.csv" for part in result]}
             for part, path in zip(result, summary[name]["outputs"]):
@@ -393,6 +385,8 @@ def cmd_stats(cfg, args):
                          if isinstance(result, pc.DensityGrid) else
                          {"out": path, "samples": result.total,
                           "support": [float(result.edges[0]), float(result.edges[-1])]})
+        if means:
+            summary[name]["mean"] = mean
     return summary if len(names) > 1 else summary[names[0]]
 
 
@@ -467,7 +461,9 @@ _COMMANDS = {
         *_CAMERA, _flag("--scene", help="input Stokes cube, which sets the size "
                                          "(synthetic scene if omitted)"), _OUT)),
     "reconstruct": _Command(cmd_reconstruct, "invert a raw capture", ("solver",), (_INPUT, _OUT)),
-    "features": _Command(cmd_features, "polarimetric feature histograms", ("stats",),
+    "features": _Command(partial(cmd_stats, names=("rho", "dolp", "docp", "aolp", "cop"),
+                                 means=True),
+                         "polarimetric feature histograms", ("stats",),
                          (_INPUT, _BINS, _OUT)),
     "decompose": _Command(cmd_decompose, "polarized/unpolarized intensity split",
                           ("solver", "stats"), (_INPUT, _BINS, _OUT)),

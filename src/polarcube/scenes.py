@@ -14,12 +14,17 @@ def lctf_wavelengths(channels: int = 21, start: float = 450.0, step: float = 10.
     return start + step * np.arange(channels, dtype=float)
 
 
+def _scene(data, wavelengths):
+    """The scene of ``data``; a 21-channel one without a table gets ``lctf_wavelengths``."""
+    if wavelengths is None and data.shape[2] == 21:
+        wavelengths = lctf_wavelengths(21)
+    return StokesImage(data, wavelengths)
+
+
 def uniform_scene(height, width, channels, stokes=(1.0, 0.0, 0.0, 0.0), wavelengths=None):
     """Constant Stokes vector everywhere."""
     data = np.broadcast_to(np.asarray(stokes, dtype=float), (height, width, channels, 4)).copy()
-    if wavelengths is None and channels == 21:
-        wavelengths = lctf_wavelengths(channels)
-    return StokesImage(data, wavelengths)
+    return _scene(data, wavelengths)
 
 
 def random_scene(
@@ -47,9 +52,7 @@ def random_scene(
     data = np.empty(shape + (4,))
     data[..., 0] = s0
     np.multiply(direction, (rho * s0)[..., None], out=data[..., 1:])
-    if wavelengths is None and channels == 21:
-        wavelengths = lctf_wavelengths(channels)
-    return StokesImage(data, wavelengths)
+    return _scene(data, wavelengths)
 
 
 def smooth_scene(height, width, channels, rng, cycles=1.5, rho_max=0.8, wavelengths=None):
@@ -80,6 +83,4 @@ def smooth_scene(height, width, channels, rng, cycles=1.5, rho_max=0.8, waveleng
     np.stack([np.cos(el) * np.cos(az), np.cos(el) * np.sin(az), np.sin(el)], axis=-1,
              out=data[..., 1:])
     data[..., 1:] *= (rho * s0)[..., None]
-    if wavelengths is None and channels == 21:
-        wavelengths = lctf_wavelengths(channels)
-    return StokesImage(data, wavelengths)
+    return _scene(data, wavelengths)

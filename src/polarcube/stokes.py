@@ -25,7 +25,6 @@ __all__ = [
     "apply",
     "decompose",
     "features",
-    "identity_mueller",
     "is_valid",
     "lp_mueller",
     "normalize",
@@ -42,11 +41,6 @@ def _check_angle(*angles):
     for a in angles:
         if not np.all(np.isfinite(a)):
             raise ValueError("angle must be finite")
-
-
-def identity_mueller() -> np.ndarray:
-    """4x4 identity (a transparent, non-polarizing element)."""
-    return np.eye(4)
 
 
 def lp_mueller(theta: float) -> np.ndarray:

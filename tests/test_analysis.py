@@ -628,6 +628,28 @@ class TestPooledStatisticsOracle:
             np.testing.assert_array_equal(got.x_edges, want_x)
             np.testing.assert_array_equal(got.y_edges, want_y)
 
+    def test_one_walk_gives_every_histogram_np_histograms_edges(self):
+        """Each ``_STATS`` entry, and one at a caller's range, from one walk: its edges and
+        counts are those of np.histogram (np.histogram2d for a grid) of its pooled samples."""
+        images, _ = oracle_dataset(False)
+        stats = {**_STATS, "s1 at a range": _STATS["s1"]._replace(span=(-0.4, 0.7), bins=None)}
+        walked = _walk(images, range(3), list(stats.values()), 31)
+        for (name, stat), (got, _) in zip(stats.items(), walked):
+            streams = [np.concatenate(parts).astype(float) for parts in
+                       zip(*(stat.sample(img, 0, img.height) for img in images))]
+            if stat.grid:
+                want = np.histogram2d(*streams, bins=31, range=[(-1, 1), (-1, 1)])
+                for array, expected in zip((got.counts, got.x_edges, got.y_edges), want):
+                    np.testing.assert_array_equal(array, expected, err_msg=name)
+                continue
+            span = stat.span
+            if callable(span):  # a rule on the pooled lowest and highest samples
+                span = span(min(v.min() for v in streams), max(v.max() for v in streams))
+            want = tuple(histogram_oracle(v, stat.bins or 31, span) for v in streams)
+            assert outcome(lambda: got) == outcome(lambda: want), name
+            if len(want) > 1:  # each histogram of a tuple owns its edges
+                assert not np.shares_memory(got[0].edges, got[1].edges)
+
     def test_mixed_precision_images_bin_in_the_common_dtype(self):
         # float32 values at and next to the float64 edges fall in other bins
         # when binned among float32 edges; alone or pooled with a float64

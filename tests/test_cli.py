@@ -225,11 +225,47 @@ class TestValidateAndStats:
         assert np.all(pol.data >= 0)
         assert pol.data.shape == unpol.data.shape
 
+    @pytest.mark.parametrize("bins", [[], ["--bins", "7"]], ids=["default-bins", "7-bins"])
+    def test_features_is_a_five_name_stats_call_with_means(self, capsys, tmp_path, bins):
+        cube_path = str(tmp_path / "cube.spsi")
+        write_cube(cube_path, h=40, w=33)
+        names = ("rho", "dolp", "docp", "aolp", "cop")
+        with pool_settings(2, 64):  # blocks, so a mean adds partial sums
+            code, _, summary, _ = run_cli(capsys, "features", cube_path, *bins,
+                                          "--out", str(tmp_path / "feat_"))
+        assert code == 0
+        code, _, want, _ = run_cli(capsys, "stats", cube_path, *bins,
+                                   *[arg for name in names for arg in ("--feature", name)],
+                                   "--out", str(tmp_path / "st_"))
+        assert code == 0 and sorted(summary) == sorted(want) == sorted(names)
+        cube = read_spsi(cube_path)
+        for name in names:
+            got = tmp_path / f"feat_{name}.csv"
+            assert got.read_bytes() == (tmp_path / f"st_{name}.csv").read_bytes()
+            values, valid = polarcube.feature_plane(cube, name)
+            mean = summary[name].pop("mean")
+            assert mean == pytest.approx(np.mean(values[valid], dtype=np.float64), rel=1e-12)
+            assert summary[name] == {**want[name], "out": str(got)}
+
+    def test_one_input_is_read_once_and_pooled_inputs_at_most_twice(self, capsys, tmp_path,
+                                                                     monkeypatch):
+        paths = [str(tmp_path / f"cube{k}.spsi") for k in range(2)]
+        for k, path in enumerate(paths):
+            write_cube(path, seed=k)
+        reads, read = [], polarcube.read_spsi
+        monkeypatch.setattr(polarcube, "read_spsi", lambda path: reads.append(path) or read(path))
+        for argv, want in ((["features", paths[0]], paths[:1]),  # two passes: means, ranges
+                           (["stats", paths[0], "--feature", "s0"], paths[:1]),
+                           (["stats", *paths, "--feature", "s0"], paths * 2)):
+            reads.clear()
+            code, *_ = run_cli(capsys, *argv, "--out", str(tmp_path / "o_"))
+            assert code == 0 and reads == want
+
     def test_features_writes_no_csv_when_a_feature_fails(self, capsys, tmp_path):
         cube_path = write_circular_cube(tmp_path)
         code, _, _, err = run_cli(capsys, "features", cube_path, "--out", str(tmp_path / "feat_"))
         assert code == 4
-        assert "aolp" in json.loads(err)["error"]
+        assert json.loads(err)["error"] == "aolp: no samples for aolp histogram"
         assert not list(tmp_path.glob("feat_*.csv"))
 
     def test_stats_writes_no_csv_when_a_statistic_fails(self, capsys, tmp_path):
