@@ -352,6 +352,9 @@ def cmd_inr_code(cfg, args):
     out = args.out
     model = _read(args.input, pc.InrModel, "a network artifact")
     cube = _read(args.reference, pc.StokesImage, "a Stokes cube") if args.reference else None
+    if cube and model.grid_shape and cube.data.shape[:3] != model.grid_shape:
+        raise _ConfigError(f"{args.reference} has (H, W, C) {cube.data.shape[:3]}, "
+                           f"but the network decodes {model.grid_shape}")
     decoded = pc.inr_decode(model, wavelengths=cube.wavelengths if cube else None)
     summary = {"out": out, "height": decoded.height, "width": decoded.width,
                "channels": decoded.channels}

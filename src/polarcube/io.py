@@ -20,6 +20,15 @@ so the output gets the mode ``open()`` would give it under the umask.
 Without ``fsync``, a container written just before a power failure may
 read back with zero-filled pages.
 
+A file reads only if ``write_spsi`` would write its fields for the object
+it reads.  Fields are the packed values, the wavelength, layout and
+calibration tables and the bit-packed mask; value arrays (frames, cube
+data, codec and network tensors) go into the object as read.  The reader
+checks only what decides a size or a dispatch, builds the object, runs
+its writer in the file's version and compares the field bytes.  A table
+of ±0 entries is no table: it reads as None, and None is stored as zeros
+(or, for a raw capture, as no table).
+
 Payloads stream straight between arrays and the file: the writer hands
 each contiguous array to the file as a buffer, and the reader fills a
 fresh array with ``readinto`` after checking the size its header claims
@@ -60,43 +69,50 @@ def _dtype_code(dtype) -> int:
 
 
 class _Writer:
-    """A container as chunks: packed fields and contiguous arrays."""
+    """A container of one ``version`` as chunks in file order; ``fields``: all but values."""
 
-    def __init__(self):
-        self.chunks = []
+    def __init__(self, version=VERSION):
+        self.version, self.chunks, self.fields = version, [], []
 
     def pack(self, fmt, *values):
-        self.chunks.append(struct.pack("<" + fmt, *values))
+        self.table(np.frombuffer(struct.pack("<" + fmt, *values), np.uint8), np.uint8)
+
+    def table(self, arr, dtype):
+        self.fields.append(np.ascontiguousarray(arr, dtype=dtype))
+        self.chunks.append(self.fields[-1])
 
     def array(self, arr, dtype):
-        self.chunks.append(np.ascontiguousarray(arr, dtype=dtype))
+        """A value array, kept as given (a view, if it is one) until it is written."""
+        self.chunks.append(np.asarray(arr, dtype=dtype))
 
 
 class _Reader:
-    """Reads a container from an open file, checking each size it is asked for."""
+    """Reads a container, checking each size asked for; keeps every field's (offset, array)."""
 
     def __init__(self, fh):
-        self.fh = fh
+        self.fh, self.offset, self.fields = fh, 0, []
         self.size = os.fstat(fh.fileno()).st_size
-        self.offset = 0
 
     def array(self, count, dtype):
         dtype = np.dtype(dtype)
         n = count * dtype.itemsize
         if n > self.size - self.offset:
-            raise ContainerError(
-                f"truncated container: needed {n} bytes at offset {self.offset}, "
-                f"file has {self.size}"
-            )
+            raise ContainerError(f"truncated container: needed {n} bytes at offset "
+                                 f"{self.offset}, file has {self.size}")
         out = np.empty(count, dtype)
         if self.fh.readinto(out) != n:  # the file shrank while it was read
             raise ContainerError(f"truncated container: short read at offset {self.offset}")
         self.offset += n
         return out
 
+    def table(self, count, dtype):
+        field = self.array(count, dtype)
+        self.fields.append((self.offset - field.nbytes, field))
+        return field
+
     def unpack(self, fmt):
         s = struct.Struct("<" + fmt)
-        return s.unpack(self.array(s.size, np.uint8))
+        return s.unpack(self.table(s.size, np.uint8))
 
     def flag(self, top=1):
         """A presence flag (0 or 1) or kind code (0..top); any other byte is corruption."""
@@ -107,9 +123,19 @@ class _Reader:
 
     def done(self):
         if self.offset != self.size:
-            raise ContainerError(
-                f"payload size mismatch: {self.size - self.offset} trailing bytes"
-            )
+            raise ContainerError(f"payload size mismatch: {self.size - self.offset} trailing bytes")
+
+
+def _check_fields(r: _Reader, w: _Writer):
+    """Raise unless the fields ``r`` read are the fields ``w`` wrote, byte for byte."""
+    got, want = b"".join(field for _, field in r.fields), b"".join(w.fields)
+    if got != want:  # the fields decide their own sizes, so neither stream ends first
+        n = min(len(got), len(want))
+        i = int(np.argmax(np.frombuffer(got, np.uint8, n) != np.frombuffer(want, np.uint8, n)))
+        starts = np.cumsum([0] + [field.nbytes for _, field in r.fields])
+        k = int(np.searchsorted(starts, i, "right")) - 1  # the field that holds byte i
+        at = r.fields[k][0] + i - starts[k]
+        raise ContainerError(f"byte at offset {at} contradicts the fields its object writes")
 
 
 def _atomic_write(path, *chunks):
@@ -135,36 +161,32 @@ def _atomic_write(path, *chunks):
         raise
 
 
-def _header(kind, width, height, channels, components, dtype_code, wavelengths):
-    w = _Writer()
-    w.pack(_HEADER, MAGIC, VERSION, kind, width, height, channels, components, dtype_code)
-    table = np.zeros(channels, dtype="<f4")
-    if wavelengths is not None:
-        table[:] = np.asarray(wavelengths, dtype="<f4")
-    w.array(table, "<f4")
-    return w
+def _header(w, kind, width, height, channels, components, dtype_code, wavelengths=None):
+    """Header and wavelength table; a table of ±0 entries is none: ``channels`` zeros."""
+    table = np.asarray([] if wavelengths is None else wavelengths, "<f4")
+    table = table if table.any() else np.zeros(channels, "<f4")
+    w.pack(_HEADER, MAGIC, w.version, kind, width, height, table.size, components, dtype_code)
+    w.table(table, "<f4")
 
 
 # ---------------------------------------------------------------------------
 # cubes (kind 0)
 
 
-def _write_cube(obj) -> list:
+def _write_cube(w, obj):
     if isinstance(obj, StokesImage):
         data, mask, components = obj.data, obj.mask, 4
     elif isinstance(obj, NormalMapStack):
-        data = obj.data
-        mask = np.ones(data.shape[:3], dtype=bool)
-        components = 3
+        data, mask, components = obj.data, np.ones(obj.data.shape[:3], bool), 3
     else:  # ScalarCube
         data, mask, components = obj.data[..., None], obj.mask, 1
     code = _dtype_code(data.dtype)
     h, wd, c = data.shape[:3]
-    wavelengths = getattr(obj, "wavelengths", None)
-    w = _header(KIND_CUBE, wd, h, c, components, code, wavelengths)
+    _header(w, KIND_CUBE, wd, h, c, components, code, getattr(obj, "wavelengths", None))
+    if w.version == 1:  # channel-major data, (C, H, W) mask
+        data, mask = data.transpose(2, 3, 0, 1), mask.transpose(2, 0, 1)
     w.array(data, _DTYPES[code])
-    w.array(np.packbits(mask), "<u1")
-    return w.chunks
+    w.table(np.packbits(mask), "<u1")
 
 
 def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wavelengths):
@@ -173,7 +195,7 @@ def _read_cube(r: _Reader, width, height, channels, components, dtype_code, wave
     dtype = _DTYPES[dtype_code]
     n = height * width * channels
     data = r.array(n * components, dtype)
-    mask = np.unpackbits(r.array((n + 7) // 8, "<u1"), count=n).view(bool)
+    mask = np.unpackbits(r.table((n + 7) // 8, "<u1"), count=n).view(bool)
     r.done()
     if r.version == 1:  # channel-major data, (C, H, W) mask
         planes = data.reshape(channels, components, height, width)
@@ -205,9 +227,8 @@ def _write_configs(w, config: CaptureConfig):
         w.pack("B", 0)
     else:
         cal = np.asarray(config.calibration, dtype=float)
-        w.pack("B", 1 if cal.ndim == 2 else 2)
-        w.pack("I", 1 if cal.ndim == 2 else cal.shape[0])
-        w.array(cal, "<f8")
+        w.pack("BI", *((1, 1) if cal.ndim == 2 else (2, cal.shape[0])))
+        w.table(cal, "<f8")
 
 
 def _read_configs(r: _Reader) -> CaptureConfig:
@@ -222,19 +243,16 @@ def _read_configs(r: _Reader) -> CaptureConfig:
     calibration = None
     if cal_kind:
         (n_cal,) = r.unpack("I")
-        if cal_kind == 1 and n_cal != 1:
-            raise ContainerError(f"shared calibration holds {n_cal} matrices, not 1")
-        calibration = r.array(n_cal * 16, "<f8").reshape(n_cal, 4, 4)
+        calibration = r.table(n_cal * 16, "<f8").reshape(n_cal, 4, 4)
         if cal_kind == 1:
             calibration = calibration[0]
     configs = groups[0] if shared else groups
     return CaptureConfig(configs, calibration, exposure)
 
 
-def _write_raw(raw: RawCapture) -> list:
+def _write_raw(w, raw: RawCapture):
     code = _dtype_code(raw.frames.dtype)
-    channels = 0 if raw.wavelengths is None else len(raw.wavelengths)
-    w = _header(KIND_RAW, raw.width, raw.height, channels, 1, code, raw.wavelengths)
+    _header(w, KIND_RAW, raw.width, raw.height, 0, 1, code, raw.wavelengths)  # its table's size
     w.pack("I", raw.frames.shape[0])
     w.pack("B", 0 if raw.tags is None else 1)
     for c, i in raw.tags or []:
@@ -242,11 +260,10 @@ def _write_raw(raw: RawCapture) -> list:
     w.pack("B", 0 if raw.layout is None else 1)
     if raw.layout is not None:
         for table, dtype in zip(astuple(raw.layout), ("<u1", "<f8", "<f8", "<f8")):
-            w.array(table, dtype)
+            w.table(table, dtype)
     w.pack("dd", raw.saturation_level, raw.black_level)
     _write_configs(w, raw.config)
     w.array(raw.frames, _DTYPES[code])
-    return w.chunks
 
 
 def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavelengths):
@@ -254,7 +271,7 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
     tags = [tuple(r.unpack("II")) for _ in range(n_frames)] if r.flag() else None
     layout = None
     if r.flag():  # colors, then polarizer angles, retarder angles and retardances
-        layout = MosaicLayout(*(r.array(16, t).reshape(4, 4) for t in ("u1", "<f8", "<f8", "<f8")))
+        layout = MosaicLayout(*(r.table(16, t).reshape(4, 4) for t in ("u1", "<f8", "<f8", "<f8")))
     sat, black = r.unpack("dd")
     config = _read_configs(r)
     frames = r.array(n_frames * height * width, _DTYPES[dtype_code])
@@ -267,73 +284,46 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
 # codec artifacts (kinds 2 and 3)
 
 
-def _pca_layout(obj):
-    """The fields of a codec container that its object implies.
-
-    Returns the header's (width, height, channels, components), the
-    codebook geometry block (None without geometry) and the encoding's
-    (patch_size, grid_h, grid_w, element, patch count) (None for a bare
-    codebook).  The writer writes these; the reader checks them.
-    """
+def _write_pca(w, obj):
     enc = obj if isinstance(obj, PcaEncoding) else None
     cb = obj if enc is None else enc.codebook
-    element = -1 if cb.element is None else cb.element
-    geometry = None
-    if cb.patch_size is not None:
-        geometry = (cb.patch_size, cb.channels, cb.components, element)
-    if enc is None:
-        return (0, 0, 0, cb.components), geometry, None
-    grid = (enc.patch_size, enc.grid_h, enc.grid_w, element, enc.grid_h * enc.grid_w)
-    return (enc.width, enc.height, enc.channels, cb.components), geometry, grid
-
-
-def _write_pca(obj) -> list:
-    header, geometry, grid = _pca_layout(obj)
-    cb = obj if grid is None else obj.codebook
     code = _dtype_code(cb.basis.dtype)
-    w = _header(KIND_PCA, *header, code, None if grid is None else obj.wavelengths)
-    w.pack("IIB", cb.dimension, cb.n_bases, geometry is not None)
-    if geometry is not None:
-        w.pack("IIIi", *geometry)
+    dims = (0, 0, 0) if enc is None else (enc.width, enc.height, enc.channels)
+    _header(w, KIND_PCA, *dims, cb.components, code, getattr(enc, "wavelengths", None))
+    element = -1 if cb.element is None else cb.element
+    w.pack("IIB", cb.dimension, cb.n_bases, cb.patch_size is not None)
+    if cb.patch_size is not None:
+        w.pack("IIIi", cb.patch_size, cb.channels, cb.components, element)
     w.pack("d", cb.total_variance)
     for arr in (cb.mean, cb.basis, cb.sigma):
         w.array(arr, _DTYPES[code])
-    w.pack("B", grid is not None)
-    if grid is not None:
-        w.pack("IIIiI", *grid)
-        w.array(obj.coefficients, _DTYPES[code])
-    return w.chunks
+    w.pack("B", enc is not None)
+    if enc is not None:
+        w.pack("IIIiI", enc.patch_size, enc.grid_h, enc.grid_w, element, enc.grid_h * enc.grid_w)
+        w.array(enc.coefficients, _DTYPES[code])
 
 
 def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
     dtype = _DTYPES[dtype_code]
     d, k = r.unpack("II")
-    geometry = r.unpack("IIIi") if r.flag() else None
+    patch_size, cb_channels, _, element = r.unpack("IIIi") if r.flag() else (None, None, 4, -1)
     (total_variance,) = r.unpack("d")
     mean = r.array(d, dtype)
     basis = r.array(d * k, dtype).reshape(d, k)
     sigma = r.array(k, dtype)
     has_enc = r.flag()
-    grid = r.unpack("IIIiI") if has_enc else None
-    coeffs = r.array(grid[-1] * k, dtype).reshape(grid[-1], k) if has_enc else None
+    n_patches = r.unpack("IIIiI")[-1] if has_enc else 0
+    coeffs = r.array(n_patches * k, dtype).reshape(n_patches, k)
     r.done()
-    patch_size, cb_channels, _, element = geometry or (None, None, 4, -1)
     obj = PcaCodebook(mean, basis, sigma, total_variance, patch_size, cb_channels,
                       None if element < 0 else element)
-    if has_enc:
-        obj = PcaEncoding(obj, coeffs, height, width, wavelengths)
-    names = ("header", "codebook geometry", "encoding grid")
-    found = ((width, height, channels, components), geometry, grid)
-    for name, got, want in zip(names, found, _pca_layout(obj)):
-        if got != want:
-            raise ContainerError(f"codec {name} {got} contradicts its derived value {want}")
-    return obj
+    return PcaEncoding(obj, coeffs, height, width, wavelengths) if has_enc else obj
 
 
-def _write_inr(model: InrModel) -> list:
+def _write_inr(w, model: InrModel):
     code = _dtype_code(model.dtype)
-    grid = model.grid_shape or (0, 0, 0)
-    w = _header(KIND_INR, grid[1], grid[0], grid[2], 4, code, None)
+    h, wd, c = model.grid_shape or (0, 0, 0)
+    _header(w, KIND_INR, wd, h, c, 4, code)
     w.pack("IIII", model.layers, model.hidden_width, model.k_spatial, model.k_channel)
     w.pack("B", 0 if model.grid_shape is None else 1)
     w.pack("I", len(model.weights))
@@ -343,7 +333,6 @@ def _write_inr(model: InrModel) -> list:
         w.array(weight, _DTYPES[code])
     for bias in model.biases:
         w.array(bias, _DTYPES[code])
-    return w.chunks
 
 
 def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
@@ -355,11 +344,8 @@ def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
     weights = [r.array(fi * fo, dtype).reshape(fi, fo) for fi, fo in shapes]
     biases = [r.array(fo, dtype) for _, fo in shapes]
     r.done()
-    grid = (height, width, channels)
-    if not has_grid and any(grid):
-        raise ContainerError(f"network grid {grid} contradicts its grid flag 0")
     return InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
-                    grid if has_grid else None, dtype)
+                    (height, width, channels) if has_grid else None, dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -376,28 +362,35 @@ _READERS = {KIND_CUBE: _read_cube, KIND_RAW: _read_raw, KIND_PCA: _read_pca,
             KIND_INR: _read_inr}
 
 
+def _written(obj, version=VERSION) -> _Writer:
+    """The container of ``obj`` in ``version``, as chunks."""
+    for types, writer in _WRITERS:
+        if isinstance(obj, types):
+            w = _Writer(version)
+            writer(w, obj)
+            return w
+    raise TypeError(f"cannot serialize {type(obj).__name__} to SPSI")
+
+
 def write_spsi(path, obj):
     """Serialize a supported object to an SPSI container (atomic).
 
     Raises ContainerError, before any file is created, when a size does
     not fit its header field (for example more than 65,535 channels).
     """
-    for types, writer in _WRITERS:
-        if isinstance(obj, types):
-            try:
-                chunks = writer(obj)
-            except struct.error as exc:  # a header field outside its fixed width
-                raise ContainerError(f"cannot encode {type(obj).__name__}: {exc}") from exc
-            _atomic_write(path, *chunks)
-            return
-    raise TypeError(f"cannot serialize {type(obj).__name__} to SPSI")
+    try:
+        w = _written(obj)
+    except struct.error as exc:  # a header field outside its fixed width
+        raise ContainerError(f"cannot encode {type(obj).__name__}: {exc}") from exc
+    _atomic_write(path, *map(np.ascontiguousarray, w.chunks))
 
 
 def read_spsi(path):
     """Parse an SPSI container back into its object.
 
-    Raises ContainerError on bad magic, truncation, version mismatch, or
-    any invariant violation; never returns a partially built object.
+    Raises ContainerError on bad magic, truncation, version mismatch, any
+    invariant violation, or a field that ``write_spsi`` would not write
+    for the object read; never returns a partially built object.
     """
     with open(path, "rb") as fh:
         r = _Reader(fh)
@@ -411,15 +404,17 @@ def read_spsi(path):
             raise ContainerError(f"unknown dtype code {dtype_code}")
         if kind not in _READERS:
             raise ContainerError(f"unknown container kind {kind}")
-        table = r.array(channels, "<f4")
-        wavelengths = None if channels == 0 or not table.any() else table.astype(float)
+        table = r.table(channels, "<f4")
+        wavelengths = table.astype(float) if table.any() else None
         try:
-            return _READERS[kind](r, width, height, channels, components, dtype_code,
-                                  wavelengths)
+            obj = _READERS[kind](r, width, height, channels, components, dtype_code, wavelengths)
+            w = _written(obj, version)
         except ContainerError:
             raise
         except Exception as exc:  # invariant violations from constructors
             raise ContainerError(f"container violates object invariants: {exc}") from exc
+    _check_fields(r, w)
+    return obj
 
 
 # ---------------------------------------------------------------------------

@@ -419,6 +419,22 @@ class TestCodecCommands:
         assert code == 0
         assert "psnr" in summary
 
+    @pytest.mark.parametrize("h, w, c", [(8, 8, 5), (16, 8, 2)], ids=["channels", "height"])
+    def test_reference_of_another_shape_is_config_error(self, capsys, tmp_path, monkeypatch,
+                                                        inputs, h, w, c):
+        # the network was fit on an 8 x 8 x 2 cube; the shapes are checked before any decode
+        monkeypatch.setattr(polarcube, "inr_decode", None)
+        reference = str(tmp_path / "reference.spsi")
+        write_cube(reference, h=h, w=w, c=c)
+        out = tmp_path / "decoded.spsi"
+        code, _, _, err = run_cli(capsys, "inr-code", inputs["model"], "--reference", reference,
+                                  "--out", str(out))
+        assert code == 2
+        error = json.loads(err)
+        assert error["class"] == "config"
+        assert f"({h}, {w}, {c})" in error["error"] and "(8, 8, 2)" in error["error"]
+        assert not out.exists()
+
 
 class TestDenoise:
     def test_median_denoise(self, capsys, tmp_path):

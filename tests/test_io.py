@@ -584,7 +584,7 @@ class TestNetworkChecks:
         (FIELDS + 4, "<I", 5, "shapes"),  # hidden width
         (FIELDS + 8, "<I", 2, "shapes"),  # k_spatial
         (FIELDS + 12, "<I", 0, "shapes"),  # k_channel
-        (FIELDS + 16, "<B", 0, "grid"),  # grid flag cleared under a 2 x 2 x 1 grid
+        (FIELDS + 16, "<B", 0, "contradicts"),  # grid flag cleared under a 2 x 2 x 1 grid
     ]
 
     @pytest.mark.parametrize("offset,fmt,value,message", CASES)
@@ -657,7 +657,7 @@ class TestPresenceFlags:
         struct.pack_into("<I", blob, at, 2)
         blob[at + 4 + 128:at + 4 + 128] = np.eye(4).tobytes()
         path.write_bytes(bytes(blob))
-        with pytest.raises(ContainerError, match="shared calibration holds 2 matrices"):
+        with pytest.raises(ContainerError, match="contradicts"):
             read_spsi(path)
 
     @pytest.mark.parametrize("n", [1, 5])
@@ -714,6 +714,85 @@ class TestContainerProperties:
                         fh.write(damaged)
                     with pytest.raises(ContainerError):
                         read_spsi(path)
+
+
+def unit_normals():
+    n = np.random.default_rng(11).normal(size=(2, 2, 2, 3))
+    return NormalMapStack(n / np.linalg.norm(n, axis=-1, keepdims=True))
+
+
+class TestFieldsAreWhatTheObjectWrites:
+    # (object, byte offset from the end (negative) or the start, struct format, new value):
+    # each container read before its fields were compared with what its object writes.
+    CASES = {
+        "raw component count 7": (lambda: small_container("raw"), 18, "<H", 7),
+        "network component count 9": (lambda: small_container("network"), 18, "<H", 9),
+        "network wavelength 555 nm": (lambda: small_container("network"), HEADER.size, "<f",
+                                      555.0),
+        "normal-map mask bits cleared": (unit_normals, -1, "<B", 0),
+        # a 2 x 2 x 1 cube: 4 mask bits, then 4 padding bits in the last byte
+        "cube mask padding bits set": (lambda: random_cube(h=2, w=2, c=1), -1, "<B", None),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_refused_with_the_offset_of_the_first_differing_byte(self, tmp_path, case):
+        build, at, fmt, value = self.CASES[case]
+        obj = build()
+        write_spsi(tmp_path / "whole.spsi", obj)
+        blob = (tmp_path / "whole.spsi").read_bytes()
+        at %= len(blob)
+        value = blob[at] | 0x0F if value is None else value
+        path = patched(tmp_path, obj, at, fmt, value)
+        first = next(i for i, (a, b) in enumerate(zip(blob, path.read_bytes())) if a != b)
+        with pytest.raises(ContainerError, match=f"byte at offset {first} contradicts"):
+            read_spsi(path)
+        assert main(["validate", str(path)]) == 3
+
+    @pytest.mark.parametrize("table", [[0.0, 0.0], [-0.0, -0.0], [0.0, 550.0]])
+    @pytest.mark.parametrize("kind", ["cube", "raw"])
+    def test_a_table_of_zeros_is_no_table(self, tmp_path, kind, table):
+        obj = random_scene(2, 2, 2, np.random.default_rng(5), wavelengths=table)
+        if kind == "raw":  # simulation wants increasing wavelengths; a capture takes any
+            raw = simulate_hyperspectral(random_scene(2, 2, 2, np.random.default_rng(5)),
+                                         default_qwp_angles())
+            obj = dataclasses.replace(raw, wavelengths=np.array(table))
+        path = tmp_path / "obj.spsi"
+        write_spsi(path, obj)
+        blob = path.read_bytes()
+        got = read_spsi(path)
+        write_spsi(path, got)
+        assert path.read_bytes() == blob  # write, read, write is exact
+        channels = struct.unpack_from("<H", blob, 16)[0]
+        if any(table):
+            assert channels == 2 and np.array_equal(got.wavelengths, table)
+        else:  # stored as +0 (a cube) or as no table (a raw capture), read as None
+            assert channels == (2 if kind == "cube" else 0)
+            assert blob[HEADER.size:HEADER.size + 4 * channels] == bytes(4 * channels)
+            assert got.wavelengths is None
+
+    @settings(max_examples=300, deadline=None)
+    @given(obj=containers(), data=st.data())
+    def test_one_changed_byte_is_refused_or_written_back(self, obj, data):
+        blob = bytearray(reference_serialisation(obj, 2))
+        n = len(blob)  # most fields lie in the first bytes, and a cube's mask in the last
+        at = data.draw(st.one_of(st.integers(0, min(n, 128) - 1), st.integers(0, n - 1),
+                                 st.integers(max(0, n - 32), n - 1)), label="offset")
+        blob[at] = data.draw(st.integers(0, 255).filter(lambda v: v != blob[at]), label="byte")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "obj.spsi")
+            with open(path, "wb") as fh:
+                fh.write(blob)
+            try:
+                with np.errstate(all="ignore"):  # a changed value may overflow a norm check
+                    got = read_spsi(path)
+            except ContainerError:
+                return
+            write_spsi(path, got)
+            with open(path, "rb") as fh:
+                written = fh.read()
+        if struct.unpack_from("<H", blob, 4)[0] == 1:  # the version byte made a version-1 file
+            written = reference_serialisation(got, 1)
+        assert written == bytes(blob)
 
 
 def unchecked(cls, fields):
