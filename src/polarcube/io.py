@@ -164,9 +164,8 @@ def _atomic_write(path, *chunks):
 def _header(w, kind, width, height, channels, components, dtype_code, wavelengths=None):
     """Header and wavelength table; a table of ±0 entries is none: ``channels`` zeros."""
     table = np.asarray([] if wavelengths is None else wavelengths, "<f4")
-    table = table if table.any() else np.zeros(channels, "<f4")
-    w.pack(_HEADER, MAGIC, w.version, kind, width, height, table.size, components, dtype_code)
-    w.table(table, "<f4")
+    w.pack(_HEADER, MAGIC, w.version, kind, width, height, channels, components, dtype_code)
+    w.table(table if table.any() else np.zeros(channels), "<f4")
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +182,8 @@ def _write_cube(w, obj):
     code = _dtype_code(data.dtype)
     h, wd, c = data.shape[:3]
     _header(w, KIND_CUBE, wd, h, c, components, code, getattr(obj, "wavelengths", None))
-    if w.version == 1:  # channel-major data, (C, H, W) mask
-        data, mask = data.transpose(2, 3, 0, 1), mask.transpose(2, 0, 1)
+    if w.version == 1:  # a (C, H, W) mask; value arrays are never compared
+        mask = mask.transpose(2, 0, 1)
     w.array(data, _DTYPES[code])
     w.table(np.packbits(mask), "<u1")
 
@@ -252,7 +251,8 @@ def _read_configs(r: _Reader) -> CaptureConfig:
 
 def _write_raw(w, raw: RawCapture):
     code = _dtype_code(raw.frames.dtype)
-    _header(w, KIND_RAW, raw.width, raw.height, 0, 1, code, raw.wavelengths)  # its table's size
+    table = np.asarray([] if raw.wavelengths is None else raw.wavelengths)
+    _header(w, KIND_RAW, raw.width, raw.height, table.size if table.any() else 0, 1, code, table)
     w.pack("I", raw.frames.shape[0])
     w.pack("B", 0 if raw.tags is None else 1)
     for c, i in raw.tags or []:
@@ -358,8 +358,7 @@ _WRITERS = [
     ((InrModel,), _write_inr),
 ]
 
-_READERS = {KIND_CUBE: _read_cube, KIND_RAW: _read_raw, KIND_PCA: _read_pca,
-            KIND_INR: _read_inr}
+_READERS = {KIND_CUBE: _read_cube, KIND_RAW: _read_raw, KIND_PCA: _read_pca, KIND_INR: _read_inr}
 
 
 def _written(obj, version=VERSION) -> _Writer:

@@ -160,9 +160,11 @@ class PcaEncoding:
             raise DimensionError("an encoding needs a codebook with patch geometry")
         want = (self.grid_h * self.grid_w, self.codebook.n_bases)
         if self.coefficients.shape != want:
-            raise DimensionError(
-                f"coefficients have shape {self.coefficients.shape}, the geometry implies {want}"
-            )
+            raise DimensionError(f"coefficients have shape {self.coefficients.shape},"
+                                 f" the geometry implies {want}")
+        if self.wavelengths is not None and np.shape(self.wavelengths) != (self.channels,):
+            raise DimensionError(f"wavelength table has {np.shape(self.wavelengths)},"
+                                 f" expected {(self.channels,)}")
 
     patch_size = property(lambda self: self.codebook.patch_size)
     channels = property(lambda self: self.codebook.channels)

@@ -559,6 +559,25 @@ class TestCodecGeometryChecks:
         with pytest.raises(ContainerError, match=message):
             read_spsi(path)
 
+    def test_wavelength_table_of_another_channel_count_is_rejected(self, tmp_path):
+        enc = small_container("encoding")  # one channel, table [550]
+        path = tmp_path / "encoding.spsi"
+        write_spsi(path, enc)
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<H", blob, 16, 2)  # header channel count 2, and a second entry
+        blob[HEADER.size + 4:HEADER.size + 4] = struct.pack("<f", 600.0)
+        path.write_bytes(bytes(blob))
+        message = r"wavelength table has \(2,\), expected \(1,\)"
+        with pytest.raises(ContainerError, match="invariants: " + message):
+            read_spsi(path)
+        fields = dict(state(enc), wavelengths=np.array([550.0, 600.0]))
+        with pytest.raises(DimensionError, match=message):
+            PcaEncoding(**fields)
+        write_spsi(path, unchecked(PcaEncoding, fields))  # the writer itself checks nothing
+        assert struct.unpack_from("<H", path.read_bytes(), 16)[0] == enc.channels
+        with pytest.raises(ContainerError):
+            read_spsi(path)
+
 
 def patched(tmp_path, obj, at, fmt, value):
     """Path of the container of ``obj`` with the field at byte ``at`` set to ``value``."""
@@ -745,6 +764,29 @@ class TestFieldsAreWhatTheObjectWrites:
         path = patched(tmp_path, obj, at, fmt, value)
         first = next(i for i, (a, b) in enumerate(zip(blob, path.read_bytes())) if a != b)
         with pytest.raises(ContainerError, match=f"byte at offset {first} contradicts"):
+            read_spsi(path)
+        assert main(["validate", str(path)]) == 3
+
+    @pytest.mark.parametrize("case", ["shared configurations stored twice", "float32 normal map"])
+    def test_refused_where_a_rewritten_container_differs(self, tmp_path, case):
+        if case == "shared configurations stored twice":
+            raw = small_container("raw")  # one channel, shared configurations, tags, no layout
+            blob = bytearray(reference_serialisation(raw, 2))
+            # table, frame count, tag flag, tags, layout flag, levels, exposure, shared flag
+            at = HEADER.size + 4 + 4 + 1 + 8 * len(raw.tags) + 1 + 16 + 8 + 1
+            group = blob[at + 4:at + 8 + 24 * len(raw.config.channel_configs)]
+            blob[at + 4 + len(group):at + 4 + len(group)] = group  # read: the first group only
+            struct.pack_into("<I", blob, at, 2)
+        else:  # NormalMapStack holds float64, so its writer writes dtype code 1
+            normals = unit_normals()
+            blob = bytearray(reference_serialisation(normals, 2))
+            start, n = HEADER.size + 4 * normals.channels, normals.data.nbytes
+            blob[start:start + n] = normals.data.astype("<f4").tobytes()
+            at = 20  # the dtype code
+            blob[at] = 0
+        path = tmp_path / "obj.spsi"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(ContainerError, match=f"byte at offset {at} contradicts"):
             read_spsi(path)
         assert main(["validate", str(path)]) == 3
 
