@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _pool
 from .errors import ConfigurationError, DimensionError
-from .image import StokesImage
+from .image import StokesImage, _wavelength_table
 from .stokes import lp_mueller, retarder_mueller
 
 __all__ = [
@@ -388,10 +388,8 @@ class RawCapture:
                 raise ConfigurationError("raw capture configurations contradict its mosaic layout")
         elif len(self.tags) != self.frames.shape[0]:
             raise DimensionError(f"{len(self.tags)} frame tags for {self.frames.shape[0]} frames")
-        channels = len(self.systems)
-        if self.wavelengths is not None and np.shape(self.wavelengths) != (channels,):
-            raise DimensionError(f"wavelength table has {np.shape(self.wavelengths)},"
-                                 f" expected ({channels},)")
+        object.__setattr__(self, "wavelengths", _wavelength_table(self.wavelengths,
+                                                                  len(self.systems)))
 
     @cached_property
     def systems(self) -> list:

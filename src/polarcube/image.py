@@ -9,16 +9,19 @@ import numpy as np
 from .errors import DimensionError
 
 __all__ = ["StokesImage", "ScalarCube", "NormalMapStack"]
+_NORM_TOL = 1e-3  # how far from unit length a normal may lie, when built and when read
+
+
+def _wavelength_table(table, channels):
+    """``table`` (None: none) as a float array, or raise unless it is (``channels``,)."""
+    if table is not None and np.shape(table) != (channels,):
+        raise DimensionError(f"wavelength table has {np.shape(table)}, expected {(channels,)}")
+    return None if table is None else np.asarray(table, dtype=float)
 
 
 def _check_table_and_mask(cube, shape):
-    """Make a cube's wavelength table float and its mask boolean (all True if None), or raise
-    unless they fit the cube's (H, W, C) ``shape``."""
-    if cube.wavelengths is not None:
-        cube.wavelengths = np.asarray(cube.wavelengths, dtype=float)
-        if cube.wavelengths.shape != shape[2:]:
-            raise DimensionError(f"wavelength table has {cube.wavelengths.shape},"
-                                 f" expected {shape[2:]}")
+    """Check a cube's wavelength table and make its mask boolean (None: all True) of ``shape``."""
+    cube.wavelengths = _wavelength_table(cube.wavelengths, shape[2])
     cube.mask = np.ones(shape, dtype=bool) if cube.mask is None else np.asarray(cube.mask, bool)
     if cube.mask.shape != shape:
         raise DimensionError(f"mask shape {cube.mask.shape} does not match data {shape}")
@@ -88,11 +91,10 @@ class ScalarCube:
 class NormalMapStack:
     """Per-channel unit-normal images, shape (H, W, C, 3).
 
-    Every normal must have unit length within ``norm_tol``.
+    Every normal must have unit length within 1e-3.
     """
 
     data: np.ndarray
-    norm_tol: float = 1e-3
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=float)
@@ -101,7 +103,7 @@ class NormalMapStack:
         if self.data.shape[2] < 2:
             raise DimensionError("normal stack needs at least 2 channels")
         norms = np.linalg.norm(self.data, axis=-1)
-        if not np.all(np.abs(norms - 1.0) <= self.norm_tol):
+        if not np.all(np.abs(norms - 1.0) <= _NORM_TOL):
             worst = float(np.max(np.abs(norms - 1.0)))
             raise ValueError(f"normals must be unit length (worst deviation {worst:.2e})")
 

@@ -76,7 +76,6 @@ class InrModel:
     k_spatial: int = 10
     k_channel: int = 1
     grid_shape: tuple | None = None
-    dtype: np.dtype = np.float64
 
     def __post_init__(self):
         if self.layers < 2:
@@ -91,6 +90,8 @@ class InrModel:
                                  f" which give {want}")
         if self.grid_shape is not None and min(self.grid_shape) < 1:
             raise DimensionError(f"network grid {self.grid_shape} has a dimension below 1")
+
+    dtype = property(lambda self: np.result_type(*self.weights, *self.biases))  # of the tensors
 
     @property
     def spatial_blocks(self) -> int:
@@ -122,7 +123,7 @@ def inr_init(layers: int = 8, hidden_width: int = 256, seed: int = 0, k_spatial:
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)).astype(dtype))
         biases.append(np.zeros(fan_out, dtype=dtype))
     return InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
-                    None if grid_shape is None else tuple(grid_shape), dtype)
+                    None if grid_shape is None else tuple(grid_shape))
 
 
 def _tables(model: InrModel, xs, ys, cs):

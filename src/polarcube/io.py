@@ -4,12 +4,14 @@ The SPSI container is a single little-endian file::
 
     magic "SPSI" | version u16 | kind u16 | width u32 | height u32
     | channels u16 | components u16 | dtype u8
-    | wavelength table (channels x f32, 0 = unspecified)
+    | wavelength table (channels x f32, so rounded; 0 = unspecified)
     | kind-specific payload
 
 Kinds: 0 = value cube (components 4 = Stokes, 3 = normals, 1 = scalar),
 1 = raw capture, 2 = patch-basis codec artifact, 3 = coordinate-network
-artifact.  dtype 0 = IEEE-754 binary32, 1 = binary64.  Version 2 cube
+artifact.  dtype 0 = IEEE-754 binary32, 1 = binary64: binary32 exactly when
+all value arrays (below) cast safely to float32 (``np.can_cast``); a dtype
+float64 cannot hold (complex, long double) is refused.  Version 2 cube
 payloads are in memory order, (H, W, C, components), then the validity
 mask bit-packed as (H, W, C); version 1, still read, is channel-major,
 then component-major, then row-major, with the mask packed as (C, H, W).
@@ -64,8 +66,11 @@ _HEADER = "4sHHIIHHB"  # magic, version, kind, width, height, channels, componen
 _DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 
-def _dtype_code(dtype) -> int:
-    return 1 if np.dtype(dtype) == np.float64 else 0
+def _dtype_code(*arrays) -> int:
+    dtype = np.result_type(*map(np.asarray, arrays))
+    if not np.can_cast(dtype, np.float64):
+        raise ContainerError(f"cannot store {dtype} values as binary32 or binary64")
+    return 0 if np.can_cast(dtype, np.float32) else 1
 
 
 class _Writer:
@@ -82,8 +87,8 @@ class _Writer:
         self.chunks.append(self.fields[-1])
 
     def array(self, arr, dtype):
-        """A value array, kept as given (a view, if it is one) until it is written."""
-        self.chunks.append(np.asarray(arr, dtype=dtype))
+        """A value array, cast safely; kept as given (a view, if it is one) if already ``dtype``."""
+        self.chunks.append(np.asarray(arr).astype(dtype, casting="safe", copy=False))
 
 
 class _Reader:
@@ -179,7 +184,7 @@ def _write_cube(w, obj):
         data, mask, components = obj.data, np.ones(obj.data.shape[:3], bool), 3
     else:  # ScalarCube
         data, mask, components = obj.data[..., None], obj.mask, 1
-    code = _dtype_code(data.dtype)
+    code = _dtype_code(data)
     h, wd, c = data.shape[:3]
     _header(w, KIND_CUBE, wd, h, c, components, code, getattr(obj, "wavelengths", None))
     if w.version == 1:  # a (C, H, W) mask; value arrays are never compared
@@ -250,7 +255,7 @@ def _read_configs(r: _Reader) -> CaptureConfig:
 
 
 def _write_raw(w, raw: RawCapture):
-    code = _dtype_code(raw.frames.dtype)
+    code = _dtype_code(raw.frames)
     table = np.asarray([] if raw.wavelengths is None else raw.wavelengths)
     _header(w, KIND_RAW, raw.width, raw.height, table.size if table.any() else 0, 1, code, table)
     w.pack("I", raw.frames.shape[0])
@@ -287,7 +292,7 @@ def _read_raw(r: _Reader, width, height, channels, components, dtype_code, wavel
 def _write_pca(w, obj):
     enc = obj if isinstance(obj, PcaEncoding) else None
     cb = obj if enc is None else enc.codebook
-    code = _dtype_code(cb.basis.dtype)
+    code = _dtype_code(cb.mean, cb.basis, cb.sigma, *([] if enc is None else [enc.coefficients]))
     dims = (0, 0, 0) if enc is None else (enc.width, enc.height, enc.channels)
     _header(w, KIND_PCA, *dims, cb.components, code, getattr(enc, "wavelengths", None))
     element = -1 if cb.element is None else cb.element
@@ -321,7 +326,7 @@ def _read_pca(r, width, height, channels, components, dtype_code, wavelengths):
 
 
 def _write_inr(w, model: InrModel):
-    code = _dtype_code(model.dtype)
+    code = _dtype_code(*model.weights, *model.biases)
     h, wd, c = model.grid_shape or (0, 0, 0)
     _header(w, KIND_INR, wd, h, c, 4, code)
     w.pack("IIII", model.layers, model.hidden_width, model.k_spatial, model.k_channel)
@@ -345,7 +350,7 @@ def _read_inr(r, width, height, channels, components, dtype_code, wavelengths):
     biases = [r.array(fo, dtype) for _, fo in shapes]
     r.done()
     return InrModel(weights, biases, layers, hidden_width, k_spatial, k_channel,
-                    (height, width, channels) if has_grid else None, dtype)
+                    (height, width, channels) if has_grid else None)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +379,8 @@ def _written(obj, version=VERSION) -> _Writer:
 def write_spsi(path, obj):
     """Serialize a supported object to an SPSI container (atomic).
 
-    Raises ContainerError, before any file is created, when a size does
-    not fit its header field (for example more than 65,535 channels).
+    Raises ContainerError, before any file is created, when a size does not
+    fit its header field (say, 65,536 channels) or float64 cannot hold a value.
     """
     try:
         w = _written(obj)

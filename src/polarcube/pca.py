@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DimensionError, EmptySelectionError
-from .image import ScalarCube, StokesImage
+from .image import ScalarCube, StokesImage, _wavelength_table
 from .reconstruct import _psnr
 
 __all__ = [
@@ -162,9 +162,7 @@ class PcaEncoding:
         if self.coefficients.shape != want:
             raise DimensionError(f"coefficients have shape {self.coefficients.shape},"
                                  f" the geometry implies {want}")
-        if self.wavelengths is not None and np.shape(self.wavelengths) != (self.channels,):
-            raise DimensionError(f"wavelength table has {np.shape(self.wavelengths)},"
-                                 f" expected {(self.channels,)}")
+        self.wavelengths = _wavelength_table(self.wavelengths, self.channels)
 
     patch_size = property(lambda self: self.codebook.patch_size)
     channels = property(lambda self: self.codebook.channels)

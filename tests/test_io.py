@@ -52,7 +52,7 @@ from polarcube import (
 )
 from polarcube.cli import main
 
-from conftest import assert_bit_exact, containers
+from conftest import as_stored, assert_bit_exact, containers
 
 RNG = np.random.default_rng(404)
 
@@ -118,6 +118,25 @@ class TestObjectChecks:
         with pytest.raises(DimensionError, match=r"wavelength table has \(2,\), expected \(3,\)"):
             StokesImage(np.zeros((2, 2, 3, 4)), [500.0, 600.0])
 
+    @pytest.mark.parametrize("kind", ["stokes", "scalar", "raw", "encoding"])
+    def test_every_wavelength_table_is_made_float_and_checked_alike(self, kind):
+        def build(table):
+            if kind == "stokes":
+                return StokesImage(np.zeros((2, 2, 2, 4)), table)
+            if kind == "scalar":
+                return ScalarCube(np.zeros((2, 2, 2)), table)
+            img = random_scene(4, 4, 2, np.random.default_rng(8))
+            if kind == "raw":
+                return dataclasses.replace(simulate_hyperspectral(img, default_qwp_angles()),
+                                           wavelengths=table)
+            return dataclasses.replace(pca_encode(img, pca_fit_image(img, 2, 2)),
+                                       wavelengths=table)
+
+        table = build([500, 600]).wavelengths  # a list of integers
+        assert table.dtype == np.float64 and np.array_equal(table, [500.0, 600.0])
+        with pytest.raises(DimensionError, match=r"wavelength table has \(1,\), expected \(2,\)"):
+            build([500])
+
     def test_mask_of_another_shape_refused(self):
         with pytest.raises(DimensionError, match=r"mask shape \(2, 2, 2\) does not match"):
             StokesImage(np.zeros((2, 2, 3, 4)), mask=np.ones((2, 2, 2), dtype=bool))
@@ -138,6 +157,16 @@ class TestObjectChecks:
         n[1, 0, 1] = [0.0, 0.6, 0.7]  # length 0.922
         with pytest.raises(ValueError, match="unit length"):
             NormalMapStack(n)
+
+    def test_normals_are_checked_to_one_fixed_tolerance_when_built_and_when_read(self, tmp_path):
+        n = np.zeros((2, 2, 2, 3))
+        n[..., 2] = 1.0 + 5e-4
+        write_spsi(tmp_path / "normals.spsi", NormalMapStack(n))
+        assert np.array_equal(read_spsi(tmp_path / "normals.spsi").data, n)
+        with pytest.raises(ValueError, match="worst deviation 2.00e-03"):
+            NormalMapStack(n + [0.0, 0.0, 1.5e-3])
+        with pytest.raises(TypeError):  # the tolerance is no setting a container could drop
+            NormalMapStack(n, norm_tol=0.1)
 
 
 class TestContainerErrors:
@@ -349,6 +378,70 @@ class TestCodecArtifacts:
             assert np.array_equal(ba, bb)
 
 
+class TestValueDtype:
+    """Value arrays are stored as binary32 exactly when all of them cast safely to float32."""
+
+    def test_int64_entry_past_the_float32_significand_reads_back_exactly(self, tmp_path):
+        data = np.zeros((1, 2, 1, 4), np.int64)
+        data[0, 0, 0, 0] = 2**25 + 1
+        write_spsi(tmp_path / "cube.spsi", StokesImage(data))
+        got = read_spsi(tmp_path / "cube.spsi").data
+        assert got.dtype == np.float64 and np.array_equal(got, data)
+
+    def test_float64_mean_under_a_float32_basis_reads_back_exactly(self, tmp_path):
+        codebook = pca_fit_image(random_scene(8, 8, 2, np.random.default_rng(6)), 2, 4)
+        mixed = dataclasses.replace(codebook, basis=codebook.basis.astype(np.float32),
+                                    sigma=codebook.sigma.astype(np.float32))
+        assert not np.array_equal(mixed.mean.astype(np.float32), mixed.mean)
+        write_spsi(tmp_path / "codebook.spsi", mixed)
+        got = read_spsi(tmp_path / "codebook.spsi")
+        assert got.mean.dtype == np.float64 and np.array_equal(got.mean, codebook.mean)
+        assert np.array_equal(got.basis, mixed.basis) and np.array_equal(got.sigma, mixed.sigma)
+
+    def test_float64_biases_of_a_float32_network_read_back_exactly(self, tmp_path):
+        model = inr_init(2, 4, seed=1, k_spatial=1, grid_shape=(2, 2, 1), dtype=np.float32)
+        rng = np.random.default_rng(9)
+        model.biases = [rng.normal(size=b.shape) for b in model.biases]
+        assert model.dtype == np.float64  # the tensors' result dtype, not a setting
+        write_spsi(tmp_path / "model.spsi", model)
+        got = read_spsi(tmp_path / "model.spsi")
+        assert got.dtype == np.float64
+        for back, written in zip(got.weights + got.biases, model.weights + model.biases):
+            assert back.dtype == np.float64 and np.array_equal(back, written)
+        with pytest.raises(AttributeError):
+            got.dtype = np.float32
+
+    @pytest.mark.parametrize("kind", ["float64 capture", "float64 cube", "float32 network"])
+    def test_a_payload_already_in_its_dtype_is_written_without_a_copy(self, tmp_path, kind):
+        scene = random_scene(64, 64, 4, np.random.default_rng(4))
+        if kind == "float64 capture":
+            obj = simulate_hyperspectral(scene, default_qwp_angles())
+            payload = obj.frames.nbytes
+        elif kind == "float64 cube":
+            obj, payload = scene, scene.data.nbytes
+        else:
+            obj = inr_init(3, 128, seed=1, dtype=np.float32)
+            payload = sum(w.nbytes for w in obj.weights)
+        tracemalloc.start()
+        try:
+            write_spsi(tmp_path / "obj.spsi", obj)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < payload / 4
+
+    @pytest.mark.parametrize("dtype", [
+        np.complex128,
+        pytest.param(np.longdouble, marks=pytest.mark.skipif(
+            np.finfo(np.longdouble).nmant <= 52, reason="long double is float64 here")),
+    ])
+    def test_payload_float64_cannot_hold_is_refused_and_leaves_no_file(self, tmp_path, dtype):
+        cube = StokesImage(np.full((2, 2, 1, 4), 0.5, dtype))
+        with pytest.raises(ContainerError, match=f"cannot store {np.dtype(dtype)} values"):
+            write_spsi(tmp_path / "cube.spsi", cube)
+        assert os.listdir(tmp_path) == []
+
+
 HEADER = struct.Struct("<4sHHIIHHB")  # magic, version, kind, width, height, channels, ...
 
 
@@ -368,8 +461,8 @@ def reference_serialisation(obj, version=2) -> bytes:
         fields = (b"SPSI", version, kind, width, height, channels, components, code)
         return [HEADER.pack(*fields), table.tobytes()]
 
-    def code_of(dtype):
-        return 1 if np.dtype(dtype) == np.float64 else 0
+    def code_of(*arrays):  # binary32 exactly when every value array casts safely to float32
+        return 0 if all(np.can_cast(np.asarray(a).dtype, np.float32) for a in arrays) else 1
 
     def arr(a, dtype):
         return np.ascontiguousarray(a, dtype=dtype).tobytes()
@@ -387,14 +480,14 @@ def reference_serialisation(obj, version=2) -> bytes:
             mask, wavelengths = np.ones((h, w, c), bool), None
         else:
             mask, wavelengths = obj.mask, obj.wavelengths
-        code = code_of(data.dtype)
+        code = code_of(data)
         parts = header(0, w, h, c, components, code, wavelengths)
         if version == 1:  # channel-major, then component-major, then row-major
             data, mask = data.transpose(2, 3, 0, 1), mask.transpose(2, 0, 1)
         parts.append(arr(data, f(code)))
         parts.append(np.packbits(mask.ravel()).tobytes())
     elif isinstance(obj, RawCapture):
-        code = code_of(obj.frames.dtype)
+        code = code_of(obj.frames)
         wl = obj.wavelengths
         parts = header(1, obj.width, obj.height, 0 if wl is None else len(wl), 1, code, wl)
         parts.append(pack("I", obj.frames.shape[0]))
@@ -426,7 +519,7 @@ def reference_serialisation(obj, version=2) -> bytes:
     elif isinstance(obj, (PcaCodebook, PcaEncoding)):
         enc = obj if isinstance(obj, PcaEncoding) else None
         cb = obj if enc is None else enc.codebook
-        code = code_of(cb.basis.dtype)
+        code = code_of(cb.mean, cb.basis, cb.sigma, *([] if enc is None else [enc.coefficients]))
         if enc is None:
             parts = header(2, 0, 0, 0, cb.components, code, None)
         else:
@@ -445,7 +538,7 @@ def reference_serialisation(obj, version=2) -> bytes:
             parts.append(pack("I", enc.coefficients.shape[0]))
             parts.append(arr(enc.coefficients, f(code)))
     else:  # InrModel
-        code = code_of(obj.dtype)
+        code = code_of(*obj.weights, *obj.biases)
         h, w, c = obj.grid_shape or (0, 0, 0)
         parts = header(3, w, h, c, 4, code, None)
         parts.append(pack("IIII", obj.layers, obj.hidden_width, obj.k_spatial, obj.k_channel))
@@ -726,7 +819,7 @@ class TestContainerProperties:
                 blob = reference_serialisation(obj, version)
                 with open(path, "wb") as fh:
                     fh.write(blob)
-                assert_bit_exact(obj, read_spsi(path))
+                assert_bit_exact(as_stored(obj), read_spsi(path))
                 cut = data.draw(st.integers(0, len(blob) - 1), label=f"v{version} prefix length")
                 for damaged in (blob[:cut], blob + b"\x00"):
                     with open(path, "wb") as fh:
