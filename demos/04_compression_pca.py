@@ -2,8 +2,10 @@
 ===========================================
 
 A Stokes cube stores channels x 4 values per pixel (a raw 21-channel
-float cube is 2688 bits per pixel).  Non-overlapping patches projected
+float64 cube is 5376 bits per pixel).  Non-overlapping patches projected
 onto a learned orthonormal basis compress that by orders of magnitude.
+Every rate counts the values that ``write_spsi`` stores, at the width it
+stores them: the float64 codebook and scene here are binary64.
 """
 
 import numpy as np
@@ -30,7 +32,7 @@ for k in (1, 2, 4, 8, 16, 32):
 
 # Rate-distortion sweep: mse is non-increasing in the basis count, and
 # bits-per-pixel grows linearly with it.  Both accountings are emitted
-# (coefficients alone, and coefficients + basis + mean).
+# (coefficients alone, and coefficients + mean + basis + sigma).
 ks = [1, 2, 4, 8, 16, 32, 64, 128, dim]
 curve = pc.pca_rate_curve(scene, codebook, ks)
 print(f"\n{'K':>5} {'BPP(coef)':>10} {'BPP(total)':>10} {'MSE':>12} {'PSNR':>8}")
@@ -39,8 +41,9 @@ for k, bpp_c, bpp_t, mse, psnr in curve.rows:
 pc.export_csv(curve, "/tmp/demo_pca_rate_curve.csv")
 print("wrote /tmp/demo_pca_rate_curve.csv")
 
-# Raw storage for reference: bits/(H*W) of the uncompressed cube.
-raw_bits = scene.data.size * 32
+# Raw storage for reference: bits/(H*W) of the uncompressed cube, whose
+# float64 values are stored at their own width, as the codebook's are.
+raw_bits = 8 * scene.data.nbytes
 print(f"\nraw cube: {pc.bpp(raw_bits, scene.width, scene.height):.0f} BPP")
 
 # The same machinery runs per Stokes element, which exposes how much of

@@ -24,7 +24,7 @@ print("encoded lengths: spatial order 10 ->", pc.positional_encode(0.0, 10).size
 model = pc.inr_init(layers=4, hidden_width=48, seed=1, dtype=np.float32)
 count = pc.parameter_count(model)
 print(f"\nnetwork: 4 blocks x width 48, {count} parameters "
-      f"({count * 4 / 1e6:.2f} MB at 32-bit)")
+      f"({count * model.dtype.itemsize / 1e6:.2f} MB as {model.dtype})")
 
 model, report = pc.inr_train(model, scene, steps=3000, lr=1e-2,
                              batch_size=4096, seed=1)
@@ -49,9 +49,12 @@ q = pc.quality(scene, pc.StokesImage(decoded.data.astype(float),
                                      decoded.wavelengths))
 print(f"\ndecoded cube PSNR {q.psnr:.1f} dB")
 
-# Storage accounting: network bits over the pixel count, versus raw.
-network_bpp = pc.bpp(count * 32, scene.width, scene.height)
-raw_bpp = pc.bpp(scene.data.size * 32, scene.width, scene.height)
+# Storage accounting: the bits of the value arrays over the pixel count,
+# each array at the width write_spsi stores it (float32 weights as binary32,
+# the float64 scene as binary64), as inr_rate_curve counts them.
+network_bpp = pc.bpp(8 * sum(a.nbytes for a in model.weights + model.biases),
+                     scene.width, scene.height)
+raw_bpp = pc.bpp(8 * scene.data.nbytes, scene.width, scene.height)
 print(f"network {network_bpp:.1f} BPP vs raw {raw_bpp:.0f} BPP")
 
 # Rate-distortion across depths: deeper networks cost bits and buy

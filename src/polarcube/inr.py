@@ -245,28 +245,26 @@ def _masked_loss(out, targets, weights):
 
 
 class _Adam:
-    """Bias-corrected first/second-moment optimizer."""
+    """Bias-corrected first/second-moment optimizer (beta1 0.9, beta2 0.999, eps 1e-8)."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+    def __init__(self, params):
+        self.m, self.v = ([np.zeros_like(p) for p in params] for _ in range(2))
         self.t = 0
 
     def step(self, params, grads, lr):
         self.t += 1
-        c1, c2 = 1.0 - self.beta1**self.t, 1.0 - self.beta2**self.t
+        c1, c2 = 1.0 - 0.9**self.t, 1.0 - 0.999**self.t
         for p, g, m, v in zip(params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= 0.9
+            m += (1.0 - 0.9) * g
+            v *= 0.999
+            v += (1.0 - 0.999) * (g * g)
+            p -= lr * (m / c1) / (np.sqrt(v / c2) + 1e-8)
 
 
 @dataclass
 class TrainReport:
-    """Loss curve, final fit quality, and schedule bookkeeping."""
+    """Loss curve, learning rates, and final fit quality."""
 
     loss_curve: list  # (step, mse) pairs
     lr_curve: list  # (step, learning rate) pairs
@@ -275,16 +273,10 @@ class TrainReport:
     steps: int
     wall_clock_seconds: float
     base_lr: float
-    schedule: str
-
-
-def _cosine_lr(base_lr, step, total):
-    return base_lr * 0.5 * (1.0 + np.cos(np.pi * step / max(total, 1)))
 
 
 def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
-              batch_size: int | None = None, seed: int = 0, record_every: int = 100,
-              schedule: str = "cosine"):
+              batch_size: int | None = None, seed: int = 0):
     """Fit the model to the valid pixels of a Stokes cube.
 
     A batch is a set of whole pixels, each with all C channels:
@@ -293,15 +285,14 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
     with at least one valid channel.  ``batch_size=None`` (or a batch that
     covers every such pixel) uses full-batch steps, fully deterministic.
     The loss is the mean squared error over valid mask entries; masked
-    channels weigh 0.  Raises TrainingDivergedError (carrying the last
-    recorded parameter state) if the loss turns non-finite.  The report's
-    ``final_mse`` and ``final_psnr`` are ``quality`` of the network decoded
-    on the image's own grid, over the image's valid entries.
+    channels weigh 0.  The rate falls from ``lr`` on a cosine, and every
+    100th step and the last record the loss, the rate and the parameters.
+    Raises TrainingDivergedError (carrying the last recorded parameters) if
+    the loss turns non-finite.  The report's ``final_mse`` and ``final_psnr``
+    are ``quality`` of the network decoded on the image's own grid.
 
     Returns ``(model, TrainReport)``; the model is updated in place.
     """
-    if schedule not in ("cosine", "constant"):
-        raise ValueError("schedule must be 'cosine' or 'constant'")
     if steps < 0:
         raise ValueError(f"steps must be >= 0, got {steps}")
     ys, xs = np.nonzero(img.mask.any(axis=2))
@@ -330,8 +321,8 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
             raise TrainingDivergedError(f"loss became non-finite at step {step}",
                                         checkpoint=checkpoint, step=checkpoint_step)
         w_grads, b_grads = _backward(model, tables[2], acts, g)
-        step_lr = _cosine_lr(lr, step, steps) if schedule == "cosine" else lr
-        if step % record_every == 0 or step == steps - 1:
+        step_lr = lr * 0.5 * (1.0 + np.cos(np.pi * step / max(steps, 1)))
+        if step % 100 == 0 or step == steps - 1:
             loss_curve.append((step, loss))
             lr_curve.append((step, step_lr))
             checkpoint, checkpoint_step = model.copy_params(), step
@@ -339,20 +330,20 @@ def inr_train(model: InrModel, img: StokesImage, steps: int, lr: float = 1e-3,
     elapsed = time.perf_counter() - start
 
     fit = quality(img, inr_decode(model, (img.height, img.width, img.channels)))
-    return model, TrainReport(loss_curve, lr_curve, fit.mse, fit.psnr, steps, elapsed,
-                              lr, schedule)
+    return model, TrainReport(loss_curve, lr_curve, fit.mse, fit.psnr, steps, elapsed, lr)
 
 
-def inr_rate_curve(models, reference: StokesImage, bits_per_value: int = 32):
+def inr_rate_curve(models, reference: StokesImage):
     """Rate-distortion rows for trained networks of varying size.
 
-    Each model becomes a row (layer count, parameter count, bits per pixel,
-    mse, psnr), scored by ``quality`` of its decode on the reference's grid.
+    Each model becomes a row (layer count, parameter count, bits per pixel
+    that ``write_spsi`` stores of its weights and biases, mse, psnr), scored
+    by ``quality`` of its decode on the reference's grid.
     """
-    from .io import Curve
+    from .io import Curve, _value_bits
 
     fits = [(m, quality(reference, inr_decode(m, reference.mask.shape))) for m in models]
-    rows = [(m.layers, parameter_count(m), bpp(parameter_count(m) * bits_per_value,
+    rows = [(m.layers, parameter_count(m), bpp(sum(_value_bits(*m.weights, *m.biases)),
              reference.width, reference.height), fit.mse, fit.psnr) for m, fit in fits]
     return Curve(columns=["layers", "parameters", "bpp", "mse", "psnr"], rows=rows)
 

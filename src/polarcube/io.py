@@ -10,8 +10,8 @@ The SPSI container is a single little-endian file::
 Kinds: 0 = value cube (components 4 = Stokes, 3 = normals, 1 = scalar),
 1 = raw capture, 2 = patch-basis codec artifact, 3 = coordinate-network
 artifact.  dtype 0 = IEEE-754 binary32, 1 = binary64: binary32 exactly when
-all value arrays (below) cast safely to float32 (``np.can_cast``); a dtype
-float64 cannot hold (complex, long double) is refused.  Version 2 cube
+all value arrays (below) cast safely to float32 (``np.can_cast``); a value
+float64 cannot hold (complex, long double, int past 2**53) is refused.  Version 2 cube
 payloads are in memory order, (H, W, C, components), then the validity
 mask bit-packed as (H, W, C); version 1, still read, is channel-major,
 then component-major, then row-major, with the mask packed as (C, H, W).
@@ -70,7 +70,15 @@ def _dtype_code(*arrays) -> int:
     dtype = np.result_type(*map(np.asarray, arrays))
     if not np.can_cast(dtype, np.float64):
         raise ContainerError(f"cannot store {dtype} values as binary32 or binary64")
+    for a in map(np.asarray, arrays):  # binary64 holds each integer up to 2**53, not all past
+        if a.dtype.kind in "iu" and a.size and max(-int(a.min()), int(a.max())) > 2**53:
+            raise ContainerError(f"binary64 cannot hold {a.dtype} values beyond 2**53")
     return 0 if np.can_cast(dtype, np.float32) else 1
+
+
+def _value_bits(*arrays) -> list:  # each value array's bits at the width write_spsi stores
+    width = 8 * _DTYPES[_dtype_code(*arrays)].itemsize
+    return [np.size(a) * width for a in arrays]
 
 
 class _Writer:
@@ -424,10 +432,9 @@ def read_spsi(path):
 # ---------------------------------------------------------------------------
 # label sidecars
 
-def write_labels(path, labels: LabelSet, notes: str = "", rig: str = ""):
+def write_labels(path, labels: LabelSet):
     """Write the label sidecar as deterministic JSON."""
-    doc = dict(asdict(labels), notes=notes, rig=rig)
-    _atomic_write(path, (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode())
+    _atomic_write(path, (json.dumps(asdict(labels), sort_keys=True, indent=2) + "\n").encode())
 
 
 def read_labels(path) -> LabelSet:

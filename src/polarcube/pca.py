@@ -170,11 +170,12 @@ class PcaEncoding:
     grid_h = property(lambda self: self.height // self.patch_size)
     grid_w = property(lambda self: self.width // self.patch_size)
 
-    def stored_bits(self, include_codebook: bool = False, bits_per_value: int = 32) -> int:
-        values = self.coefficients.size
-        if include_codebook:
-            values += self.codebook.basis.size + self.codebook.mean.size
-        return int(values) * bits_per_value
+    def stored_bits(self, include_codebook: bool = False) -> int:
+        from .io import _value_bits  # the bits write_spsi stores of each value array
+
+        cb = self.codebook
+        bits = _value_bits(self.coefficients, cb.mean, cb.basis, cb.sigma)
+        return sum(bits) if include_codebook else bits[0]
 
 
 def _project(img: StokesImage, codebook: PcaCodebook):
@@ -231,18 +232,18 @@ def bpp(stored_bits: int, width: int, height: int) -> float:
     return stored_bits / (width * height)
 
 
-def pca_rate_curve(img: StokesImage, codebook: PcaCodebook, ks,
-                   bits_per_value: int = 32):
+def pca_rate_curve(img: StokesImage, codebook: PcaCodebook, ks):
     """Rate-distortion sweep over basis counts.
 
-    Returns a Curve with columns (k, bpp of coefficients alone, bpp
-    including basis + mean, mse, psnr), each row scored as ``quality``
-    scores its decode (of the coded element, for a single-element
-    codebook).  The image is encoded once, at the largest k; each row
-    decodes the first k coefficient columns in patch space.  No valid
-    covered entry raises EmptySelectionError.
+    Returns a Curve with columns (k, bpp of the coefficients that
+    ``write_spsi`` stores for the k-basis encoding, bpp with its mean, basis
+    and sigma too, mse, psnr), each row scored as ``quality`` scores its
+    decode (of the coded element, for a single-element codebook).  The
+    image is encoded once, at the largest k; each row decodes the first k
+    coefficient columns in patch space.  No valid covered entry raises
+    EmptySelectionError.
     """
-    from .io import Curve
+    from .io import Curve, _value_bits
 
     ks = sorted(int(k) for k in ks)
     top = truncate_codebook(codebook, max(ks, default=codebook.n_bases))
@@ -255,14 +256,14 @@ def pca_rate_curve(img: StokesImage, codebook: PcaCodebook, ks,
     peak = float(_tile(img.data[..., :1], p).max(where=~masked, initial=-np.inf))
     rows, err = [], np.empty_like(patches)  # one error buffer serves every row
     for k in ks:
-        enc = PcaEncoding(truncate_codebook(codebook, k), coeffs[:, :k], img.height, img.width)
-        np.matmul(enc.coefficients, enc.codebook.basis.T, out=err)
-        err += codebook.mean
+        cb = truncate_codebook(top, k)
+        np.matmul(coeffs[:, :k], cb.basis.T, out=err)
+        err += cb.mean
         err -= patches
         if n < masked.size:
             np.copyto(err.reshape(*masked.shape, -1), 0.0, where=masked[..., None])
         mse = float(np.vdot(err, err)) / (n * codebook.components)
-        rows.append((k, bpp(enc.stored_bits(False, bits_per_value), img.width, img.height),
-                     bpp(enc.stored_bits(True, bits_per_value), img.width, img.height),
-                     mse, _psnr(peak, mse)))
+        bits = _value_bits(coeffs[:, :k], cb.mean, cb.basis, cb.sigma)
+        rows.append((k, bpp(bits[0], img.width, img.height),
+                     bpp(sum(bits), img.width, img.height), mse, _psnr(peak, mse)))
     return Curve(columns=["k", "bpp_coefficients", "bpp_with_codebook", "mse", "psnr"], rows=rows)

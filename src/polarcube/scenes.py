@@ -9,9 +9,9 @@ from .image import StokesImage
 __all__ = ["lctf_wavelengths", "random_scene", "smooth_scene", "uniform_scene"]
 
 
-def lctf_wavelengths(channels: int = 21, start: float = 450.0, step: float = 10.0) -> np.ndarray:
-    """Default spectral sampling: 450-650 nm in 10 nm steps."""
-    return start + step * np.arange(channels, dtype=float)
+def lctf_wavelengths(channels: int = 21) -> np.ndarray:
+    """Default spectral sampling: from 450 nm in 10 nm steps (450-650 nm for 21 channels)."""
+    return 450.0 + 10.0 * np.arange(channels, dtype=float)
 
 
 def _scene(data, wavelengths):

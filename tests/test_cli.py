@@ -326,6 +326,23 @@ class TestCodecCommands:
         assert summary["mse"] >= 0
         assert summary["bpp_with_codebook"] > summary["bpp_coefficients"]
 
+    def test_pca_code_counts_its_float64_codebook_at_64_bits(self, capsys, tmp_path):
+        cube_path, cb_path = str(tmp_path / "cube.spsi"), str(tmp_path / "codebook.spsi")
+        write_cube(cube_path, h=16, w=12)
+        code, *_ = run_cli(capsys, "pca-fit", cube_path, "--patch", "4", "--bases", "8",
+                           "--out", cb_path)
+        assert code == 0
+        with open(cb_path, "rb") as fh:
+            assert fh.read()[20] == 1  # the dtype byte: binary64
+        codebook = read_spsi(cb_path)
+        code, _, summary, _ = run_cli(capsys, "pca-code", cube_path, "--codebook", cb_path,
+                                      "--out", str(tmp_path / "decoded.spsi"))
+        assert code == 0
+        coefficients = (16 // 4) * (12 // 4) * 8
+        values = coefficients + codebook.mean.size + codebook.basis.size + codebook.sigma.size
+        assert summary["bpp_coefficients"] == 64 * coefficients / (16 * 12)
+        assert summary["bpp_with_codebook"] == 64 * values / (16 * 12)
+
     def test_pca_code_prints_the_quality_of_the_cube_it_writes(self, capsys, tmp_path):
         cube = clipped_cube()
         assert cube.mask[:24, :20].mean() < 0.9  # masked entries that patches cover

@@ -22,6 +22,7 @@ from polarcube import (
     quality,
     smooth_scene,
     uniform_scene,
+    write_spsi,
 )
 
 from conftest import clipped_cube
@@ -170,11 +171,10 @@ class TestTraining:
     def test_loss_curve_recorded_and_finite(self):
         img = uniform_scene(6, 6, 1)
         model = inr_init(2, 8, seed=0)
-        _, report = inr_train(model, img, steps=250, lr=0.05, record_every=100)
+        _, report = inr_train(model, img, steps=250, lr=0.05)
         steps = [s for s, _ in report.loss_curve]
         assert steps == [0, 100, 200, 249]
         assert all(np.isfinite(loss) for _, loss in report.loss_curve)
-        assert report.schedule == "cosine"
         assert report.lr_curve[0][1] == pytest.approx(0.05)
 
     def test_divergence_raises_with_checkpoint(self):
@@ -182,7 +182,7 @@ class TestTraining:
         model = inr_init(2, 8, seed=0, dtype=np.float32)
         with pytest.raises(TrainingDivergedError) as info:
             with np.errstate(over="ignore", invalid="ignore"):
-                inr_train(model, img, steps=500, lr=1e12, schedule="constant")
+                inr_train(model, img, steps=500, lr=1e12)
         assert info.value.checkpoint is not None
 
     def test_negative_step_count_rejected(self):
@@ -191,10 +191,6 @@ class TestTraining:
         with pytest.raises(ValueError, match="steps"):
             inr_train(model, uniform_scene(4, 4, 1), steps=-1)
         assert all(np.array_equal(a, b) for a, b in zip(model.weights, before))
-
-    def test_unknown_schedule_rejected(self):
-        with pytest.raises(ValueError, match="schedule must be"):
-            inr_train(inr_init(2, 8, seed=0), uniform_scene(4, 4, 1), steps=1, schedule="step")
 
     def test_image_with_no_valid_pixels_rejected(self):
         img = uniform_scene(4, 4, 2)
@@ -233,17 +229,14 @@ class ReferenceAdam:
 
 class TestAdam:
     # The cosine rate is a numpy float64, so a float32 network's update is
-    # taken in float64; the constant rate is a Python float and keeps float32.
-    @pytest.mark.parametrize("dtype, schedule", [
-        (np.float32, "cosine"), (np.float32, "constant"), (np.float64, "cosine"),
-    ])
-    def test_weights_bit_identical_to_the_reference(self, monkeypatch, dtype, schedule):
+    # taken in float64.
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_weights_bit_identical_to_the_reference(self, monkeypatch, dtype):
         target = smooth_scene(64, 64, 3, np.random.default_rng(4))
 
         def train():  # the codec benchmark's network, 20 steps
             model = inr_init(4, 64, seed=1, dtype=dtype)
-            return inr_train(model, target, 20, lr=1e-2, batch_size=4096, seed=1,
-                             schedule=schedule)[0]
+            return inr_train(model, target, 20, lr=1e-2, batch_size=4096, seed=1)[0]
 
         got = train()
         monkeypatch.setattr(inr, "_Adam", ReferenceAdam)
@@ -300,17 +293,27 @@ class TestDecode:
 
 
 class TestRateCurve:
-    def test_rows_are_the_quality_of_each_models_decode(self):
+    @pytest.mark.parametrize("dtype, bits", [(np.float32, 32), (np.float64, 64)])
+    def test_rows_are_the_quality_of_each_models_decode(self, dtype, bits):
         cube = clipped_cube(8, 6, 2)
         assert not cube.mask.all()
-        models = [inr_train(inr_init(layers, width, seed=layers), cube, 5, lr=1e-2)[0]
-                  for layers, width in ((2, 8), (3, 16))]
-        curve = inr_rate_curve(models, cube, bits_per_value=16)
+        models = [inr_train(inr_init(layers, width, seed=layers, dtype=dtype), cube, 5,
+                            lr=1e-2)[0] for layers, width in ((2, 8), (3, 16))]
+        curve = inr_rate_curve(models, cube)
         assert curve.columns == ["layers", "parameters", "bpp", "mse", "psnr"]
         for row, model in zip(curve.rows, models, strict=True):
             fit = quality(cube, inr_decode(model, (8, 6, 2)))
             count = parameter_count(model)
-            assert row == (model.layers, count, count * 16 / (8 * 6), fit.mse, fit.psnr)
+            assert row == (model.layers, count, count * bits / (8 * 6), fit.mse, fit.psnr)
+
+    def test_bits_are_the_width_write_spsi_stores(self, tmp_path):
+        """A float32 network with float64 biases is stored, and counted, at 64 bits."""
+        model = inr_init(2, 8, seed=1, dtype=np.float32)
+        model.biases = [b.astype(np.float64) for b in model.biases]
+        write_spsi(tmp_path / "net.spsi", model)
+        assert (tmp_path / "net.spsi").read_bytes()[20] == 1  # the dtype byte: binary64
+        curve = inr_rate_curve([model], uniform_scene(4, 2, 1))
+        assert curve.rows[0][2] == parameter_count(model) * 64 / (4 * 2)
 
 
 def worst_gradient_error(model, coords, targets, eps=1e-6):

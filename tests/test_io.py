@@ -430,6 +430,25 @@ class TestValueDtype:
             tracemalloc.stop()
         assert peak < payload / 4
 
+    @pytest.mark.parametrize("value", [-2**53, 2**53])
+    def test_int64_entry_at_2_to_the_53_reads_back_exactly(self, tmp_path, value):
+        data = np.zeros((1, 2, 1, 4), np.int64)
+        data[0, 1, 0, 2] = value
+        write_spsi(tmp_path / "cube.spsi", StokesImage(data))
+        assert np.array_equal(read_spsi(tmp_path / "cube.spsi").data, data)
+
+    @pytest.mark.parametrize("dtype, value", [
+        (np.int64, 2**53 + 1), (np.int64, -2**53 - 1), (np.uint64, 2**64 - 1),
+    ])
+    def test_integer_past_2_to_the_53_is_refused_and_leaves_no_file(self, tmp_path, dtype,
+                                                                    value):
+        data = np.zeros((1, 2, 1, 4), dtype)
+        data[0, 1, 0, 2] = value
+        assert int(data[0, 1, 0, 2]) == value
+        with pytest.raises(ContainerError, match=f"{np.dtype(dtype)} values beyond 2\\*\\*53"):
+            write_spsi(tmp_path / "cube.spsi", StokesImage(data))
+        assert os.listdir(tmp_path) == []
+
     @pytest.mark.parametrize("dtype", [
         np.complex128,
         pytest.param(np.longdouble, marks=pytest.mark.skipif(
@@ -1152,8 +1171,17 @@ class TestLabels:
     def test_roundtrip(self, tmp_path):
         labels = LabelSet("outdoor", "sunlight", "2023-06-01T10:00:00", "scene")
         path = tmp_path / "labels.json"
-        write_labels(path, labels, notes="clear sky", rig="sequential")
+        write_labels(path, labels)
         assert read_labels(path) == labels
+
+    def test_sidecar_with_extra_keys_reads(self, tmp_path):
+        path = tmp_path / "labels.json"  # older writers added free-text notes and rig keys
+        path.write_text(
+            '{"environment": "outdoor", "illumination": "sunlight", "notes": "clear sky", '
+            '"capture_time": "2023-06-01T10:00:00", "scene_type": "scene", "rig": "sequential"}'
+        )
+        want = LabelSet("outdoor", "sunlight", "2023-06-01T10:00:00", "scene")
+        assert read_labels(path) == want
 
     def test_unknown_illumination_rejected(self, tmp_path):
         path = tmp_path / "labels.json"

@@ -21,6 +21,7 @@ from polarcube import (
     smooth_scene,
     truncate_codebook,
     variance_spectrum,
+    write_spsi,
 )
 
 from conftest import clipped_cube
@@ -305,6 +306,30 @@ def decode_quality(img, codebook, k):
     data[..., codebook.element] = decoded.data  # the other elements carry no error
     fit = quality(img, StokesImage(data, mask=decoded.mask))
     return 4 * fit.mse, fit.element_psnr[codebook.element]
+
+
+class TestRateIsTheBitsWriteSpsiStores:
+    # a float32 codebook codes a float64 cube into float64 coefficients
+    @pytest.mark.parametrize("cube_dtype, codebook_dtype, bits", [
+        (np.float32, np.float32, 32), (np.float64, np.float32, 64), (np.float64, np.float64, 64),
+    ])
+    def test_rows_count_every_stored_value_at_the_stored_width(self, tmp_path, cube_dtype,
+                                                              codebook_dtype, bits):
+        img = small_cube(12, 10, 2, seed=8)
+        img = StokesImage(img.data.astype(cube_dtype), img.wavelengths)
+        cb = pca_fit_image(img, 2, 8)
+        cb = PcaCodebook(cb.mean.astype(codebook_dtype), cb.basis.astype(codebook_dtype),
+                         cb.sigma.astype(codebook_dtype), cb.total_variance, 2, 2)
+        curve = pca_rate_curve(img, cb, [3, 8])
+        for k, bpp_coeffs, bpp_all, _, _ in curve.rows:
+            enc = pca_encode(img, truncate_codebook(cb, k))
+            write_spsi(tmp_path / "enc.spsi", enc)
+            assert (tmp_path / "enc.spsi").read_bytes()[20] == (bits == 64)  # the dtype byte
+            n = 30 * k  # a 6 x 5 patch grid
+            assert enc.coefficients.size == n
+            assert bpp_coeffs == bits * n / (10 * 12) == bpp(enc.stored_bits(False), 10, 12)
+            values = n + cb.dimension + cb.dimension * k + k  # with mean, basis and sigma
+            assert bpp_all == bits * values / (10 * 12) == bpp(enc.stored_bits(True), 10, 12)
 
 
 class TestRateCurveMatchesPerKDecode:
